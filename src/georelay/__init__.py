@@ -59,7 +59,6 @@ from .uplink_opt import (
     solve_nlp_fixed_mu,
     solve_nlpr,
 )
-from .waterfill import WaterfillResult, constrained_waterfill, min_energy_for_files
 
 __all__ = [
     "AllocationResult",
@@ -78,11 +77,9 @@ __all__ = [
     "RepairRequest",
     "SingularSystemError",
     "UplinkRequest",
-    "WaterfillResult",
     "aggregate_gain",
     "check_mu_reconstructable",
     "constant_power_baseline",
-    "constrained_waterfill",
     "coverage_entry_time",
     "delivered_bits",
     "dp_oracle",
@@ -93,7 +90,6 @@ __all__ = [
     "mds_repair_baseline",
     "mds_repair_min_time",
     "min_energy_downlink",
-    "min_energy_for_files",
     "min_time_downlink",
     "min_time_uplink",
     "msr_point",

@@ -1,10 +1,10 @@
 """Command-line experiment runner with CSV artifacts.
 
-Each subcommand resolves the scenario (defaults + file + flag overrides),
-runs one experiment, and writes ``<out>/<name>.csv`` plus a run manifest
-``<name>.manifest.json`` holding the fully resolved configuration. Outputs
-are byte-deterministic for a fixed (config, seed); files are written to a
-temporary path and atomically renamed.
+Each subcommand resolves the scenario (defaults + file + flag overrides,
+validated together against one schema), runs one experiment, and writes
+``<out>/<name>.csv`` plus a run manifest ``<name>.manifest.json`` holding the
+fully resolved configuration. Outputs are byte-deterministic for a fixed
+(config, seed); files are written to a temporary path and atomically renamed.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 infeasible instance,
 4 internal invariant failure.
@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 configuration/schema error, 3 infeasible instance,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -45,6 +45,9 @@ from .uplink_opt import dp_oracle, min_time_uplink, oa_min_energy_uplink
 
 DIAG_COLUMNS = ("iterations", "z_lower", "z_upper", "kkt_residual_max")
 
+# a sweep point takes 0.01-1 s, so this many already take minutes to hours
+MAX_SWEEP_POINTS = 10_000
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -53,16 +56,12 @@ def _fmt(value) -> str:
         return str(bool(value))
     if isinstance(value, (np.floating, float)):
         value = float(value)
-        if math_isnan(value):
+        if math.isnan(value):
             return ""
         return repr(value)
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     return str(value)
-
-
-def math_isnan(x: float) -> bool:
-    return x != x
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
@@ -103,29 +102,13 @@ def write_manifest(csv_path: str, command: str, config: dict) -> None:
         raise
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GEORELAY_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _apply_overrides(config: dict, args, block: str) -> dict:
-    cfg = json.loads(json.dumps(config))
-    if getattr(args, "ts", None) is not None:
-        cfg[block]["t_start_s"] = args.ts
-    if getattr(args, "horizon", None) is not None:
-        cfg[block]["horizon_s"] = args.horizon
-    if getattr(args, "emax", None) is not None:
-        cfg[block]["e_max_j"] = args.emax
-    if getattr(args, "pmax", None) is not None:
-        cfg[block]["p_max_w"] = args.pmax
-    if getattr(args, "seed", None) is not None:
-        cfg["solver"]["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        cfg["solver"]["grid_step_s"] = args.dt
-    return cfg
+def _flag_overrides(args, block: str) -> dict:
+    """The scenario fields that command-line flags set, as a partial scenario."""
+    flags = {
+        block: {"t_start_s": args.ts, "horizon_s": args.horizon, "e_max_j": args.emax, "p_max_w": args.pmax},
+        "solver": {"seed": args.seed, "grid_step_s": args.dt},
+    }
+    return {name: {k: v for k, v in fields.items() if v is not None} for name, fields in flags.items()}
 
 
 def _alloc_rows(alloc, baseline=None, mu=None, state=None):
@@ -303,11 +286,16 @@ def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
     req = build_repair_request(config)
     regen = repair_min_energy(req)
     mds = mds_repair_baseline(req)
-    regen_time = repair_min_time(req, energy_rel_tol=config["solver"]["time_energy_rel_tol"])
+    regen_time = repair_min_time(
+        req,
+        upper_factor=config["solver"]["time_upper_factor"],
+        energy_rel_tol=config["solver"]["time_energy_rel_tol"],
+    )
     mds_time = mds_repair_min_time(
         req,
         epsilon_rel=config["solver"]["oa_epsilon_rel"],
         max_iterations=config["solver"]["max_oa_iterations"],
+        upper_factor=config["solver"]["time_upper_factor"],
         energy_rel_tol=config["solver"]["time_energy_rel_tol"],
     )
     rows = []
@@ -457,19 +445,15 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
 def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
     if args.param != "ts":
         raise ConfigError(f"unsupported sweep parameter {args.param!r}; only 'ts' is available")
-    if args.step <= 0 or args.to < getattr(args, "from"):
+    start = getattr(args, "from")
+    if not (args.step > 0 and args.to >= start):
         raise ConfigError("sweep requires step > 0 and to >= from")
-    points = []
-    value = getattr(args, "from")
-    while value <= args.to + 1e-9:
-        points.append(round(value, 9))
-        value += args.step
-    workers = min(_thread_cap(), len(points))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ts: _sweep_point(args.task, config, args, ts), points))
-    else:
-        rows = [_sweep_point(args.task, config, args, ts) for ts in points]
+    # points from, from + step, ... up to to (with 1e-9 s slack)
+    span = (args.to - start + 1e-9) // args.step
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+    points = [round(start + i * args.step, 9) for i in range(int(span) + 1)]
+    rows = [_sweep_point(args.task, config, args, ts) for ts in points]
     header: list[str] = []
     for row in rows:
         for key in row:
@@ -541,19 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.scenario)
         if args.command == "sweep":
             block = "repair" if args.task.startswith("repair") else (
                 "downlink" if args.task.startswith("downlink") else "uplink"
             )
-            config = _apply_overrides(config, args, block)
-            header, rows = cmd_sweep(config, args)
-            name = f"sweep-{args.task}"
+            handler, name = cmd_sweep, f"sweep-{args.task}"
         else:
             handler, block = COMMANDS[args.command]
-            config = _apply_overrides(config, args, block)
-            header, rows = handler(config, args)
             name = args.command
+        config = load_config(args.scenario, _flag_overrides(args, block))
+        header, rows = handler(config, args)
         csv_path = os.path.join(args.out, f"{name}.csv")
         write_csv(csv_path, header, rows)
         write_manifest(csv_path, args.command, config)

@@ -4,7 +4,8 @@ The energy problem decouples into independent per-LEO waterfilling solves
 because the bit constraints share no variables. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
 optimum T0, and a binding energy budget is handled by bisecting the horizon
-against the optimal-energy curve, which decreases in the horizon.
+against the optimal-energy curve, which decreases in the horizon. Both
+searches are the shared ones in :mod:`georelay.horizon`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InternalError
+from .errors import InfeasibleError
 from .geometry import ConstellationScenario, coverage_entry_time, geos_distance
+from .horizon import budget_horizon, floor_horizon
 from .link import LinkParams, NodeChannel, PowerProfile, build_channel
 from .waterfill import max_deliverable_bits, solve_cells
-
-_BRACKET_GROW_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -163,27 +163,13 @@ def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
     if target == 0:
         return 0.0
 
-    def deliverable(horizon):
+    def reaches(horizon):
         ch = req.channel(n, horizon)
-        return max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w)
+        return max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w) >= target
 
     lo = max(0.0, coverage_entry_time(req.scenario, n) - req.t_start_s)
-    hi = lo + req.grid_step_s
-    grown = 0
-    while deliverable(hi) < target:
-        hi = lo + 2.0 * (hi - lo)
-        grown += 1
-        if grown > _BRACKET_GROW_LIMIT:
-            raise InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deliverable(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-    return hi
+    unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
+    return floor_horizon(reaches, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
 
 
 def min_time_downlink(
@@ -200,34 +186,9 @@ def min_time_downlink(
     n_leos = req.scenario.n_leos
     t_n0 = np.array([_min_duration_full_power(req, n) for n in range(n_leos)])
     t0 = float(np.max(t_n0)) if n_leos else 0.0
-    alloc0 = min_energy_downlink(req, horizon_s=t0)
-    e0 = alloc0.total_energy_j
-    if req.e_max_j is None or req.e_max_j >= e0:
-        return TimeMinResult(t0, alloc0, False, t_n0, e0)
-
-    e_max = req.e_max_j
-    if e_max <= 0:
-        raise InfeasibleError("energy budget must be positive")
-    hi = upper_factor * t0
-    alloc_hi = min_energy_downlink(req, horizon_s=hi)
-    if alloc_hi.total_energy_j > e_max:
-        raise InfeasibleError(
-            f"budget {e_max:.6g} J below the energy floor "
-            f"{alloc_hi.total_energy_j:.6g} J at the search bound {hi:.6g} s"
-        )
-    lo = t0
-    best = (hi, alloc_hi)
-    for _ in range(200):
-        if hi - lo <= 1e-7 * max(t0, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        alloc_mid = min_energy_downlink(req, horizon_s=mid)
-        if alloc_mid.total_energy_j > e_max:
-            lo = mid
-        else:
-            hi = mid
-            best = (mid, alloc_mid)
-    duration, alloc = best
-    if abs(alloc.total_energy_j - e_max) > energy_rel_tol * e_max:
-        raise InternalError("horizon bisection missed the energy budget")
-    return TimeMinResult(duration, alloc, True, t_n0, e0)
+    duration, alloc, bound, e0 = budget_horizon(
+        lambda horizon: min_energy_downlink(req, horizon_s=horizon),
+        lambda alloc: alloc.total_energy_j,
+        t0, req.e_max_j, upper_factor, 1e-7, energy_rel_tol,
+    )
+    return TimeMinResult(duration, alloc, bound, t_n0, e0)

@@ -29,16 +29,6 @@ class Geos(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PolarPosition:
-    radius_m: float
-    angle_rad: float
-
-    def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
 class ConstellationScenario:
     """Orbital constants for the constellation.
 

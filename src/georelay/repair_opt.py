@@ -5,7 +5,8 @@ exactly-sized helper set; all helper subsets are enumerated and each is
 costed by independent waterfilling. The MDS baseline instead re-downloads
 the full source through the joint file-count/power machinery with the
 failed node excluded. LEO-to-LEO links carry no coverage gating, so helper
-windows span the whole [t_start, t_start + horizon] interval.
+windows span the whole [t_start, t_start + horizon] interval. Both time
+solves search the horizon through :mod:`georelay.horizon`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import numpy as np
 
 from .coding import OperatingPoint, RegenParams, repair_requirement
 from .downlink_opt import AllocationResult, allocate_for_targets
-from .errors import InfeasibleError, InternalError
+from .errors import InfeasibleError
 from .geometry import ConstellationScenario, inter_leos_distance
+from .horizon import budget_horizon, floor_horizon
 from .link import LinkParams, NodeChannel, build_channel
 from .uplink_opt import FileAllocationProblem, OAState, min_time_solve, oa_solve
-
-_BRACKET_GROW_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -136,76 +136,32 @@ def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> R
     )
 
 
-def _regen_min_duration(req: RepairRequest) -> float:
-    """Smallest horizon at which some full helper subset delivers beta files each."""
-    plan = repair_requirement(req.point, req.params)
-    target = plan.per_helper_files * req.params.file_bits
-
-    def capable(horizon: float) -> int:
-        count = 0
-        for h in req.helpers:
-            ch = req.channel(h, horizon)
-            if ch.bits(np.full(ch.n_cells, req.p_max_w)) >= target:
-                count += 1
-        return count
-
-    hi = max(req.grid_step_s, 1.0)
-    grown = 0
-    while capable(hi) < plan.helpers:
-        hi *= 2.0
-        grown += 1
-        if grown > _BRACKET_GROW_LIMIT:
-            raise InfeasibleError("repair traffic unreachable within the horizon search bound")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        if capable(mid) >= plan.helpers:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def repair_min_time(
     req: RepairRequest,
     upper_factor: float = 4.0,
     energy_rel_tol: float = 1e-3,
 ) -> RepairTimeResult:
-    """Minimize the regenerating-repair horizon under the energy budget."""
-    t0 = _regen_min_duration(req)
-    result0 = repair_min_energy(req, horizon_s=t0)
-    e0 = result0.allocation.total_energy_j
-    if req.e_max_j is None or req.e_max_j >= e0:
-        return RepairTimeResult(t0, result0, False, t0, e0)
+    """Minimize the regenerating-repair horizon under the energy budget.
 
-    e_max = req.e_max_j
-    if e_max <= 0:
-        raise InfeasibleError("energy budget must be positive")
-    hi = upper_factor * t0
-    result_hi = repair_min_energy(req, horizon_s=hi)
-    if result_hi.allocation.total_energy_j > e_max:
-        raise InfeasibleError(
-            f"budget {e_max:.6g} J below the energy floor "
-            f"{result_hi.allocation.total_energy_j:.6g} J at the search bound {hi:.6g} s"
-        )
-    lo = t0
-    best = (hi, result_hi)
-    for _ in range(200):
-        if hi - lo <= 1e-5 * max(t0, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        result_mid = repair_min_energy(req, horizon_s=mid)
-        if result_mid.allocation.total_energy_j > e_max:
-            lo = mid
-        else:
-            hi = mid
-            best = (mid, result_mid)
-    duration, result = best
-    if abs(result.allocation.total_energy_j - e_max) > energy_rel_tol * e_max:
-        raise InternalError("horizon bisection missed the energy budget")
-    return RepairTimeResult(duration, result, True, t0, e0)
+    The floor is the smallest horizon at which some full helper subset
+    delivers beta files each at full power.
+    """
+    plan = repair_requirement(req.point, req.params)
+    target = plan.per_helper_files * req.params.file_bits
+
+    def reaches(horizon: float) -> bool:
+        channels = (req.channel(h, horizon) for h in req.helpers)
+        capable = sum(ch.bits(np.full(ch.n_cells, req.p_max_w)) >= target for ch in channels)
+        return capable >= plan.helpers
+
+    unreachable = InfeasibleError("repair traffic unreachable within the horizon search bound")
+    t0 = floor_horizon(reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
+    duration, result, bound, e0 = budget_horizon(
+        lambda horizon: repair_min_energy(req, horizon_s=horizon),
+        lambda result: result.allocation.total_energy_j,
+        t0, req.e_max_j, upper_factor, 1e-5, energy_rel_tol,
+    )
+    return RepairTimeResult(duration, result, bound, t0, e0)
 
 
 def mds_repair_min_time(

@@ -6,8 +6,8 @@ hertz, bits) except angles (degrees) and gains/attenuations/noise levels
 (dB). The default noise levels sit 94 dB below the values -126.56 / -129.08
 often quoted for this scenario: at those literal values no link in this
 geometry can deliver a single file at full power, so the defaults are
-re-anchored to the feasible operating decade (see README); override
-``noise_level_db`` to study other regimes.
+re-anchored to the feasible operating decade; override ``noise_level_db``
+to study other regimes.
 
 ``leos`` and ``carriers_hz`` arrays replace the defaults wholesale; scalar
 fields merge individually. Unknown keys are rejected.
@@ -210,8 +210,12 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path=None) -> dict:
-    """Read, validate and default-fill a scenario file (None = pure defaults)."""
+def load_config(path=None, overrides: dict | None = None) -> dict:
+    """Read, validate and default-fill a scenario file (None = pure defaults).
+
+    ``overrides`` ({block: {field: value}}, the command-line flags) replace
+    the file's fields before validation, so they pass the same schema.
+    """
     if path is None:
         user: dict = {}
     else:
@@ -220,6 +224,9 @@ def load_config(path=None) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    for block, fields in (overrides or {}).items():
+        if isinstance(user, dict) and isinstance(user.setdefault(block, {}), dict):
+            user[block].update(fields)
     return resolve_config(user)
 
 
@@ -227,7 +234,7 @@ def resolve_config(user: dict) -> dict:
     try:
         jsonschema.validate(user, SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"scenario file invalid: {exc.message} (at {list(exc.absolute_path)})") from exc
+        raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})") from exc
     config = _merge(DEFAULT_CONFIG, user)
     n_leos = len(config["constellation"]["leos"])
     if len(config["uplink"]["carriers_hz"]) != n_leos:

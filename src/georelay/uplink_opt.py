@@ -8,7 +8,8 @@ linearized bit constraints yields lower bounds and candidate integer counts;
 fixed-count waterfilling yields upper bounds; points accumulate until the gap
 closes. An exact dynamic program over per-node energy tables provides an
 independent optimum, and time minimization bisects the horizon against the
-floor-valued full-power file-count step function.
+floor-valued full-power file-count step function and then, under a binding
+budget, against the optimal energy (both through :mod:`georelay.horizon`).
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .downlink_opt import (
 )
 from .errors import InfeasibleError, InternalError
 from .geometry import ConstellationScenario, Geos, coverage_entry_time, geos_distance
+from .horizon import budget_horizon, floor_horizon
 from .link import LinkParams, NodeChannel, build_channel
 from .lp_solver import AT_LOWER, AT_UPPER, INFEASIBLE, LinearProgram, MilpSpec, solve_milp
 from .waterfill import LN2, power_at_level, solve_cells
-
-_BRACKET_GROW_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -470,60 +470,17 @@ def min_time_solve(
     integer file counts cover the total; a binding budget is handled by
     bisecting the horizon against the OA-optimal energy, decreasing in T.
     """
-
-    def step(horizon):
-        return int(integer_file_caps(problem_fn(horizon)).sum())
-
-    hi = max(grid_step_s, 1.0)
-    grown = 0
-    while step(hi) < total_files:
-        hi *= 2.0
-        grown += 1
-        if grown > _BRACKET_GROW_LIMIT:
-            raise InfeasibleError("file total unreachable within the horizon search bound")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        if step(mid) >= total_files:
-            hi = mid
-        else:
-            lo = mid
-    t0 = hi
-
-    result0 = oa_solve(problem_fn(t0), epsilon_rel, max_iterations)
-    e0 = result0.allocation.total_energy_j
-    if e_max_j is None or e_max_j >= e0:
-        return UplinkTimeResult(t0, result0.allocation, result0.mu, result0.state, False, t0, e0)
-
-    if e_max_j <= 0:
-        raise InfeasibleError("energy budget must be positive")
-    hi = upper_factor * t0
-    result_hi = oa_solve(problem_fn(hi), epsilon_rel, max_iterations)
-    if result_hi.allocation.total_energy_j > e_max_j:
-        raise InfeasibleError(
-            f"budget {e_max_j:.6g} J below the energy floor "
-            f"{result_hi.allocation.total_energy_j:.6g} J at the search bound {hi:.6g} s"
-        )
-    lo = t0
-    best = (hi, result_hi)
-    for _ in range(200):
-        if hi - lo <= 1e-5 * max(t0, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        result_mid = oa_solve(problem_fn(mid), epsilon_rel, max_iterations)
-        if result_mid.allocation.total_energy_j > e_max_j:
-            lo = mid
-        else:
-            hi = mid
-            best = (mid, result_mid)
-    duration, result = best
-    if abs(result.allocation.total_energy_j - e_max_j) > energy_rel_tol * e_max_j:
-        raise InternalError("horizon bisection missed the energy budget")
-    return UplinkTimeResult(
-        duration, result.allocation, result.mu, result.state, True, t0, e0
+    unreachable = InfeasibleError("file total unreachable within the horizon search bound")
+    t0 = floor_horizon(
+        lambda horizon: int(integer_file_caps(problem_fn(horizon)).sum()) >= total_files,
+        0.0, max(grid_step_s, 1.0), 1e-6, 0.0, unreachable,
     )
+    duration, result, bound, e0 = budget_horizon(
+        lambda horizon: oa_solve(problem_fn(horizon), epsilon_rel, max_iterations),
+        lambda result: result.allocation.total_energy_j,
+        t0, e_max_j, upper_factor, 1e-5, energy_rel_tol,
+    )
+    return UplinkTimeResult(duration, result.allocation, result.mu, result.state, bound, t0, e0)
 
 
 def min_time_uplink(

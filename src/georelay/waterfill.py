@@ -7,9 +7,10 @@ Solves, on the shared grid,
 
 where h_k = L / d^2(t_k) is the per-cell channel gain. The optimal profile is
 P_k = clamp(lam/ln2 - 1/h_k, 0, P_max) with the water level lam set so the bit
-constraint holds with equality. The active-set iteration fixes the zero and
-saturated cell sets, re-solving lam in closed form each pass; both sets grow
-monotonically, so the loop terminates within the grid size.
+constraint holds with equality. Delivered bits increase with lam, so lam is
+bisected to a relative width of 1e-15; the level is then polished in closed
+form on the bracketed zero/interior/saturated split, and the polish is kept
+only if it leaves that split unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InternalError
-from .link import PowerProfile, grid_midpoints, grid_weights
 
 LN2 = math.log(2.0)
 
@@ -47,18 +47,6 @@ class CellSolution:
     saturated_mask: np.ndarray
     delivered_bits: float
     energy_j: float
-    iterations: int
-    kkt_residual: float
-
-
-@dataclass(frozen=True)
-class WaterfillResult:
-    profile: PowerProfile
-    water_level: float
-    zero_cells: np.ndarray
-    saturated_cells: np.ndarray
-    energy_j: float
-    delivered_bits: float
     iterations: int
     kkt_residual: float
 
@@ -145,61 +133,3 @@ def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolutio
     else:
         resid = 0.0
     return CellSolution(powers, level, zero, sat, delivered, energy, iterations, resid)
-
-
-def constrained_waterfill(
-    window: tuple[float, float],
-    distance_fn,
-    gain: float,
-    target_bits: float,
-    bandwidth_hz: float,
-    p_max: float,
-    grid_step_s: float,
-) -> WaterfillResult:
-    """Minimum-energy power profile delivering ``target_bits`` over ``window``.
-
-    ``distance_fn`` maps times (s) to slant distances (m); ``gain`` is the
-    aggregate link gain L. Raises :class:`InfeasibleError` (carrying the
-    deliverable maximum) when the cap is too low for the window.
-    """
-    t_start, t_end = window
-    weights = grid_weights(t_start, t_end, grid_step_s)
-    mids = grid_midpoints(t_start, t_end, grid_step_s)
-    if weights.size:
-        d = np.asarray(distance_fn(mids), dtype=float)
-        gains = gain / (d * d)
-    else:
-        gains = np.zeros(0)
-    sol = solve_cells(weights, gains, bandwidth_hz, target_bits, p_max)
-    profile = PowerProfile(t_start, t_end, grid_step_s, sol.powers_w)
-    return WaterfillResult(
-        profile=profile,
-        water_level=sol.water_level,
-        zero_cells=np.flatnonzero(sol.zero_mask),
-        saturated_cells=np.flatnonzero(sol.saturated_mask),
-        energy_j=sol.energy_j,
-        delivered_bits=sol.delivered_bits,
-        iterations=sol.iterations,
-        kkt_residual=sol.kkt_residual,
-    )
-
-
-def min_energy_for_files(
-    window: tuple[float, float],
-    distance_fn,
-    gain: float,
-    n_files: int,
-    file_bits: float,
-    bandwidth_hz: float,
-    p_max: float,
-    grid_step_s: float,
-) -> float:
-    """Minimum energy (J) to deliver ``n_files`` files; +inf when infeasible."""
-    if n_files < 0:
-        raise ValueError("file count must be nonnegative")
-    try:
-        return constrained_waterfill(
-            window, distance_fn, gain, n_files * file_bits, bandwidth_hz, p_max, grid_step_s
-        ).energy_j
-    except InfeasibleError:
-        return math.inf

@@ -1,0 +1,75 @@
+import pytest
+
+from georelay.errors import InfeasibleError, InternalError
+from georelay.horizon import _BRACKET_GROW_LIMIT, budget_horizon, floor_horizon
+
+
+def test_floor_raises_unreachable_after_the_grow_limit():
+    calls = []
+
+    def never(horizon):
+        calls.append(horizon)
+        return False
+
+    unreachable = InfeasibleError("unreachable")
+    with pytest.raises(InfeasibleError) as exc:
+        floor_horizon(never, 0.0, 1.0, 1e-6, 0.0, unreachable)
+    assert exc.value is unreachable
+    assert len(calls) == _BRACKET_GROW_LIMIT + 1
+    assert calls[-1] == 2.0**_BRACKET_GROW_LIMIT
+
+
+@pytest.mark.parametrize(
+    "threshold, lo, hi, abs_tol, rel_tol",
+    [
+        (3.7, 0.0, 1.0, 1e-6, 0.0),  # uplink/repair form, bracket grows from 1
+        (0.4, 0.0, 1.0, 1e-6, 0.0),  # floor inside the first bracket
+        (512.25, 130.0, 130.5, 0.0, 1e-12),  # downlink form, offset by a coverage entry
+    ],
+)
+def test_floor_brackets_the_threshold_within_tolerance(threshold, lo, hi, abs_tol, rel_tol):
+    def reaches(horizon):
+        return horizon >= threshold
+
+    t0 = floor_horizon(reaches, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
+    tol = abs_tol + rel_tol * max(t0, 1.0)
+    assert reaches(t0)
+    assert not reaches(t0 - tol)
+
+
+def _solve(horizon):
+    # optimal energy decreasing in the horizon, as in every stage
+    return {"horizon": horizon, "energy": 1000.0 / horizon}
+
+
+def _energy(result):
+    return result["energy"]
+
+
+def test_budget_slack_or_absent_keeps_the_floor():
+    for e_max in (None, 100.0, 1000.0):
+        duration, result, bound, e0 = budget_horizon(_solve, _energy, 10.0, e_max, 4.0, 1e-5, 1e-3)
+        assert (duration, result["horizon"], bound, e0) == (10.0, 10.0, False, 100.0)
+
+
+def test_budget_bisection_meets_the_budget():
+    duration, result, bound, e0 = budget_horizon(_solve, _energy, 10.0, 40.0, 4.0, 1e-7, 1e-3)
+    assert bound and e0 == 100.0
+    assert result["horizon"] == duration
+    assert duration == pytest.approx(25.0, rel=1e-6)
+    assert _energy(result) <= 40.0
+
+
+def test_budget_below_the_floor_at_the_search_bound_is_infeasible():
+    with pytest.raises(InfeasibleError, match="below the energy floor"):
+        budget_horizon(_solve, _energy, 10.0, 20.0, 4.0, 1e-5, 1e-3)
+    with pytest.raises(InfeasibleError, match="must be positive"):
+        budget_horizon(_solve, _energy, 10.0, -1.0, 4.0, 1e-5, 1e-3)
+
+
+def test_budget_missed_by_a_step_in_the_energy_curve_is_an_internal_error():
+    def solve(horizon):
+        return {"energy": 100.0 if horizon < 20.0 else 10.0}
+
+    with pytest.raises(InternalError):
+        budget_horizon(solve, _energy, 10.0, 50.0, 4.0, 1e-5, 1e-3)

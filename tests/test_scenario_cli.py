@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from georelay import cli
 from georelay.cli import main
 from georelay.errors import ConfigError
 from georelay.scenario import DEFAULT_CONFIG, load_config, resolve_config
@@ -113,15 +114,54 @@ def test_cli_sweep_determinism(tmp_path):
     assert m1 == m2
 
 
-def test_cli_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    args = ["sweep", "--task", "downlink-energy", "--from", "0", "--to", "150", "--step", "50", "--dt", "5"]
-    monkeypatch.delenv("GEORELAY_THREADS", raising=False)
-    assert run_cli(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("GEORELAY_THREADS", "4")
-    assert run_cli(args + ["--out", str(out2)]) == 0
-    assert (out1 / "sweep-downlink-energy.csv").read_bytes() == (out2 / "sweep-downlink-energy.csv").read_bytes()
+@pytest.mark.parametrize(
+    "flags",
+    [["--dt", "0"], ["--dt", "-1"], ["--horizon", "-1"], ["--pmax", "0"], ["--ts", "-5"]],
+)
+def test_cli_invalid_flag_is_a_schema_error(tmp_path, flags):
+    assert run_cli(["downlink-energy", *flags, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "downlink-energy.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["downlink-time", "uplink-time", "repair"])
+def test_cli_budget_below_energy_floor(tmp_path, capsys, command):
+    assert run_cli([command, "--emax", "1", "--out", str(tmp_path)]) == 3
+    assert "below the energy floor" in capsys.readouterr().err
+
+
+def test_cli_repair_uses_time_upper_factor(tmp_path, capsys):
+    """A 1.5x search bound makes a 1500 J repair budget infeasible for the
+    repair command and the one-point repair-time sweep alike."""
+    scenario = tmp_path / "factor.json"
+    scenario.write_text('{"solver": {"time_upper_factor": 1.5}}')
+    common = ["--scenario", str(scenario), "--emax", "1500", "--out", str(tmp_path)]
+    assert run_cli(["repair", *common]) == 3
+    repair_err = capsys.readouterr().err
+    assert run_cli(["sweep", "--task", "repair-time", "--from", "0", "--to", "0", "--step", "1", *common]) == 3
+    assert capsys.readouterr().err == repair_err
+    assert "at the search bound 7.81718 s" in repair_err
+
+
+def test_cli_sweep_points_are_from_plus_multiples_of_step(tmp_path, monkeypatch):
+    points = []
+
+    def record(task, config, args, ts):
+        points.append(ts)
+        return {"ts_s": ts}
+
+    monkeypatch.setattr(cli, "_sweep_point", record)
+    args = ["sweep", "--task", "downlink-energy", "--from", "0", "--to", "1", "--step", "0.1", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    assert points == [round(0.1 * i, 9) for i in range(11)]
+
+
+def test_cli_sweep_rejects_oversized_point_count(tmp_path, monkeypatch):
+    def no_work(*_):
+        raise AssertionError("an oversized sweep started work")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_work)
+    args = ["sweep", "--task", "uplink-energy", "--from", "0", "--to", "1e9", "--step", "1e-3", "--out", str(tmp_path)]
+    assert run_cli(args) == 2
 
 
 def test_cli_sweep_rejects_unknown_param(tmp_path):

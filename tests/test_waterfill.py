@@ -4,51 +4,59 @@ import numpy as np
 import pytest
 
 from georelay.errors import InfeasibleError
-from georelay.waterfill import (
-    constrained_waterfill,
-    max_deliverable_bits,
-    min_energy_for_files,
-    solve_cells,
-)
+from georelay.link import LinkParams, aggregate_gain, build_channel
+from georelay.waterfill import max_deliverable_bits, solve_cells
 from oracles import projected_gradient_min_energy, random_cell_problem
 
 LN2 = math.log(2.0)
 
 
-def flat_distance(d):
-    return lambda t: np.full_like(np.asarray(t, dtype=float), d)
+def flat_channel(snr_per_w, window, bandwidth_hz=1e6):
+    """``build_channel`` cells of a constant channel whose SNR is P * snr_per_w."""
+    params = LinkParams(20e9, bandwidth_hz, 0.0, 0.0, 0.0, -200.0)
+    d = math.sqrt(aggregate_gain(params) / snr_per_w)
+    return build_channel(params, lambda t: np.full_like(t, d), window, 1.0)
+
+
+def waterfill(ch, target_bits, p_max):
+    return solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target_bits, p_max)
 
 
 def test_zero_target():
-    res = constrained_waterfill((0.0, 100.0), flat_distance(1e7), 1e10, 0.0, 1e6, 50.0, 1.0)
-    assert res.energy_j == 0.0
-    assert res.water_level == 0.0
-    assert np.all(res.profile.values_w == 0.0)
+    ch = flat_channel(1e-4, (0.0, 100.0))
+    sol = waterfill(ch, 0.0, 50.0)
+    assert sol.energy_j == 0.0
+    assert sol.water_level == 0.0
+    assert ch.n_cells == 100
+    assert np.all(ch.profile(sol.powers_w).values_w == 0.0)
 
 
 def test_constant_channel_closed_form():
     """Uncapped flat channel: uniform power from the rate equation."""
-    d, gain, W, span, p_max = 1e7, 1e12, 1e6, 200.0, 1e9
+    W, span, p_max = 1e6, 200.0, 1e9
+    ch = flat_channel(1e-2, (0.0, span), W)
     target = 0.4 * span * W  # 0.4 bits/s/Hz
-    res = constrained_waterfill((0.0, span), flat_distance(d), gain, target, W, p_max, 1.0)
-    expected_p = (2 ** (target / (W * span)) - 1) * d * d / gain
-    assert np.allclose(res.profile.values_w, expected_p, rtol=1e-9)
-    assert res.delivered_bits == pytest.approx(target, rel=1e-9)
+    sol = waterfill(ch, target, p_max)
+    expected_p = (2 ** (target / (W * span)) - 1) / ch.gains_per_w
+    assert np.allclose(sol.powers_w, expected_p, rtol=1e-9)
+    assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
 
 
 def test_infeasible_reports_max_bits():
-    d, gain, W, span, p_max = 1e7, 1e10, 1e6, 60.0, 5.0
-    cap_bits = span * W * math.log2(1.0 + p_max * gain / d**2)
+    W, span, p_max = 1e6, 60.0, 5.0
+    ch = flat_channel(1e-4, (0.0, span), W)
+    cap_bits = span * W * math.log2(1.0 + p_max * 1e-4)
     with pytest.raises(InfeasibleError) as exc:
-        constrained_waterfill((0.0, span), flat_distance(d), gain, 2 * cap_bits, W, p_max, 1.0)
+        waterfill(ch, 2 * cap_bits, p_max)
     assert exc.value.max_bits == pytest.approx(cap_bits, rel=1e-9)
 
 
 def test_empty_window():
+    ch = flat_channel(1e-4, (10.0, 10.0))
+    assert ch.n_cells == 0
     with pytest.raises(InfeasibleError):
-        constrained_waterfill((10.0, 10.0), flat_distance(1e7), 1e10, 1.0, 1e6, 5.0, 1.0)
-    res = constrained_waterfill((10.0, 10.0), flat_distance(1e7), 1e10, 0.0, 1e6, 5.0, 1.0)
-    assert res.energy_j == 0.0
+        waterfill(ch, 1.0, 5.0)
+    assert waterfill(ch, 0.0, 5.0).energy_j == 0.0
 
 
 def test_kkt_structure_on_varying_channel():
@@ -120,14 +128,6 @@ def test_min_energy_for_files_convex(default_config):
     assert all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
     for i in range(1, 10):
         assert energies[i - 1] + energies[i + 1] >= 2 * energies[i] - 1e-6 * energies[i]
-
-
-def test_min_energy_for_files_sentinel():
-    d, gain, W, p_max = 1e7, 1e10, 1e6, 1.0
-    assert min_energy_for_files((0.0, 10.0), flat_distance(d), gain, 0, 1.6e8, W, p_max, 1.0) == 0.0
-    assert math.isinf(
-        min_energy_for_files((0.0, 10.0), flat_distance(d), gain, 1000, 1.6e8, W, p_max, 1.0)
-    )
 
 
 def test_reference_downlink_energy_below_constant_power(default_config):
