@@ -43,7 +43,7 @@ from .geometry import (
     inter_leos_distance,
     rotation_angle,
 )
-from .link import LinkParams, PowerProfile, aggregate_gain, delivered_bits, rate, snr
+from .link import LinkParams, PowerProfile, aggregate_gain
 from .repair_opt import (
     RepairRequest,
     mds_repair_baseline,
@@ -81,7 +81,6 @@ __all__ = [
     "check_mu_reconstructable",
     "constant_power_baseline",
     "coverage_entry_time",
-    "delivered_bits",
     "dp_oracle",
     "encode",
     "geos_distance",
@@ -94,13 +93,11 @@ __all__ = [
     "min_time_uplink",
     "msr_point",
     "oa_min_energy_uplink",
-    "rate",
     "reconstruct",
     "repair_min_energy",
     "repair_min_time",
     "repair_requirement",
     "rotation_angle",
-    "snr",
     "solve_nlp_fixed_mu",
     "solve_nlpr",
     "validate_params",

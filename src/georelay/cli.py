@@ -33,6 +33,7 @@ from .repair_opt import (
     repair_min_time,
 )
 from .scenario import (
+    SCHEMA,
     build_regen_params,
     build_downlink_request,
     build_repair_request,
@@ -210,20 +211,55 @@ def cmd_code_check(config: dict, args) -> tuple[list[str], list[dict]]:
     return header, [row]
 
 
+def _block(task: str) -> str:
+    """The scenario block a subcommand or sweep task reads (names are "<block>-<what>")."""
+    return task.split("-")[0]
+
+
+def _checked_oracle(req, result):
+    """The exact DP optimum of ``req``; raises when the OA result misses it."""
+    oracle = dp_oracle(req)
+    if abs(result.allocation.total_energy_j - oracle.energy_j) > 1e-6 * max(oracle.energy_j, 1.0):
+        raise InternalError(
+            f"outer approximation energy {result.allocation.total_energy_j!r} "
+            f"disagrees with the exact optimum {oracle.energy_j!r}"
+        )
+    return oracle
+
+
+def solve_task(task: str, config: dict, oracle: bool = False) -> tuple:
+    """The results of one sweep task's solves on a resolved scenario.
+
+    This is the one place the CLI calls the stage solvers; their settings
+    travel in the requests the scenario builds. ``oracle`` adds the checked
+    DP optimum to the uplink-energy results (None otherwise).
+    """
+    if task == "downlink-energy":
+        req = build_downlink_request(config)
+        return min_energy_downlink(req), constant_power_baseline(req)
+    if task == "downlink-time":
+        return (min_time_downlink(build_downlink_request(config)),)
+    if task == "uplink-energy":
+        req = build_uplink_request(config)
+        result = oa_min_energy_uplink(req)
+        return result, _checked_oracle(req, result) if oracle else None
+    if task == "uplink-time":
+        return (min_time_uplink(build_uplink_request(config)),)
+    req = build_repair_request(config)
+    if task == "repair-energy":
+        return repair_min_energy(req), mds_repair_baseline(req)
+    if task == "repair-time":
+        return repair_min_time(req), mds_repair_min_time(req)
+    raise ConfigError(f"unknown task {task!r}")
+
+
 def cmd_downlink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
-    req = build_downlink_request(config)
-    alloc = min_energy_downlink(req)
-    baseline = constant_power_baseline(req)
+    alloc, baseline = solve_task("downlink-energy", config)
     return _ALLOC_HEADER, _alloc_rows(alloc, baseline=baseline)
 
 
 def cmd_downlink_time(config: dict, args) -> tuple[list[str], list[dict]]:
-    req = build_downlink_request(config)
-    res = min_time_downlink(
-        req,
-        upper_factor=config["solver"]["time_upper_factor"],
-        energy_rel_tol=config["solver"]["time_energy_rel_tol"],
-    )
+    (res,) = solve_task("downlink-time", config)
     rows = _alloc_rows(res.allocation)
     for i, row in enumerate(rows[:-1]):
         row["min_duration_s"] = float(res.min_durations_s[i])
@@ -239,36 +275,18 @@ def cmd_downlink_time(config: dict, args) -> tuple[list[str], list[dict]]:
 
 
 def cmd_uplink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
-    req = build_uplink_request(config)
-    eps = config["solver"]["oa_epsilon_rel"]
-    iters = config["solver"]["max_oa_iterations"]
-    result = oa_min_energy_uplink(req, epsilon_rel=eps, max_iterations=iters)
+    result, oracle = solve_task("uplink-energy", config, args.oracle)
     rows = _alloc_rows(result.allocation, mu=result.mu, state=result.state)
-    if args.oracle:
-        oracle = dp_oracle(req)
-        gap = abs(result.allocation.total_energy_j - oracle.energy_j)
-        ok = gap <= 1e-6 * max(oracle.energy_j, 1.0)
+    if oracle is not None:
         rows[-1]["oracle_energy_j"] = oracle.energy_j
         rows[-1]["oracle_mu"] = ";".join(str(int(v)) for v in oracle.mu)
-        rows[-1]["oracle_match"] = ok
-        if not ok:
-            raise InternalError(
-                f"outer approximation energy {result.allocation.total_energy_j!r} "
-                f"disagrees with the exact optimum {oracle.energy_j!r}"
-            )
+        rows[-1]["oracle_match"] = True  # a mismatch raised in _checked_oracle
     header = _ALLOC_HEADER + (["oracle_energy_j", "oracle_mu", "oracle_match"] if args.oracle else [])
     return header, rows
 
 
 def cmd_uplink_time(config: dict, args) -> tuple[list[str], list[dict]]:
-    req = build_uplink_request(config)
-    res = min_time_uplink(
-        req,
-        epsilon_rel=config["solver"]["oa_epsilon_rel"],
-        max_iterations=config["solver"]["max_oa_iterations"],
-        upper_factor=config["solver"]["time_upper_factor"],
-        energy_rel_tol=config["solver"]["time_energy_rel_tol"],
-    )
+    (res,) = solve_task("uplink-time", config)
     rows = _alloc_rows(res.allocation, mu=res.mu, state=res.state)
     rows[-1].update(
         {
@@ -283,21 +301,8 @@ def cmd_uplink_time(config: dict, args) -> tuple[list[str], list[dict]]:
 
 
 def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
-    req = build_repair_request(config)
-    regen = repair_min_energy(req)
-    mds = mds_repair_baseline(req)
-    regen_time = repair_min_time(
-        req,
-        upper_factor=config["solver"]["time_upper_factor"],
-        energy_rel_tol=config["solver"]["time_energy_rel_tol"],
-    )
-    mds_time = mds_repair_min_time(
-        req,
-        epsilon_rel=config["solver"]["oa_epsilon_rel"],
-        max_iterations=config["solver"]["max_oa_iterations"],
-        upper_factor=config["solver"]["time_upper_factor"],
-        energy_rel_tol=config["solver"]["time_energy_rel_tol"],
-    )
+    regen, mds = solve_task("repair-energy", config)
+    regen_time, mds_time = solve_task("repair-time", config)
     rows = []
     for scheme, res, tres in (("regenerating", regen, regen_time), ("mds", mds, mds_time)):
         for i, helper in enumerate(res.helpers):
@@ -339,17 +344,24 @@ def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
     return header, rows
 
 
+def _oa_columns(result) -> dict:
+    """Per-LEO file counts and OA bounds of an uplink result, as sweep columns."""
+    row = {f"mu_{i + 1}": int(v) for i, v in enumerate(result.mu)}
+    row.update(
+        iterations=result.state.iterations,
+        z_lower=result.state.z_lower,
+        z_upper=result.state.z_upper,
+        kkt_residual_max=result.allocation.kkt_residual_max,
+    )
+    return row
+
+
 def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
-    cfg = json.loads(json.dumps(config))
-    block = {"downlink-energy": "downlink", "downlink-time": "downlink"}.get(task, "uplink")
-    if task.startswith("repair"):
-        block = "repair"
-    cfg[block]["t_start_s"] = ts
+    block = _block(task)
+    results = solve_task(task, {**config, block: {**config[block], "t_start_s": ts}}, args.oracle)
     row: dict = {"ts_s": ts}
     if task == "downlink-energy":
-        req = build_downlink_request(cfg)
-        alloc = min_energy_downlink(req)
-        base = constant_power_baseline(req)
+        alloc, base = results
         row.update(
             energy_j=alloc.total_energy_j,
             baseline_energy_j=base.total_energy_j,
@@ -357,8 +369,7 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             kkt_residual_max=alloc.kkt_residual_max,
         )
     elif task == "downlink-time":
-        req = build_downlink_request(cfg)
-        res = min_time_downlink(req, cfg["solver"]["time_upper_factor"], cfg["solver"]["time_energy_rel_tol"])
+        (res,) = results
         row.update(
             duration_s=res.duration_s,
             energy_j=res.allocation.total_energy_j,
@@ -367,64 +378,27 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             kkt_residual_max=res.allocation.kkt_residual_max,
         )
     elif task == "uplink-energy":
-        req = build_uplink_request(cfg)
-        result = oa_min_energy_uplink(req, cfg["solver"]["oa_epsilon_rel"], cfg["solver"]["max_oa_iterations"])
-        row.update(energy_j=result.allocation.total_energy_j)
-        for i, v in enumerate(result.mu):
-            row[f"mu_{i + 1}"] = int(v)
-        row.update(
-            iterations=result.state.iterations,
-            z_lower=result.state.z_lower,
-            z_upper=result.state.z_upper,
-            kkt_residual_max=result.allocation.kkt_residual_max,
-        )
-        if args.oracle:
-            oracle = dp_oracle(req)
-            row["oracle_energy_j"] = oracle.energy_j
-            row["oracle_match"] = abs(result.allocation.total_energy_j - oracle.energy_j) <= 1e-6 * max(
-                oracle.energy_j, 1.0
-            )
+        result, oracle = results
+        row.update(energy_j=result.allocation.total_energy_j, **_oa_columns(result))
+        if oracle is not None:
+            row.update(oracle_energy_j=oracle.energy_j, oracle_match=True)  # a mismatch raised
     elif task == "uplink-time":
-        req = build_uplink_request(cfg)
-        res = min_time_uplink(
-            req,
-            cfg["solver"]["oa_epsilon_rel"],
-            cfg["solver"]["max_oa_iterations"],
-            cfg["solver"]["time_upper_factor"],
-            cfg["solver"]["time_energy_rel_tol"],
-        )
+        (res,) = results
         row.update(duration_s=res.duration_s, energy_j=res.allocation.total_energy_j, budget_bound=res.budget_bound)
-        for i, v in enumerate(res.mu):
-            row[f"mu_{i + 1}"] = int(v)
-        row.update(
-            iterations=res.state.iterations,
-            z_lower=res.state.z_lower,
-            z_upper=res.state.z_upper,
-            kkt_residual_max=res.allocation.kkt_residual_max,
-        )
+        row.update(_oa_columns(res))
     elif task == "repair-energy":
-        req = build_repair_request(cfg)
-        regen = repair_min_energy(req)
-        mds = mds_repair_baseline(req)
+        regen, mds = results
         row.update(
             regen_energy_j=regen.allocation.total_energy_j,
             mds_energy_j=mds.allocation.total_energy_j,
             regen_helpers=";".join(str(h + 1) for h in regen.helpers),
-            iterations=mds.state.iterations if mds.state else None,
-            z_lower=mds.state.z_lower if mds.state else None,
-            z_upper=mds.state.z_upper if mds.state else None,
+            iterations=mds.state.iterations,
+            z_lower=mds.state.z_lower,
+            z_upper=mds.state.z_upper,
             kkt_residual_max=regen.allocation.kkt_residual_max,
         )
-    elif task == "repair-time":
-        req = build_repair_request(cfg)
-        regen = repair_min_time(req, cfg["solver"]["time_upper_factor"], cfg["solver"]["time_energy_rel_tol"])
-        mds = mds_repair_min_time(
-            req,
-            cfg["solver"]["oa_epsilon_rel"],
-            cfg["solver"]["max_oa_iterations"],
-            cfg["solver"]["time_upper_factor"],
-            cfg["solver"]["time_energy_rel_tol"],
-        )
+    else:  # repair-time
+        regen, mds = results
         row.update(
             regen_duration_s=regen.duration_s,
             mds_duration_s=mds.duration_s,
@@ -435,8 +409,6 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             z_upper=None,
             kkt_residual_max=regen.result.allocation.kkt_residual_max,
         )
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown sweep task {task}")
     for col in DIAG_COLUMNS:
         row.setdefault(col, None)
     return row
@@ -446,8 +418,10 @@ def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
     if args.param != "ts":
         raise ConfigError(f"unsupported sweep parameter {args.param!r}; only 'ts' is available")
     start = getattr(args, "from")
-    if not (args.step > 0 and args.to >= start):
-        raise ConfigError("sweep requires step > 0 and to >= from")
+    # points only increase from `from`, so its bound covers them all
+    ts_min = SCHEMA["properties"][_block(args.task)]["properties"]["t_start_s"]["minimum"]
+    if not (args.step > 0 and args.to >= start >= ts_min):
+        raise ConfigError(f"sweep requires step > 0, to >= from and from >= {ts_min}")
     # points from, from + step, ... up to to (with 1e-9 s slack)
     span = (args.to - start + 1e-9) // args.step
     if not span < MAX_SWEEP_POINTS:
@@ -475,12 +449,12 @@ def _write_gnuplot(csv_path: str, header: list[str]) -> None:
 
 
 COMMANDS = {
-    "code-check": (cmd_code_check, "code"),
-    "downlink-energy": (cmd_downlink_energy, "downlink"),
-    "downlink-time": (cmd_downlink_time, "downlink"),
-    "uplink-energy": (cmd_uplink_energy, "uplink"),
-    "uplink-time": (cmd_uplink_time, "uplink"),
-    "repair": (cmd_repair, "repair"),
+    "code-check": cmd_code_check,
+    "downlink-energy": cmd_downlink_energy,
+    "downlink-time": cmd_downlink_time,
+    "uplink-energy": cmd_uplink_energy,
+    "uplink-time": cmd_uplink_time,
+    "repair": cmd_repair,
 }
 
 SWEEP_TASKS = (
@@ -526,14 +500,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            block = "repair" if args.task.startswith("repair") else (
-                "downlink" if args.task.startswith("downlink") else "uplink"
-            )
-            handler, name = cmd_sweep, f"sweep-{args.task}"
+            handler, task, name = cmd_sweep, args.task, f"sweep-{args.task}"
         else:
-            handler, block = COMMANDS[args.command]
-            name = args.command
-        config = load_config(args.scenario, _flag_overrides(args, block))
+            handler, task, name = COMMANDS[args.command], args.command, args.command
+        config = load_config(args.scenario, _flag_overrides(args, _block(task)))
         header, rows = handler(config, args)
         csv_path = os.path.join(args.out, f"{name}.csv")
         write_csv(csv_path, header, rows)

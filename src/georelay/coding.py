@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +19,6 @@ import numpy as np
 
 from .errors import InternalError, SingularSystemError
 from .gf import GaloisField, galois_field
-
-STORE_MAGIC = b"GRCS"
-STORE_VERSION = 1
 
 
 class OperatingPoint(enum.Enum):
@@ -53,10 +49,6 @@ class RegenParams:
             raise ValueError("all code counts must be integers >= 1")
         if self.file_bits <= 0:
             raise ValueError("file size must be positive")
-
-    @property
-    def repair_bandwidth_files(self) -> int:
-        return self.repair_d * self.per_helper_files
 
 
 @dataclass(frozen=True)
@@ -242,53 +234,3 @@ def reconstruct(store: CodedStore, downloads, selectors=None) -> np.ndarray:
         raise InternalError("reconstruction residual nonzero")
     return solution
 
-
-def dump_store(store: CodedStore, path) -> None:
-    """Write a store to a little-endian binary file (test-fixture format)."""
-    p = store.params
-    header = struct.pack(
-        "<4sHIIIIq",
-        STORE_MAGIC,
-        STORE_VERSION,
-        store.field.order,
-        p.n_files,
-        p.n_nodes,
-        p.per_node_files,
-        store.seed,
-    )
-    width = "B" if store.field.order <= 256 else "I"
-    body = bytearray()
-    body += struct.pack(f"<{p.n_files}{width}", *store.source.tolist())
-    for h in store.encoders:
-        body += struct.pack(f"<{h.size}{width}", *h.reshape(-1).tolist())
-    for payload in store.payloads:
-        body += struct.pack(f"<{payload.size}{width}", *payload.tolist())
-    with open(path, "wb") as fh:
-        fh.write(header + bytes(body))
-
-
-def load_store(path, params: RegenParams) -> CodedStore:
-    """Read a store written by :func:`dump_store`; code parameters supplied by caller."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.calcsize("<4sHIIIIq")
-    magic, version, order, m, n, alpha, seed = struct.unpack("<4sHIIIIq", raw[:head])
-    if magic != STORE_MAGIC:
-        raise ValueError("not a coded-store file")
-    if version != STORE_VERSION:
-        raise ValueError(f"unsupported store version {version}")
-    if (m, n, alpha) != (params.n_files, params.n_nodes, params.per_node_files):
-        raise ValueError("file header disagrees with supplied code parameters")
-    width = "B" if order <= 256 else "I"
-    offset = head
-
-    def take(count):
-        nonlocal offset
-        vals = struct.unpack_from(f"<{count}{width}", raw, offset)
-        offset += struct.calcsize(f"<{count}{width}")
-        return np.array(vals, dtype=np.int64)
-
-    source = take(m)
-    encoders = tuple(take(m * alpha).reshape(m, alpha) for _ in range(n))
-    payloads = tuple(take(alpha) for _ in range(n))
-    return CodedStore(galois_field(order), params, source, encoders, payloads, seed, 0)

@@ -5,7 +5,8 @@ because the bit constraints share no variables. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
 optimum T0, and a binding energy budget is handled by bisecting the horizon
 against the optimal-energy curve, which decreases in the horizon. Both
-searches are the shared ones in :mod:`georelay.horizon`.
+searches are the shared ones in :mod:`georelay.horizon`; their settings come
+from the request.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ class DownlinkRequest:
 
     ``links`` carries one entry per LEO (attenuations differ). Windows are
     entry-limited: LEO n transmits over [max(t_start, entry_n), t_start + horizon].
+    ``upper_factor`` bounds the budget search at that multiple of T0, which
+    stops once the energy is within ``energy_rel_tol`` of the budget.
     """
 
     scenario: ConstellationScenario
@@ -39,6 +42,8 @@ class DownlinkRequest:
     p_max_w: float
     e_max_j: float | None = None
     grid_step_s: float = 1.0
+    upper_factor: float = 4.0
+    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
         if len(self.links) != self.scenario.n_leos:
@@ -172,16 +177,12 @@ def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
     return floor_horizon(reaches, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
 
 
-def min_time_downlink(
-    req: DownlinkRequest,
-    upper_factor: float = 4.0,
-    energy_rel_tol: float = 1e-3,
-) -> TimeMinResult:
+def min_time_downlink(req: DownlinkRequest) -> TimeMinResult:
     """Minimize the transmission horizon subject to the total-energy budget.
 
     With a slack budget the answer is T0 = max_n T_n0 (every LEO at full power
     meets its target within T0); otherwise the horizon is bisected until the
-    optimal energy matches the budget within ``energy_rel_tol``.
+    optimal energy matches the budget within ``req.energy_rel_tol``.
     """
     n_leos = req.scenario.n_leos
     t_n0 = np.array([_min_duration_full_power(req, n) for n in range(n_leos)])
@@ -189,6 +190,6 @@ def min_time_downlink(
     duration, alloc, bound, e0 = budget_horizon(
         lambda horizon: min_energy_downlink(req, horizon_s=horizon),
         lambda alloc: alloc.total_energy_j,
-        t0, req.e_max_j, upper_factor, 1e-7, energy_rel_tol,
+        t0, req.e_max_j, req.upper_factor, 1e-7, req.energy_rel_tol,
     )
     return TimeMinResult(duration, alloc, bound, t_n0, e0)

@@ -1,4 +1,4 @@
-"""RF link budget: aggregate gain, SNR, Shannon rate, delivered-bit integrals.
+"""RF link budget: aggregate gain and discretized per-node channels.
 
 The aggregate gain constant folds antenna gains, path attenuation, carrier
 wavelength, noise level and bandwidth into a single factor L so that the
@@ -65,10 +65,6 @@ class PowerProfile:
             raise ValueError(f"expected {n} grid values, got {values.shape}")
 
     @property
-    def midpoints_s(self) -> np.ndarray:
-        return grid_midpoints(self.t_start_s, self.t_end_s, self.grid_step_s)
-
-    @property
     def weights_s(self) -> np.ndarray:
         return grid_weights(self.t_start_s, self.t_end_s, self.grid_step_s)
 
@@ -117,37 +113,12 @@ def aggregate_gain(params: LinkParams) -> float:
     )
 
 
-def snr(power_w, gain: float, distance_m):
-    """Received SNR for transmit power, aggregate gain and slant distance."""
-    distance_m = np.asarray(distance_m, dtype=float)
-    if np.any(distance_m <= 0):
-        raise ValueError("distance must be positive")
-    return np.asarray(power_w, dtype=float) * gain / (distance_m * distance_m)
-
-
-def rate(snr_value, bandwidth_hz: float):
-    """Shannon rate W * log2(1 + SNR), bits per second."""
-    return bandwidth_hz * np.log2(1.0 + np.asarray(snr_value, dtype=float))
-
-
-def delivered_bits(profile: PowerProfile, params: LinkParams, distance_fn) -> float:
-    """Bits delivered over the profile's window by midpoint quadrature.
-
-    ``distance_fn`` maps an array of times (s) to slant distances (m).
-    """
-    if profile.values_w.size == 0:
-        return 0.0
-    mid = profile.midpoints_s
-    d = np.asarray(distance_fn(mid), dtype=float)
-    gamma = snr(profile.values_w, aggregate_gain(params), d)
-    return float(np.dot(profile.weights_s, rate(gamma, params.bandwidth_hz)))
-
-
 @dataclass(frozen=True)
 class NodeChannel:
     """One node's discretized channel over its transmission window.
 
-    ``gains_per_w`` holds L / d^2(t_k) per cell, so SNR = P_k * gains_per_w[k].
+    ``gains_per_w`` holds L / d^2(t_k) per cell, so SNR = P_k * gains_per_w[k],
+    and :meth:`bits` integrates the Shannon rate W * log2(1 + SNR) over the cells.
     """
 
     t_start_s: float
@@ -181,7 +152,10 @@ class NodeChannel:
 
 
 def build_channel(params: LinkParams, distance_fn, window, grid_step_s: float) -> NodeChannel:
-    """Discretize a link over ``window``; an empty/inverted window gives zero cells."""
+    """Discretize a link over ``window``; an empty/inverted window gives zero cells.
+
+    ``distance_fn`` maps an array of cell midpoints (s) to slant distances (m).
+    """
     t_start, t_end = window
     if t_end <= t_start:
         return NodeChannel(t_start, t_start, grid_step_s, np.zeros(0), np.zeros(0), params.bandwidth_hz)

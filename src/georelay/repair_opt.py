@@ -6,7 +6,8 @@ costed by independent waterfilling. The MDS baseline instead re-downloads
 the full source through the joint file-count/power machinery with the
 failed node excluded. LEO-to-LEO links carry no coverage gating, so helper
 windows span the whole [t_start, t_start + horizon] interval. Both time
-solves search the horizon through :mod:`georelay.horizon`.
+solves search the horizon through :mod:`georelay.horizon`. The OA and
+horizon-search settings come from the request.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from .uplink_opt import FileAllocationProblem, OAState, min_time_solve, oa_solve
 
 @dataclass(frozen=True)
 class RepairRequest:
-    """Inputs of the failed-node repair problems (0-based failed index)."""
+    """Inputs of the failed-node repair problems (0-based failed index).
+
+    ``epsilon_rel`` and ``max_iterations`` set the MDS baseline's OA runs;
+    ``upper_factor`` and ``energy_rel_tol`` set both time solves' budget search.
+    """
 
     scenario: ConstellationScenario
     links: tuple[LinkParams, ...]
@@ -39,6 +44,10 @@ class RepairRequest:
     p_max_w: float
     e_max_j: float | None = None
     grid_step_s: float = 1.0
+    epsilon_rel: float = 1e-6
+    max_iterations: int = 50
+    upper_factor: float = 4.0
+    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
         if not 0 <= self.failed_node < self.scenario.n_leos:
@@ -126,7 +135,7 @@ def _mds_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAllo
 def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:
     """MDS-code repair: download the full source from the surviving nodes,
     jointly optimizing per-helper file counts and power."""
-    result = oa_solve(_mds_problem(req, horizon_s))
+    result = oa_solve(_mds_problem(req, horizon_s), req.epsilon_rel, req.max_iterations)
     return RepairResult(
         helpers=req.helpers,
         files_per_helper=result.mu,
@@ -136,11 +145,7 @@ def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> R
     )
 
 
-def repair_min_time(
-    req: RepairRequest,
-    upper_factor: float = 4.0,
-    energy_rel_tol: float = 1e-3,
-) -> RepairTimeResult:
+def repair_min_time(req: RepairRequest) -> RepairTimeResult:
     """Minimize the regenerating-repair horizon under the energy budget.
 
     The floor is the smallest horizon at which some full helper subset
@@ -159,29 +164,14 @@ def repair_min_time(
     duration, result, bound, e0 = budget_horizon(
         lambda horizon: repair_min_energy(req, horizon_s=horizon),
         lambda result: result.allocation.total_energy_j,
-        t0, req.e_max_j, upper_factor, 1e-5, energy_rel_tol,
+        t0, req.e_max_j, req.upper_factor, 1e-5, req.energy_rel_tol,
     )
     return RepairTimeResult(duration, result, bound, t0, e0)
 
 
-def mds_repair_min_time(
-    req: RepairRequest,
-    epsilon_rel: float = 1e-6,
-    max_iterations: int = 50,
-    upper_factor: float = 4.0,
-    energy_rel_tol: float = 1e-3,
-) -> RepairTimeResult:
+def mds_repair_min_time(req: RepairRequest) -> RepairTimeResult:
     """MDS-baseline horizon minimization over the surviving nodes."""
-    res = min_time_solve(
-        lambda horizon: _mds_problem(req, horizon),
-        req.params.n_files,
-        req.e_max_j,
-        epsilon_rel,
-        max_iterations,
-        upper_factor,
-        energy_rel_tol,
-        req.grid_step_s,
-    )
+    res = min_time_solve(lambda horizon: _mds_problem(req, horizon), req.params.n_files, req)
     wrapped = RepairResult(
         helpers=req.helpers,
         files_per_helper=res.mu,
@@ -190,14 +180,3 @@ def mds_repair_min_time(
         state=res.state,
     )
     return RepairTimeResult(res.duration_s, wrapped, res.budget_bound, res.min_duration_s, res.energy_at_t0_j)
-
-
-def repair_traffic_files(point: OperatingPoint, params: RegenParams) -> dict:
-    """Traffic accounting: regenerating vs MDS repair, in files."""
-    plan = repair_requirement(point, params)
-    return {
-        "regenerating": plan.total_files,
-        "mds": params.n_files,
-        "helpers": plan.helpers,
-        "per_helper": plan.per_helper_files,
-    }

@@ -10,7 +10,9 @@ re-anchored to the feasible operating decade; override ``noise_level_db``
 to study other regimes.
 
 ``leos`` and ``carriers_hz`` arrays replace the defaults wholesale; scalar
-fields merge individually. Unknown keys are rejected.
+fields merge individually. Unknown keys and non-finite numbers are rejected.
+The ``solver`` block's tolerances reach the solvers only through the stage
+requests built here.
 """
 
 from __future__ import annotations
@@ -235,6 +237,12 @@ def resolve_config(user: dict) -> dict:
         jsonschema.validate(user, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})") from exc
+    # NaN passes every schema bound (all its comparisons are false) and
+    # infinity passes every lower bound
+    try:
+        json.dumps(user, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError("scenario invalid: NaN or infinite number") from exc
     config = _merge(DEFAULT_CONFIG, user)
     n_leos = len(config["constellation"]["leos"])
     if len(config["uplink"]["carriers_hz"]) != n_leos:
@@ -289,6 +297,19 @@ def code_point_check(config: dict):
     return fn(code["total_files"], code["reconstruct_k"], code["repair_d"])
 
 
+def _search_settings(config: dict) -> dict:
+    """The budget-search settings of every time solve."""
+    solver = config["solver"]
+    return {"upper_factor": solver["time_upper_factor"], "energy_rel_tol": solver["time_energy_rel_tol"]}
+
+
+def _oa_settings(config: dict) -> dict:
+    """The outer-approximation and budget-search settings of the uplink and repair solves."""
+    solver = config["solver"]
+    oa = {"epsilon_rel": solver["oa_epsilon_rel"], "max_iterations": solver["max_oa_iterations"]}
+    return {**oa, **_search_settings(config)}
+
+
 def build_downlink_request(config: dict) -> DownlinkRequest:
     scenario = build_constellation(config)
     d = config["downlink"]
@@ -313,6 +334,7 @@ def build_downlink_request(config: dict) -> DownlinkRequest:
         p_max_w=d["p_max_w"],
         e_max_j=d["e_max_j"],
         grid_step_s=config["solver"]["grid_step_s"],
+        **_search_settings(config),
     )
 
 
@@ -345,6 +367,7 @@ def build_uplink_request(config: dict) -> UplinkRequest:
         e_max_j=u["e_max_j"],
         grid_step_s=config["solver"]["grid_step_s"],
         serving_geos=Geos.GEOS2,
+        **_oa_settings(config),
     )
 
 
@@ -361,4 +384,5 @@ def build_repair_request(config: dict) -> RepairRequest:
         p_max_w=r["p_max_w"],
         e_max_j=r["e_max_j"],
         grid_step_s=config["solver"]["grid_step_s"],
+        **_oa_settings(config),
     )

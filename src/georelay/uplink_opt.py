@@ -10,6 +10,7 @@ closes. An exact dynamic program over per-node energy tables provides an
 independent optimum, and time minimization bisects the horizon against the
 floor-valued full-power file-count step function and then, under a binding
 budget, against the optimal energy (both through :mod:`georelay.horizon`).
+The OA and horizon-search settings come from the request.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .downlink_opt import (
-    AllocationResult,
-    allocate_for_targets,
-    constant_power_for_targets,
-)
+from .downlink_opt import AllocationResult, allocate_for_targets
 from .errors import InfeasibleError, InternalError
 from .geometry import ConstellationScenario, Geos, coverage_entry_time, geos_distance
 from .horizon import budget_horizon, floor_horizon
@@ -58,7 +55,11 @@ class FileAllocationProblem:
 
 @dataclass(frozen=True)
 class UplinkRequest:
-    """Inputs of the LEO-to-GEO allocation problems (one carrier per LEO)."""
+    """Inputs of the LEO-to-GEO allocation problems (one carrier per LEO).
+
+    ``epsilon_rel`` and ``max_iterations`` set every OA run; ``upper_factor``
+    and ``energy_rel_tol`` set the budget search of the time solve.
+    """
 
     scenario: ConstellationScenario
     links: tuple[LinkParams, ...]
@@ -71,6 +72,10 @@ class UplinkRequest:
     e_max_j: float | None = None
     grid_step_s: float = 1.0
     serving_geos: Geos = Geos.GEOS2
+    epsilon_rel: float = 1e-6
+    max_iterations: int = 50
+    upper_factor: float = 4.0
+    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
         if len(self.links) != self.scenario.n_leos:
@@ -252,13 +257,6 @@ def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
     return allocate_for_targets(problem.channels, targets, problem.p_max_w)
 
 
-def constant_power_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
-    """Constant-power reference at fixed file counts."""
-    mu = np.asarray(mu)
-    targets = [float(mu[n]) * problem.file_bits for n in range(problem.n_nodes)]
-    return constant_power_for_targets(problem.channels, targets, problem.p_max_w)
-
-
 @dataclass(frozen=True)
 class MasterSolution:
     powers: tuple[np.ndarray, ...]
@@ -386,11 +384,9 @@ def oa_solve(
     raise InternalError(f"outer approximation did not converge in {max_iterations} iterations")
 
 
-def oa_min_energy_uplink(
-    req: UplinkRequest, epsilon_rel: float = 1e-6, max_iterations: int = 50
-) -> UplinkResult:
+def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
     """Joint file-count and power allocation minimizing total uplink energy."""
-    return oa_solve(req.problem(), epsilon_rel, max_iterations)
+    return oa_solve(req.problem(), req.epsilon_rel, req.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -448,56 +444,28 @@ def dp_oracle(req: UplinkRequest) -> DpResult:
     return dp_solve(req.problem())
 
 
-def file_count_step(req: UplinkRequest, horizon_s: float) -> int:
-    """f(T): total integer files deliverable at P_max within the horizon."""
-    problem = req.problem(horizon_s)
-    return int(integer_file_caps(problem).sum())
-
-
-def min_time_solve(
-    problem_fn,
-    total_files: int,
-    e_max_j: float | None,
-    epsilon_rel: float = 1e-6,
-    max_iterations: int = 50,
-    upper_factor: float = 4.0,
-    energy_rel_tol: float = 1e-3,
-    grid_step_s: float = 1.0,
-) -> UplinkTimeResult:
+def min_time_solve(problem_fn, total_files: int, req) -> UplinkTimeResult:
     """Horizon minimization for any ``horizon -> FileAllocationProblem`` builder.
 
     The unconstrained floor T0 is the smallest horizon whose full-power
     integer file counts cover the total; a binding budget is handled by
     bisecting the horizon against the OA-optimal energy, decreasing in T.
+    ``req`` (an uplink or repair request) supplies the budget, the grid step
+    and the OA and search settings.
     """
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
     t0 = floor_horizon(
         lambda horizon: int(integer_file_caps(problem_fn(horizon)).sum()) >= total_files,
-        0.0, max(grid_step_s, 1.0), 1e-6, 0.0, unreachable,
+        0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable,
     )
     duration, result, bound, e0 = budget_horizon(
-        lambda horizon: oa_solve(problem_fn(horizon), epsilon_rel, max_iterations),
+        lambda horizon: oa_solve(problem_fn(horizon), req.epsilon_rel, req.max_iterations),
         lambda result: result.allocation.total_energy_j,
-        t0, e_max_j, upper_factor, 1e-5, energy_rel_tol,
+        t0, req.e_max_j, req.upper_factor, 1e-5, req.energy_rel_tol,
     )
     return UplinkTimeResult(duration, result.allocation, result.mu, result.state, bound, t0, e0)
 
 
-def min_time_uplink(
-    req: UplinkRequest,
-    epsilon_rel: float = 1e-6,
-    max_iterations: int = 50,
-    upper_factor: float = 4.0,
-    energy_rel_tol: float = 1e-3,
-) -> UplinkTimeResult:
+def min_time_uplink(req: UplinkRequest) -> UplinkTimeResult:
     """Minimize the uplink horizon subject to the network energy budget."""
-    return min_time_solve(
-        req.problem,
-        req.total_files,
-        req.e_max_j,
-        epsilon_rel,
-        max_iterations,
-        upper_factor,
-        energy_rel_tol,
-        req.grid_step_s,
-    )
+    return min_time_solve(req.problem, req.total_files, req)

@@ -36,7 +36,12 @@ from georelay.coding import (
     repair_requirement,
     validate_params,
 )
-from georelay.downlink_opt import constant_power_baseline, min_energy_downlink, min_time_downlink
+from georelay.downlink_opt import (
+    constant_power_baseline,
+    constant_power_for_targets,
+    min_energy_downlink,
+    min_time_downlink,
+)
 from georelay.errors import SingularSystemError
 from georelay.repair_opt import (
     mds_repair_baseline,
@@ -52,9 +57,8 @@ from georelay.scenario import (
     load_config,
 )
 from georelay.uplink_opt import (
-    constant_power_fixed_mu,
     dp_oracle,
-    file_count_step,
+    integer_file_caps,
     min_time_uplink,
     oa_min_energy_uplink,
     oa_solve,
@@ -188,7 +192,8 @@ def test_criterion_5_orderings():
             problem = req.problem()
             joint = oa_min_energy_uplink(req).allocation.total_energy_j
             fixed = solve_nlp_fixed_mu(problem, fixed_mu).total_energy_j
-            const = constant_power_fixed_mu(problem, fixed_mu).total_energy_j
+            targets = fixed_mu * problem.file_bits
+            const = constant_power_for_targets(problem.channels, targets, problem.p_max_w).total_energy_j
             assert joint <= fixed + 1e-9, f"ts={ts}"
             assert fixed <= const + 1e-9, f"ts={ts}"
 
@@ -226,12 +231,16 @@ def test_criterion_6_time_minimization_contracts():
 
         uplink = build_uplink_request(config)
         m = uplink.total_files
+
+        def file_count_step(horizon_s):
+            return int(integer_file_caps(uplink.problem(horizon_s)).sum())
+
         free_up = min_time_uplink(dataclasses.replace(uplink, e_max_j=None))
         t0 = free_up.min_duration_s
-        assert file_count_step(uplink, t0) >= m
-        assert file_count_step(uplink, t0 - config["solver"]["grid_step_s"]) < m
-        assert file_count_step(uplink, t0 - 1e-3) < m
-        sweep = [file_count_step(uplink, t) for t in np.linspace(20.0, 400.0, 25)]
+        assert file_count_step(t0) >= m
+        assert file_count_step(t0 - config["solver"]["grid_step_s"]) < m
+        assert file_count_step(t0 - 1e-3) < m
+        sweep = [file_count_step(t) for t in np.linspace(20.0, 400.0, 25)]
         assert all(a <= b for a, b in zip(sweep, sweep[1:]))
 
         floor_up = oa_solve(uplink.problem(4.0 * t0)).allocation.total_energy_j

@@ -10,9 +10,7 @@ from georelay.coding import (
     RegenParams,
     check_mu_reconstructable,
     downloads_for,
-    dump_store,
     encode,
-    load_store,
     mbr_point,
     msr_point,
     reconstruct,
@@ -200,29 +198,6 @@ def test_custom_selectors():
     assert check_mu_reconstructable(store, mu, selectors)
     downloads = downloads_for(store, mu, selectors)
     assert np.all(reconstruct(store, downloads, selectors) == store.source)
-
-
-def test_store_dump_load_round_trip(tmp_path):
-    store = encode(REFERENCE, 256, seed=37)
-    path = tmp_path / "store.bin"
-    dump_store(store, path)
-    loaded = load_store(path, REFERENCE)
-    assert loaded.field.order == 256
-    assert np.all(loaded.source == store.source)
-    for a, b in zip(loaded.encoders, store.encoders):
-        assert np.all(a == b)
-    for a, b in zip(loaded.payloads, store.payloads):
-        assert np.all(a == b)
-    mu = [0, 5, 10, 10, 5]
-    downloads = downloads_for(loaded, mu)
-    assert np.all(reconstruct(loaded, downloads) == store.source)
-
-
-def test_store_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a store")
-    with pytest.raises((ValueError, Exception)):
-        load_store(path, REFERENCE)
 
 
 def test_params_validation_rejects_nonpositive():

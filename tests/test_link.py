@@ -6,14 +6,12 @@ import pytest
 from georelay.link import (
     LIGHT_SPEED_MPS,
     LinkParams,
+    NodeChannel,
     PowerProfile,
     aggregate_gain,
     build_channel,
-    delivered_bits,
     grid_midpoints,
     grid_weights,
-    rate,
-    snr,
 )
 
 
@@ -55,18 +53,26 @@ def test_gain_against_high_precision():
     assert aggregate_gain(p) == pytest.approx(float(num / den), rel=1e-12)
 
 
+def constant_channel(p, distance_m, span_s=1.0):
+    """``build_channel`` cells of a link held at one slant distance."""
+    return build_channel(p, lambda t: np.full_like(t, distance_m), (0.0, span_s), 1.0)
+
+
 def test_snr_basics():
-    assert snr(0.0, 5.0, 100.0) == 0.0
-    assert snr(7.0, 100.0, 10.0) == pytest.approx(7.0)  # L = d^2 normalization
-    assert snr(1.0, 1.0, 2.0) == pytest.approx(snr(1.0, 1.0, 1.0) / 4.0)
-    with pytest.raises(ValueError):
-        snr(1.0, 1.0, 0.0)
+    """A cell's SNR per watt is L / d^2."""
+    p = make_params()
+    gain = aggregate_gain(p)
+    assert constant_channel(p, math.sqrt(gain)).gains_per_w[0] == pytest.approx(1.0)  # L = d^2 normalization
+    far, near = constant_channel(p, 2e7).gains_per_w[0], constant_channel(p, 1e7).gains_per_w[0]
+    assert far == pytest.approx(near / 4.0)
 
 
 def test_rate_values():
-    assert rate(0.0, 1e6) == 0.0
-    assert rate(1.0, 1e6) == pytest.approx(1e6)
-    assert rate(3.0, 1e6) == pytest.approx(2e6)
+    """One 1 s cell at unit SNR per watt: bits are the Shannon rate W log2(1 + P)."""
+    ch = NodeChannel(0.0, 1.0, 1.0, np.ones(1), np.ones(1), 1e6)
+    assert ch.bits(np.zeros(1)) == 0.0
+    assert ch.bits(np.ones(1)) == pytest.approx(1e6)
+    assert ch.bits(np.full(1, 3.0)) == pytest.approx(2e6)
 
 
 def test_rate_snr_round_trip():
@@ -74,7 +80,7 @@ def test_rate_snr_round_trip():
     gain = aggregate_gain(p)
     for power, d in ((3.0, 1e7), (40.0, 3.7e7), (0.5, 2e6)):
         closed = p.bandwidth_hz * math.log2(1.0 + power * gain / d**2)
-        assert rate(snr(power, gain, d), p.bandwidth_hz) == pytest.approx(closed, rel=1e-12)
+        assert constant_channel(p, d).bits(np.full(1, power)) == pytest.approx(closed, rel=1e-12)
 
 
 def test_grid_partial_last_cell():
@@ -97,9 +103,9 @@ def test_profile_validation():
 
 
 def test_delivered_bits_zero_profile():
-    p = make_params()
-    prof = PowerProfile(0.0, 100.0, 1.0, np.zeros(100))
-    assert delivered_bits(prof, p, lambda t: np.full_like(t, 1e7)) == 0.0
+    ch = constant_channel(make_params(), 1e7, span_s=100.0)
+    assert ch.n_cells == 100
+    assert ch.bits(np.zeros(100)) == 0.0
 
 
 def test_delivered_bits_constant_channel_closed_form():
@@ -107,9 +113,9 @@ def test_delivered_bits_constant_channel_closed_form():
     d = 1.2e7
     power = 25.0
     span = 240.0
-    prof = PowerProfile(0.0, span, 1.0, np.full(240, power))
+    ch = constant_channel(p, d, span_s=span)
     expected = span * p.bandwidth_hz * math.log2(1.0 + power * aggregate_gain(p) / d**2)
-    got = delivered_bits(prof, p, lambda t: np.full_like(t, d))
+    got = ch.bits(np.full(240, power))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -131,20 +137,16 @@ def test_grid_refinement_on_reference_window(default_config):
 def test_delivered_bits_monotone_and_concave():
     p = make_params()
     rng = np.random.default_rng(11)
-    gain = aggregate_gain(p)
-    dists = lambda t: 1e7 + 1e5 * np.sin(t / 50.0)
+    ch = build_channel(p, lambda t: 1e7 + 1e5 * np.sin(t / 50.0), (0.0, 60.0), 1.0)
+    assert ch.n_cells == 60
     for _ in range(20):
         a = rng.uniform(0, 30, 60)
         b = rng.uniform(0, 30, 60)
-        pa = PowerProfile(0.0, 60.0, 1.0, a)
-        pb = PowerProfile(0.0, 60.0, 1.0, b)
-        pm = PowerProfile(0.0, 60.0, 1.0, (a + b) / 2)
-        fa = delivered_bits(pa, p, dists)
-        fb = delivered_bits(pb, p, dists)
-        fm = delivered_bits(pm, p, dists)
+        fa = ch.bits(a)
+        fb = ch.bits(b)
+        fm = ch.bits((a + b) / 2)
         assert fm >= (fa + fb) / 2 - 1e-6 * max(fa, fb)
-        bigger = PowerProfile(0.0, 60.0, 1.0, a + 1.0)
-        assert delivered_bits(bigger, p, dists) >= fa
+        assert ch.bits(a + 1.0) >= fa
 
 
 def test_build_channel_empty_window():

@@ -4,14 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from georelay.coding import OperatingPoint, RegenParams
+from georelay.coding import OperatingPoint, RegenParams, repair_requirement
 from georelay.errors import InfeasibleError
 from georelay.repair_opt import (
     mds_repair_baseline,
     mds_repair_min_time,
     repair_min_energy,
     repair_min_time,
-    repair_traffic_files,
 )
 from georelay.scenario import build_repair_request
 from georelay.waterfill import solve_cells
@@ -31,8 +30,10 @@ def test_reference_plan_single_subset(request_ref):
 
 
 def test_traffic_accounting(request_ref):
-    acc = repair_traffic_files(request_ref.point, request_ref.params)
-    assert acc == {"regenerating": 20, "mds": 30, "helpers": 4, "per_helper": 5}
+    """Regenerating repair moves D * beta files; MDS repair moves all M."""
+    plan = repair_requirement(request_ref.point, request_ref.params)
+    assert (plan.total_files, plan.helpers, plan.per_helper_files) == (20, 4, 5)
+    assert request_ref.params.n_files == 30
 
 
 def test_each_helper_delivers_exact_beta(request_ref):

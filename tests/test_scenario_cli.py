@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -116,11 +117,24 @@ def test_cli_sweep_determinism(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--dt", "0"], ["--dt", "-1"], ["--horizon", "-1"], ["--pmax", "0"], ["--ts", "-5"]],
+    [
+        ["--dt", "0"], ["--dt", "-1"], ["--horizon", "-1"], ["--pmax", "0"], ["--ts", "-5"],
+        ["--ts", "nan"], ["--dt", "inf"], ["--dt", "nan"], ["--emax", "nan"], ["--horizon", "inf"],
+    ],
 )
 def test_cli_invalid_flag_is_a_schema_error(tmp_path, flags):
     assert run_cli(["downlink-energy", *flags, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "downlink-energy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ['{"uplink": {"horizon_s": Infinity}}', '{"solver": {"oa_epsilon_rel": NaN}}'], ids=["infinity", "nan"]
+)
+def test_cli_non_finite_scenario_number_is_a_schema_error(tmp_path, capsys, text):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(text)
+    assert run_cli(["uplink-energy", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    assert "NaN or infinite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["downlink-time", "uplink-time", "repair"])
@@ -142,6 +156,58 @@ def test_cli_repair_uses_time_upper_factor(tmp_path, capsys):
     assert "at the search bound 7.81718 s" in repair_err
 
 
+@pytest.mark.parametrize(
+    "argv", [["repair"], ["sweep", "--task", "repair-energy", "--from", "0", "--to", "0", "--step", "1"]]
+)
+def test_cli_mds_baseline_uses_oa_settings(tmp_path, capsys, argv):
+    """The MDS repair baseline runs OA under solver.max_oa_iterations (it takes 4 at the defaults)."""
+    scenario = tmp_path / "iterations.json"
+    scenario.write_text('{"solver": {"max_oa_iterations": 2}}')
+    assert run_cli([*argv, "--scenario", str(scenario), "--out", str(tmp_path)]) == 4
+    assert "outer approximation did not converge in 2 iterations" in capsys.readouterr().err
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def subcommand_columns(task, rows):
+    """The columns of a ``task`` sweep row as the matching subcommand's CSV reports them."""
+    if task.startswith("repair"):
+        total = {r["scheme"]: r for r in rows if r["leos"] == "total"}
+        if task == "repair-time":
+            return {f"{k}_duration_s": total[s]["duration_s"] for k, s in (("regen", "regenerating"), ("mds", "mds"))}
+        helpers = [r["leos"] for r in rows if r["scheme"] == "regenerating" and r["leos"] != "total"]
+        return {
+            "regen_energy_j": total["regenerating"]["energy_j"],
+            "mds_energy_j": total["mds"]["energy_j"],
+            "regen_helpers": ";".join(helpers),
+        }
+    *body, total = rows
+    expected = {"energy_j": total["energy_j"]}
+    if task == "downlink-energy":
+        expected["baseline_energy_j"] = total["baseline_energy_j"]
+    if task.endswith("time"):
+        duration = total["min_duration_s" if task == "downlink-time" else "duration_s"]
+        expected.update(duration_s=duration, budget_bound=total["budget_bound"])
+    if task.startswith("uplink"):
+        expected.update({f"mu_{i + 1}": r["mu_files"] for i, r in enumerate(body)})
+    return expected
+
+
+@pytest.mark.parametrize("task", cli.SWEEP_TASKS)
+def test_cli_sweep_row_matches_subcommand(tmp_path, task):
+    command = "repair" if task.startswith("repair") else task
+    assert run_cli([command, "--ts", "37.5", "--out", str(tmp_path)]) == 0
+    sweep = ["sweep", "--task", task, "--from", "37.5", "--to", "37.5", "--step", "1", "--out", str(tmp_path)]
+    assert run_cli(sweep) == 0
+    expected = subcommand_columns(task, read_csv(tmp_path / f"{command}.csv"))
+    (point,) = read_csv(tmp_path / f"sweep-{task}.csv")
+    assert point["ts_s"] == "37.5"
+    assert {k: point[k] for k in expected} == expected
+
+
 def test_cli_sweep_points_are_from_plus_multiples_of_step(tmp_path, monkeypatch):
     points = []
 
@@ -161,6 +227,15 @@ def test_cli_sweep_rejects_oversized_point_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_sweep_point", no_work)
     args = ["sweep", "--task", "uplink-energy", "--from", "0", "--to", "1e9", "--step", "1e-3", "--out", str(tmp_path)]
+    assert run_cli(args) == 2
+
+
+def test_cli_sweep_rejects_negative_start(tmp_path, monkeypatch):
+    def no_work(*_):
+        raise AssertionError("a sweep from a negative start time started work")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_work)
+    args = ["sweep", "--task", "downlink-energy", "--from", "-50", "--to", "-50", "--step", "1", "--out", str(tmp_path)]
     assert run_cli(args) == 2
 
 

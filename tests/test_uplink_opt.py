@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from georelay.downlink_opt import constant_power_for_targets
 from georelay.errors import InfeasibleError
 from georelay.link import NodeChannel
 from georelay.scenario import build_uplink_request
@@ -11,10 +12,8 @@ from georelay.uplink_opt import (
     FileAllocationProblem,
     OAPoint,
     OAState,
-    constant_power_fixed_mu,
     dp_oracle,
     dp_solve,
-    file_count_step,
     integer_file_caps,
     min_time_uplink,
     oa_min_energy_uplink,
@@ -206,11 +205,16 @@ def test_returned_mu_is_reconstructable(request_ref, default_config):
     assert check_mu_reconstructable(store, res.mu)
 
 
+def file_count_step(req, horizon_s: float) -> int:
+    """f(T): total integer files deliverable at P_max within the horizon."""
+    return int(integer_file_caps(req.problem(horizon_s)).sum())
+
+
 def test_constant_power_fixed_mu_dominates(request_ref):
     prob = request_ref.problem()
     mu = np.array([10, 10, 10, 0, 0])
     wf = solve_nlp_fixed_mu(prob, mu)
-    cp = constant_power_fixed_mu(prob, mu)
+    cp = constant_power_for_targets(prob.channels, mu * prob.file_bits, prob.p_max_w)
     assert wf.total_energy_j <= cp.total_energy_j + 1e-9
     assert np.allclose(cp.delivered_bits[:3], mu[:3] * prob.file_bits, rtol=1e-9)
 
