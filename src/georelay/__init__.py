@@ -3,8 +3,10 @@
 Subpackages by concern: orbital kinematics (:mod:`georelay.geometry`), RF
 link budgets (:mod:`georelay.link`), regenerating codes over finite fields
 (:mod:`georelay.coding`, :mod:`georelay.gf`), capped waterfilling
-(:mod:`georelay.waterfill`), LP/MILP engines (:mod:`georelay.lp_solver`),
-the downlink/uplink/repair optimizers, and the scenario-driven CLI.
+(:mod:`georelay.waterfill`), the downlink/uplink/repair optimizers, and the
+scenario-driven CLI. :mod:`georelay.lp_solver` holds the LP/MILP engines of
+the outer-approximation allocator that exact greedy replaced; no solve path
+uses them.
 """
 
 __version__ = "0.1.0"
@@ -57,7 +59,6 @@ from .uplink_opt import (
     min_time_uplink,
     oa_min_energy_uplink,
     solve_nlp_fixed_mu,
-    solve_nlpr,
 )
 
 __all__ = [
@@ -99,6 +100,5 @@ __all__ = [
     "repair_requirement",
     "rotation_angle",
     "solve_nlp_fixed_mu",
-    "solve_nlpr",
     "validate_params",
 ]

@@ -217,11 +217,11 @@ def _block(task: str) -> str:
 
 
 def _checked_oracle(req, result):
-    """The exact DP optimum of ``req``; raises when the OA result misses it."""
+    """The exact DP optimum of ``req``; raises when the allocation misses it."""
     oracle = dp_oracle(req)
     if abs(result.allocation.total_energy_j - oracle.energy_j) > 1e-6 * max(oracle.energy_j, 1.0):
         raise InternalError(
-            f"outer approximation energy {result.allocation.total_energy_j!r} "
+            f"allocation energy {result.allocation.total_energy_j!r} "
             f"disagrees with the exact optimum {oracle.energy_j!r}"
         )
     return oracle
@@ -345,7 +345,7 @@ def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
 
 
 def _oa_columns(result) -> dict:
-    """Per-LEO file counts and OA bounds of an uplink result, as sweep columns."""
+    """Per-LEO file counts and bounds of an uplink result, as sweep columns."""
     row = {f"mu_{i + 1}": int(v) for i, v in enumerate(result.mu)}
     row.update(
         iterations=result.state.iterations,

@@ -9,7 +9,7 @@ bisecting between T0 and ``upper_factor * T0`` (:func:`budget_horizon`).
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
 and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair
-would move the downlink-time outputs or add uplink OA solves.
+would move the downlink-time outputs or add uplink allocation solves.
 """
 
 from __future__ import annotations

@@ -1,18 +1,18 @@
 """Failed-node repair planning over inter-LEO links.
 
 A regenerating-code repair downloads a fixed per-helper file count from an
-exactly-sized helper set; all helper subsets are enumerated and each is
-costed by independent waterfilling. The MDS baseline instead re-downloads
-the full source through the joint file-count/power machinery with the
-failed node excluded. LEO-to-LEO links carry no coverage gating, so helper
-windows span the whole [t_start, t_start + horizon] interval. Both time
-solves search the horizon through :mod:`georelay.horizon`. The OA and
-horizon-search settings come from the request.
+exactly-sized helper set. Each helper's energy is its own waterfilling
+cost, so the cheapest set is the cheapest helpers. The MDS baseline instead
+re-downloads the full source through the joint file-count and power
+allocation of :func:`georelay.uplink_opt.oa_solve`, with the failed node
+excluded. LEO-to-LEO links carry no coverage gating, so helper windows span
+the whole [t_start, t_start + horizon] interval. Both time solves search the
+horizon through :mod:`georelay.horizon`, with the settings the request
+carries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +24,13 @@ from .geometry import ConstellationScenario, inter_leos_distance
 from .horizon import budget_horizon, floor_horizon
 from .link import LinkParams, NodeChannel, build_channel
 from .uplink_opt import FileAllocationProblem, OAState, min_time_solve, oa_solve
+from .waterfill import solve_cells
 
 
 @dataclass(frozen=True)
 class RepairRequest:
     """Inputs of the failed-node repair problems (0-based failed index).
 
-    ``epsilon_rel`` and ``max_iterations`` set the MDS baseline's OA runs;
     ``upper_factor`` and ``energy_rel_tol`` set both time solves' budget search.
     """
 
@@ -44,8 +44,6 @@ class RepairRequest:
     p_max_w: float
     e_max_j: float | None = None
     grid_step_s: float = 1.0
-    epsilon_rel: float = 1e-6
-    max_iterations: int = 50
     upper_factor: float = 4.0
     energy_rel_tol: float = 1e-3
 
@@ -90,8 +88,12 @@ class RepairTimeResult:
 
 
 def repair_min_energy(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:
-    """Cheapest helper subset for regenerating repair: exhaustive enumeration,
-    each subset costed by per-helper waterfilling at beta files."""
+    """Cheapest helper set for regenerating repair.
+
+    Each helper's energy to deliver beta files is its own waterfilling cost,
+    and a set's cost is their sum, so the cheapest set is the D cheapest
+    feasible helpers (lowest index first on exact ties).
+    """
     plan = repair_requirement(req.point, req.params)
     pool = req.helpers
     if len(pool) < plan.helpers:
@@ -100,19 +102,17 @@ def repair_min_energy(req: RepairRequest, horizon_s: float | None = None) -> Rep
         )
     target = plan.per_helper_files * req.params.file_bits
     channels = {h: req.channel(h, horizon_s) for h in pool}
-    best: tuple[float, tuple[int, ...], AllocationResult] | None = None
-    for subset in itertools.combinations(pool, plan.helpers):
+    costs = []
+    for h, ch in channels.items():
         try:
-            alloc = allocate_for_targets(
-                [channels[h] for h in subset], [target] * plan.helpers, req.p_max_w
-            )
+            sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, req.p_max_w)
         except InfeasibleError:
             continue
-        if best is None or alloc.total_energy_j < best[0] - 1e-12 * (1.0 + best[0]):
-            best = (alloc.total_energy_j, subset, alloc)
-    if best is None:
+        costs.append((sol.energy_j, h))
+    if len(costs) < plan.helpers:
         raise InfeasibleError("no helper subset can deliver the repair traffic at P_max")
-    _, subset, alloc = best
+    subset = tuple(sorted(h for _, h in sorted(costs)[: plan.helpers]))
+    alloc = allocate_for_targets([channels[h] for h in subset], [target] * plan.helpers, req.p_max_w)
     return RepairResult(
         helpers=subset,
         files_per_helper=np.full(plan.helpers, plan.per_helper_files),
@@ -135,7 +135,7 @@ def _mds_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAllo
 def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:
     """MDS-code repair: download the full source from the surviving nodes,
     jointly optimizing per-helper file counts and power."""
-    result = oa_solve(_mds_problem(req, horizon_s), req.epsilon_rel, req.max_iterations)
+    result = oa_solve(_mds_problem(req, horizon_s))
     return RepairResult(
         helpers=req.helpers,
         files_per_helper=result.mu,

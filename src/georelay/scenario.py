@@ -18,6 +18,7 @@ requests built here.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 
@@ -89,8 +90,6 @@ DEFAULT_CONFIG: dict = {
     },
     "solver": {
         "grid_step_s": 1.0,
-        "oa_epsilon_rel": 1e-6,
-        "max_oa_iterations": 50,
         "time_energy_rel_tol": 1e-3,
         "time_upper_factor": 4.0,
         "seed": 1,
@@ -191,8 +190,6 @@ SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "grid_step_s": _POSITIVE,
-                "oa_epsilon_rel": _POSITIVE,
-                "max_oa_iterations": _COUNT,
                 "time_energy_rel_tol": _POSITIVE,
                 "time_upper_factor": {"type": "number", "exclusiveMinimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
@@ -232,11 +229,17 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return resolve_config(user)
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, built on first use (``SCHEMA`` itself is checked by the tests)."""
+    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def resolve_config(user: dict) -> dict:
-    try:
-        jsonschema.validate(user, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})") from exc
+    # the error jsonschema.validate would raise, without checking SCHEMA again
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(user))
+    if exc is not None:
+        raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})")
     # NaN passes every schema bound (all its comparisons are false) and
     # infinity passes every lower bound
     try:
@@ -303,13 +306,6 @@ def _search_settings(config: dict) -> dict:
     return {"upper_factor": solver["time_upper_factor"], "energy_rel_tol": solver["time_energy_rel_tol"]}
 
 
-def _oa_settings(config: dict) -> dict:
-    """The outer-approximation and budget-search settings of the uplink and repair solves."""
-    solver = config["solver"]
-    oa = {"epsilon_rel": solver["oa_epsilon_rel"], "max_iterations": solver["max_oa_iterations"]}
-    return {**oa, **_search_settings(config)}
-
-
 def build_downlink_request(config: dict) -> DownlinkRequest:
     scenario = build_constellation(config)
     d = config["downlink"]
@@ -367,7 +363,7 @@ def build_uplink_request(config: dict) -> UplinkRequest:
         e_max_j=u["e_max_j"],
         grid_step_s=config["solver"]["grid_step_s"],
         serving_geos=Geos.GEOS2,
-        **_oa_settings(config),
+        **_search_settings(config),
     )
 
 
@@ -384,5 +380,5 @@ def build_repair_request(config: dict) -> RepairRequest:
         p_max_w=r["p_max_w"],
         e_max_j=r["e_max_j"],
         grid_step_s=config["solver"]["grid_step_s"],
-        **_oa_settings(config),
+        **_search_settings(config),
     )

@@ -6,11 +6,20 @@ Solves, on the shared grid,
                               0 <= P_k <= P_max,
 
 where h_k = L / d^2(t_k) is the per-cell channel gain. The optimal profile is
-P_k = clamp(lam/ln2 - 1/h_k, 0, P_max) with the water level lam set so the bit
-constraint holds with equality. Delivered bits increase with lam, so lam is
-bisected to a relative width of 1e-15; the level is then polished in closed
-form on the bracketed zero/interior/saturated split, and the polish is kept
-only if it leaves that split unchanged.
+P_k = clamp(x - 1/h_k, 0, P_max) at the water height x = lam/ln2, with the
+level lam set so the bit constraint holds with equality. Delivered bits rise
+with x, and between the 2n breakpoints 1/h_k (cell k turns on) and
+P_max + 1/h_k (cell k saturates) the zero/interior/saturated split is fixed.
+One sweep over the sorted breakpoints, with prefix sums of w_k, w_k log2 h_k
+and the saturated cells' bits, gives the bits at every breakpoint and so the
+interval that brackets the target. On that interval's split the level has a
+closed form,
+
+    ln lam = (b ln2 / W - sum_int w_k ln(h_k / ln2)) / sum_int w_k,
+
+with b the target less the saturated cells' bits; it is exact, with no
+tolerance loop (Palomar & Fonollosa, IEEE TSP 2005). When rounding puts the
+closed form outside its bracket, the level is the nearer bracket end.
 """
 
 from __future__ import annotations
@@ -84,42 +93,50 @@ def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolutio
     inv_gain = 1.0 / gains
     sat_rate = bandwidth_hz * np.log2(1.0 + p_max * gains)
 
-    def bits_at(level):
-        p = np.clip(level / LN2 - inv_gain, 0.0, p_max)
-        return cell_bits(weights, gains, p, bandwidth_hz)
+    # bits at every breakpoint height (cell k turns on at 1/h_k and
+    # saturates at p_max + 1/h_k), from prefix sums over the sorted events;
+    # one 2n-array at a time keeps the temporaries small
+    marks = np.concatenate((inv_gain, inv_gain + p_max))
+    order = np.argsort(marks, kind="stable")
+    heights = marks[order]
 
-    # delivered bits are monotone in the water level: bisect, then polish the
-    # level in closed form on the locked interior set for exact delivery
-    lam_lo = 0.0
-    lam_hi = LN2 * (p_max + float(np.max(inv_gain)))
-    iterations = 0
-    for _ in range(200):
-        iterations += 1
-        mid = 0.5 * (lam_lo + lam_hi)
-        if bits_at(mid) >= target_bits:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-        if lam_hi - lam_lo <= 1e-15 * lam_hi:
-            break
-    level = lam_hi
-    raw = level / LN2 - inv_gain
-    zero = raw <= 0.0
-    sat = raw >= p_max
+    def prefix(at_on, at_sat):
+        events = np.concatenate((at_on, at_sat))[order]
+        return np.cumsum(events, out=events)
+
+    log_w = weights * np.log2(gains)
+    bits = prefix(weights, -weights)
+    bits *= np.log2(heights)
+    bits += prefix(log_w, -log_w)
+    bits += prefix(np.zeros(n), weights * sat_rate / bandwidth_hz)
+    bits *= bandwidth_hz
+    # the first height (the lowest turn-on) delivers nothing
+    reached = bits[1:] >= target_bits
+    top = 1 + int(np.argmax(reached)) if reached.any() else 2 * n - 1
+    h_lo, h_hi = heights[top - 1], heights[top]
+
+    # the split on the open interval just below h_hi, then the level in
+    # closed form on it
+    zero = inv_gain >= h_hi
+    sat = inv_gain + p_max < h_hi
     interior = ~zero & ~sat
-    if np.any(interior):
-        rhs = target_bits - float(np.dot(weights[sat], sat_rate[sat]))
+    level = None
+    rhs = target_bits - float(np.dot(weights[sat], sat_rate[sat]))
+    if np.any(interior) and rhs > 0.0:
         w_int = float(np.sum(weights[interior]))
-        if rhs > 0.0:
-            ln_level = (
-                rhs * LN2 / bandwidth_hz
-                - float(np.dot(weights[interior], np.log(gains[interior] / LN2)))
-            ) / w_int
-            polished = math.exp(ln_level)
-            # accept only if the polish stays within the bracketed set structure
-            raw_p = polished / LN2 - inv_gain
-            if np.array_equal(raw_p <= 0.0, zero) and np.array_equal(raw_p >= p_max, sat):
-                level, raw = polished, raw_p
+        ln_level = (
+            rhs * LN2 / bandwidth_hz
+            - float(np.dot(weights[interior], np.log(gains[interior] / LN2)))
+        ) / w_int
+        level = math.exp(ln_level)
+        raw = level / LN2 - inv_gain
+    if level is None or not (np.array_equal(raw <= 0.0, zero) and np.array_equal(raw >= p_max, sat)):
+        # rounding put the closed form outside its bracket: the level sits
+        # at the bracket end nearer to it. Without a closed form the
+        # saturated cells alone meet the target, from the lower end on.
+        near_lo = level is None or abs(level / LN2 - h_lo) < abs(level / LN2 - h_hi)
+        level = LN2 * (h_lo if near_lo else h_hi)
+        raw = level / LN2 - inv_gain
     powers = np.clip(raw, 0.0, p_max)
     powers[zero] = 0.0
     powers[sat] = p_max
@@ -132,4 +149,4 @@ def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolutio
         resid = float(np.max(np.abs(level / LN2 - inv_gain[interior] - powers[interior])))
     else:
         resid = 0.0
-    return CellSolution(powers, level, zero, sat, delivered, energy, iterations, resid)
+    return CellSolution(powers, level, zero, sat, delivered, energy, 1, resid)

@@ -43,6 +43,23 @@ def test_each_helper_delivers_exact_beta(request_ref):
     assert np.all(res.allocation.energies_j > 0)
 
 
+def _enumeration_oracle(req):
+    """The cheapest helper subset and its energy, by enumerating every subset."""
+    beta_bits = req.params.per_helper_files * req.params.file_bits
+    costs = {}
+    for h in req.helpers:
+        ch = req.channel(h)
+        try:
+            costs[h] = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, beta_bits, req.p_max_w).energy_j
+        except InfeasibleError:
+            pass
+    return min(
+        (sum(costs[h] for h in subset), subset)
+        for subset in itertools.combinations(req.helpers, req.params.repair_d)
+        if all(h in costs for h in subset)
+    )
+
+
 def test_subset_enumeration_matches_split_oracle(request_ref):
     """Cross-check against the {0, beta} per-helper split formulation.
 
@@ -53,19 +70,29 @@ def test_subset_enumeration_matches_split_oracle(request_ref):
     req = dataclasses.replace(request_ref, params=params)
     res = repair_min_energy(req)
     assert len(res.helpers) == 3
-    beta_bits = params.per_helper_files * params.file_bits
-
-    def helper_energy(h):
-        ch = req.channel(h)
-        return solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, beta_bits, req.p_max_w).energy_j
-
-    costs = {h: helper_energy(h) for h in req.helpers}
-    best = min(
-        (sum(costs[h] for h in subset), subset)
-        for subset in itertools.combinations(req.helpers, 3)
-    )
+    best = _enumeration_oracle(req)
     assert res.allocation.total_energy_j == pytest.approx(best[0], rel=1e-12)
     assert res.helpers == best[1]
+
+
+def test_cheapest_helpers_skip_an_infeasible_helper(request_ref):
+    """A helper that cannot deliver beta files at P_max never joins the set,
+    even when it would otherwise be among the cheapest."""
+    params = RegenParams(30, 5, 3, 3, 10, 10, request_ref.params.file_bits)
+    req = dataclasses.replace(request_ref, params=params)
+    cheapest = repair_min_energy(req).helpers
+    links = list(req.links)
+    links[cheapest[0]] = dataclasses.replace(links[cheapest[0]], attenuation_db=200.0)
+    req = dataclasses.replace(req, links=tuple(links))
+    res = repair_min_energy(req)
+    best = _enumeration_oracle(req)
+    assert cheapest[0] not in res.helpers
+    assert res.allocation.total_energy_j == pytest.approx(best[0], rel=1e-12)
+    assert res.helpers == best[1]
+    # with two of the four helpers out, two feasible ones cannot make up D = 3
+    links[res.helpers[0]] = dataclasses.replace(links[res.helpers[0]], attenuation_db=200.0)
+    with pytest.raises(InfeasibleError):
+        repair_min_energy(dataclasses.replace(req, links=tuple(links)))
 
 
 def test_insufficient_helpers():

@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from georelay import cli
 from georelay.cli import main
 from georelay.errors import ConfigError
-from georelay.scenario import DEFAULT_CONFIG, load_config, resolve_config
+from georelay.scenario import DEFAULT_CONFIG, SCHEMA, load_config, resolve_config
 
 
 def run_cli(args):
@@ -34,6 +35,24 @@ def test_type_errors_rejected():
         resolve_config({"downlink": {"p_max_w": -3.0}})
     with pytest.raises(ConfigError):
         resolve_config({"code": {"total_files": 2.5}})
+
+
+def test_schema_is_valid_and_errors_read_as_jsonschema_validate():
+    """The validator built once reports the error jsonschema.validate picks."""
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+    user = {
+        "downlink": {"p_max_w": -3.0, "nope": 1},
+        "code": {"total_files": 2.5, "point": "mrs"},
+        "solver": {"seed": -1},
+        "mystery_block": {},
+    }
+    for case in (user, user["downlink"], {"code": user["code"], "solver": user["solver"]}):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(case, SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            resolve_config(case)
+        err = expected.value
+        assert str(got.value) == f"scenario invalid: {err.message} (at {list(err.absolute_path)})"
 
 
 def test_cross_field_checks():
@@ -128,7 +147,7 @@ def test_cli_invalid_flag_is_a_schema_error(tmp_path, flags):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"uplink": {"horizon_s": Infinity}}', '{"solver": {"oa_epsilon_rel": NaN}}'], ids=["infinity", "nan"]
+    "text", ['{"uplink": {"horizon_s": Infinity}}', '{"solver": {"time_energy_rel_tol": NaN}}'], ids=["infinity", "nan"]
 )
 def test_cli_non_finite_scenario_number_is_a_schema_error(tmp_path, capsys, text):
     scenario = tmp_path / "bad.json"
@@ -154,17 +173,6 @@ def test_cli_repair_uses_time_upper_factor(tmp_path, capsys):
     assert run_cli(["sweep", "--task", "repair-time", "--from", "0", "--to", "0", "--step", "1", *common]) == 3
     assert capsys.readouterr().err == repair_err
     assert "at the search bound 7.81718 s" in repair_err
-
-
-@pytest.mark.parametrize(
-    "argv", [["repair"], ["sweep", "--task", "repair-energy", "--from", "0", "--to", "0", "--step", "1"]]
-)
-def test_cli_mds_baseline_uses_oa_settings(tmp_path, capsys, argv):
-    """The MDS repair baseline runs OA under solver.max_oa_iterations (it takes 4 at the defaults)."""
-    scenario = tmp_path / "iterations.json"
-    scenario.write_text('{"solver": {"max_oa_iterations": 2}}')
-    assert run_cli([*argv, "--scenario", str(scenario), "--out", str(tmp_path)]) == 4
-    assert "outer approximation did not converge in 2 iterations" in capsys.readouterr().err
 
 
 def read_csv(path):

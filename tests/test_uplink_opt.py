@@ -143,7 +143,8 @@ def test_oa_matches_dp_on_fractional_instances(request_ref):
         for it in res.state.history:
             assert it.z_lower <= exact.energy_j * (1 + 1e-9)
             assert it.z_upper >= exact.energy_j * (1 - 1e-9)
-        assert res.state.z_lower <= res.state.z_upper + res.state.epsilon_j
+        # the greedy is exact: its bounds meet at the returned energy
+        assert res.state.z_lower == res.state.z_upper == res.allocation.total_energy_j
 
 
 def test_oa_bounds_monotone(request_ref):
@@ -180,6 +181,36 @@ def test_dp_lexicographic_tie_break():
     prob = small_problem([1e-2, 1e-2], total_files=3, cap=3)
     res = dp_solve(prob)
     assert res.mu.tolist() == [1, 2]
+    assert oa_solve(prob).mu.tolist() == [1, 2]
+
+
+def synthetic_problem(rng, n_nodes, file_bits=1.6e8, bandwidth=20e6, p_max=900.0, cap=10):
+    """N nodes, each seeing one pass of 40..200 one-second cells whose gain
+    peaks at a seeded cell and falls off as 1 / (1 + x^2); the file total is
+    60% of what the nodes carry at full power within their caps."""
+    channels, capacity = [], 0
+    for _ in range(n_nodes):
+        cells = int(rng.integers(40, 201))
+        t = np.arange(cells) + 0.5
+        centre, width = rng.uniform(0.2, 0.8) * cells, rng.uniform(0.3, 1.0) * cells
+        gains = 10.0 ** rng.uniform(-3.5, -2.5) / (1.0 + ((t - centre) / width) ** 2)
+        ch = NodeChannel(0.0, float(cells), 1.0, np.ones(cells), gains, bandwidth)
+        channels.append(ch)
+        capacity += min(cap, int(ch.bits(np.full(cells, p_max)) // file_bits))
+    total = max(1, round(0.6 * capacity))
+    return FileAllocationProblem(tuple(channels), total, (cap,) * n_nodes, file_bits, p_max)
+
+
+@pytest.mark.parametrize("n_nodes", [10, 20, 40])
+def test_greedy_matches_dp_on_synthetic_instances(n_nodes):
+    for seed in range(2):
+        prob = synthetic_problem(np.random.default_rng([seed, n_nodes]), n_nodes)
+        res = oa_solve(prob)
+        exact = dp_solve(prob)
+        assert int(res.mu.sum()) == prob.total_files
+        assert np.all(res.mu <= integer_file_caps(prob))
+        assert res.allocation.total_energy_j == pytest.approx(exact.energy_j, rel=1e-9)
+        assert res.state.iterations == 1
 
 
 def test_dp_prefers_uniformly_cheaper_node():

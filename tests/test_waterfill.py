@@ -148,3 +148,105 @@ def test_reference_downlink_energy_below_constant_power(default_config):
     const_energy = ch.energy(np.full(ch.n_cells, hi))
     assert sol.energy_j <= const_energy + 1e-9
     assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
+
+
+def assert_kkt_and_closed_form(sol, w, h, W, target, p_max):
+    """The stationarity residual, the clamps, exact delivery, and the level
+    against the closed form on the solution's own zero/interior/saturated
+    split (when some cell is interior)."""
+    zero, sat = sol.zero_mask, sol.saturated_mask
+    interior = ~zero & ~sat
+    assert sol.kkt_residual <= 1e-9 * p_max
+    assert np.all(sol.powers_w[zero] == 0.0)
+    assert np.all(sol.powers_w[sat] == p_max)
+    assert np.all(sol.powers_w <= p_max)
+    assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
+    assert sol.iterations == 1
+    # the clamps agree with the level, to rounding
+    height = sol.water_level / LN2
+    assert np.all(1.0 / h[zero] >= height * (1.0 - 1e-12))
+    assert np.all(p_max + 1.0 / h[sat] <= height * (1.0 + 1e-12))
+    if not np.any(interior):
+        return  # every cell clamped: the level is any height between the clamps
+    sat_bits = float(np.dot(w[sat], W * np.log2(1.0 + p_max * h[sat])))
+    ln_level = ((target - sat_bits) * LN2 / W - float(np.dot(w[interior], np.log(h[interior] / LN2)))) / float(
+        np.sum(w[interior])
+    )
+    assert sol.water_level == pytest.approx(math.exp(ln_level), rel=1e-12)
+
+
+def bits_at_height(w, h, W, p_max, height):
+    """Bits delivered with every cell at clamp(height - 1/h, 0, p_max)."""
+    return float(np.dot(w, W * np.log2(1.0 + np.clip(height - 1.0 / h, 0.0, p_max) * h)))
+
+
+def test_tied_breakpoints_from_duplicated_gains():
+    rng = np.random.default_rng(7)
+    h = np.repeat([2e-3, 5e-3, 5e-3, 3e-2], 3)
+    w = rng.uniform(0.5, 2.0, h.size)
+    W, p_max = 1e6, 400.0
+    full = max_deliverable_bits(w, h, W, p_max)
+    for share in (0.05, 0.3, 0.6, 0.9, 0.999):
+        sol = solve_cells(w, h, W, share * full, p_max)
+        assert_kkt_and_closed_form(sol, w, h, W, share * full, p_max)
+        # cells with one gain share one power
+        for gain in np.unique(h):
+            assert np.ptp(sol.powers_w[h == gain]) <= 1e-12 * p_max
+
+
+def test_single_cell():
+    w, h, W, p_max = np.array([1.5]), np.array([1e-3]), 2e6, 100.0
+    target = 0.5 * max_deliverable_bits(w, h, W, p_max)
+    sol = solve_cells(w, h, W, target, p_max)
+    assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
+    expected_p = (2 ** (target / (W * 1.5)) - 1.0) / 1e-3
+    assert sol.powers_w[0] == pytest.approx(expected_p, rel=1e-12)
+
+
+def test_target_equal_to_full_power_delivery():
+    rng = np.random.default_rng(11)
+    w, h, W, _, p_max = random_cell_problem(rng, 20, 40)
+    full = max_deliverable_bits(w, h, W, p_max)
+    sol = solve_cells(w, h, W, full, p_max)
+    assert np.allclose(sol.powers_w, p_max, rtol=1e-12)
+    assert sol.energy_j == pytest.approx(p_max * float(np.sum(w)), rel=1e-12)
+    assert_kkt_and_closed_form(sol, w, h, W, full, p_max)
+
+
+def test_target_just_above_a_breakpoint():
+    """Targets a hair above the bits at a turn-on height and at a saturation
+    height: just above them the first cell is on and the second saturated.
+    At a relative hair of 4e-16 rounding may put the level on either side."""
+    rng = np.random.default_rng(3)
+    w, h, W, _, p_max = random_cell_problem(rng, 30, 50)
+    order = np.argsort(h)
+    on, saturating = order[len(h) // 2], order[-3]
+    for k, height in ((on, 1.0 / h[on]), (saturating, p_max + 1.0 / h[saturating])):
+        for hair in (1e-9, 4e-16):
+            target = bits_at_height(w, h, W, p_max, height) * (1.0 + hair)
+            sol = solve_cells(w, h, W, target, p_max)
+            assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
+            assert sol.water_level / LN2 == pytest.approx(height, rel=1e-6)
+            if hair == 1e-9:
+                assert not sol.zero_mask[k]
+                assert sol.saturated_mask[k] == (k == saturating)
+
+
+def test_targets_at_every_breakpoint():
+    """Targets within a few ulps of the bits at each breakpoint, where
+    rounding can put the closed-form level just outside the bracket the
+    prefix sums chose: the level must stay at the target, not jump to the
+    far end of the bracket."""
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        w, h, W, _, p_max = random_cell_problem(rng, 3, 12)
+        for height in np.concatenate((1.0 / h, p_max + 1.0 / h)):
+            base = bits_at_height(w, h, W, p_max, height)
+            if base <= 0.0:
+                continue
+            for ulps in (-3, -1, 0, 1, 3):
+                target = base * (1.0 + ulps * 1e-16)
+                if target > max_deliverable_bits(w, h, W, p_max):
+                    continue
+                sol = solve_cells(w, h, W, target, p_max)
+                assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
