@@ -36,11 +36,10 @@ def projected_gradient_min_energy(
     f_lin = w * p_max / e_ref
     gc_pref = (p_max / target_bits) * w * bandwidth_hz / LN2
 
+    neg_gc_h = -gc_pref * h
+
     def bits_frac(x):
         return float(np.dot(w, bandwidth_hz * np.log2(1.0 + x * p_max * h))) / target_bits
-
-    def grad_c(x):
-        return -gc_pref * h / (1.0 + x * p_max * h)
 
     x = np.full(n, 0.5)
     y = 0.0
@@ -54,16 +53,19 @@ def projected_gradient_min_energy(
         z = x.copy()
         tk = 1.0
         x_prev = x.copy()
+        # The inner loop is call-overhead bound on these small arrays, so the
+        # constraint value and its gradient share one denominator and the box
+        # projection uses the bare ufuncs; the arithmetic is unchanged.
         for _ in range(max_inner):
-            czv = 1.0 - bits_frac(z)
+            denom = 1.0 + z * p_max * h
+            czv = 1.0 - float(np.dot(w, bandwidth_hz * np.log2(denom))) / target_bits
             t = y + rho * czv
-            g = f_lin.copy()
-            if t > 0:
-                g = g + t * grad_c(z)
-            x_new = np.clip(z - g / lip, 0.0, 1.0)
+            g = f_lin + t * (neg_gc_h / denom) if t > 0 else f_lin
+            x_new = np.minimum(np.maximum(z - g / lip, 0.0), 1.0)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            z = x_new + ((tk - 1.0) / t_new) * (x_new - x_prev)
-            step = float(np.max(np.abs(x_new - x_prev)))
+            diff = x_new - x_prev
+            z = x_new + ((tk - 1.0) / t_new) * diff
+            step = float(np.abs(diff).max())
             x_prev, tk = x_new, t_new
             if step <= 1e-14:
                 break
