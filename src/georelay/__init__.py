@@ -6,7 +6,8 @@ link budgets (:mod:`georelay.link`), regenerating codes over finite fields
 (:mod:`georelay.waterfill`), the downlink/uplink/repair optimizers, and the
 scenario-driven CLI. :mod:`georelay.lp_solver` holds the LP/MILP engines of
 the outer-approximation allocator that exact greedy replaced; no solve path
-uses them.
+uses them. The exact dynamic-programming allocator that checks the greedy is
+a test oracle, not part of the package.
 """
 
 __version__ = "0.1.0"
@@ -55,7 +56,6 @@ from .repair_opt import (
 )
 from .uplink_opt import (
     UplinkRequest,
-    dp_oracle,
     min_time_uplink,
     oa_min_energy_uplink,
     solve_nlp_fixed_mu,
@@ -82,7 +82,6 @@ __all__ = [
     "check_mu_reconstructable",
     "constant_power_baseline",
     "coverage_entry_time",
-    "dp_oracle",
     "encode",
     "geos_distance",
     "inter_leos_distance",

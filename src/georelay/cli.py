@@ -42,9 +42,7 @@ from .scenario import (
     load_config,
     operating_point,
 )
-from .uplink_opt import dp_oracle, min_time_uplink, oa_min_energy_uplink
-
-DIAG_COLUMNS = ("iterations", "z_lower", "z_upper", "kkt_residual_max")
+from .uplink_opt import min_time_uplink, oa_min_energy_uplink
 
 # a sweep point takes 0.01-1 s, so this many already take minutes to hours
 MAX_SWEEP_POINTS = 10_000
@@ -112,7 +110,7 @@ def _flag_overrides(args, block: str) -> dict:
     return {name: {k: v for k, v in fields.items() if v is not None} for name, fields in flags.items()}
 
 
-def _alloc_rows(alloc, baseline=None, mu=None, state=None):
+def _alloc_rows(alloc, baseline=None, mu=None):
     rows = []
     n = len(alloc.profiles)
     for i in range(n):
@@ -126,9 +124,6 @@ def _alloc_rows(alloc, baseline=None, mu=None, state=None):
                 "delivered_bits": float(alloc.delivered_bits[i]),
                 "water_level": float(alloc.water_levels[i]),
                 "baseline_energy_j": None if baseline is None else float(baseline.energies_j[i]),
-                "iterations": alloc.iterations[i],
-                "z_lower": None,
-                "z_upper": None,
                 "kkt_residual_max": None,
             }
         )
@@ -139,9 +134,6 @@ def _alloc_rows(alloc, baseline=None, mu=None, state=None):
             "energy_j": alloc.total_energy_j,
             "delivered_bits": float(np.sum(alloc.delivered_bits)),
             "baseline_energy_j": None if baseline is None else baseline.total_energy_j,
-            "iterations": state.iterations if state is not None else sum(alloc.iterations),
-            "z_lower": None if state is None else state.z_lower,
-            "z_upper": None if state is None else state.z_upper,
             "kkt_residual_max": alloc.kkt_residual_max,
         }
     )
@@ -157,9 +149,6 @@ _ALLOC_HEADER = [
     "delivered_bits",
     "water_level",
     "baseline_energy_j",
-    "iterations",
-    "z_lower",
-    "z_upper",
     "kkt_residual_max",
 ]
 
@@ -202,9 +191,6 @@ def cmd_code_check(config: dict, args) -> tuple[list[str], list[dict]]:
         "rank_ok": rank_ok,
         "encode_attempts": store.attempts,
         "seed": seed,
-        "iterations": store.attempts,
-        "z_lower": None,
-        "z_upper": None,
         "kkt_residual_max": None,
     }
     header = [k for k in row]
@@ -216,23 +202,11 @@ def _block(task: str) -> str:
     return task.split("-")[0]
 
 
-def _checked_oracle(req, result):
-    """The exact DP optimum of ``req``; raises when the allocation misses it."""
-    oracle = dp_oracle(req)
-    if abs(result.allocation.total_energy_j - oracle.energy_j) > 1e-6 * max(oracle.energy_j, 1.0):
-        raise InternalError(
-            f"allocation energy {result.allocation.total_energy_j!r} "
-            f"disagrees with the exact optimum {oracle.energy_j!r}"
-        )
-    return oracle
-
-
-def solve_task(task: str, config: dict, oracle: bool = False) -> tuple:
+def solve_task(task: str, config: dict) -> tuple:
     """The results of one sweep task's solves on a resolved scenario.
 
     This is the one place the CLI calls the stage solvers; their settings
-    travel in the requests the scenario builds. ``oracle`` adds the checked
-    DP optimum to the uplink-energy results (None otherwise).
+    travel in the requests the scenario builds.
     """
     if task == "downlink-energy":
         req = build_downlink_request(config)
@@ -240,9 +214,7 @@ def solve_task(task: str, config: dict, oracle: bool = False) -> tuple:
     if task == "downlink-time":
         return (min_time_downlink(build_downlink_request(config)),)
     if task == "uplink-energy":
-        req = build_uplink_request(config)
-        result = oa_min_energy_uplink(req)
-        return result, _checked_oracle(req, result) if oracle else None
+        return (oa_min_energy_uplink(build_uplink_request(config)),)
     if task == "uplink-time":
         return (min_time_uplink(build_uplink_request(config)),)
     req = build_repair_request(config)
@@ -275,19 +247,13 @@ def cmd_downlink_time(config: dict, args) -> tuple[list[str], list[dict]]:
 
 
 def cmd_uplink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
-    result, oracle = solve_task("uplink-energy", config, args.oracle)
-    rows = _alloc_rows(result.allocation, mu=result.mu, state=result.state)
-    if oracle is not None:
-        rows[-1]["oracle_energy_j"] = oracle.energy_j
-        rows[-1]["oracle_mu"] = ";".join(str(int(v)) for v in oracle.mu)
-        rows[-1]["oracle_match"] = True  # a mismatch raised in _checked_oracle
-    header = _ALLOC_HEADER + (["oracle_energy_j", "oracle_mu", "oracle_match"] if args.oracle else [])
-    return header, rows
+    (result,) = solve_task("uplink-energy", config)
+    return _ALLOC_HEADER, _alloc_rows(result.allocation, mu=result.mu)
 
 
 def cmd_uplink_time(config: dict, args) -> tuple[list[str], list[dict]]:
     (res,) = solve_task("uplink-time", config)
-    rows = _alloc_rows(res.allocation, mu=res.mu, state=res.state)
+    rows = _alloc_rows(res.allocation, mu=res.mu)
     rows[-1].update(
         {
             "duration_s": res.duration_s,
@@ -312,7 +278,6 @@ def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
                     "leos": helper + 1,
                     "files": int(res.files_per_helper[i]),
                     "energy_j": float(res.allocation.energies_j[i]),
-                    "iterations": res.allocation.iterations[i],
                 }
             )
         rows.append(
@@ -323,49 +288,29 @@ def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
                 "energy_j": res.allocation.total_energy_j,
                 "duration_s": tres.duration_s,
                 "budget_bound": tres.budget_bound,
-                "iterations": res.state.iterations if res.state else sum(res.allocation.iterations),
-                "z_lower": res.state.z_lower if res.state else None,
-                "z_upper": res.state.z_upper if res.state else None,
                 "kkt_residual_max": res.allocation.kkt_residual_max,
             }
         )
-    header = [
-        "scheme",
-        "leos",
-        "files",
-        "energy_j",
-        "duration_s",
-        "budget_bound",
-        "iterations",
-        "z_lower",
-        "z_upper",
-        "kkt_residual_max",
-    ]
+    header = ["scheme", "leos", "files", "energy_j", "duration_s", "budget_bound", "kkt_residual_max"]
     return header, rows
 
 
 def _oa_columns(result) -> dict:
-    """Per-LEO file counts and bounds of an uplink result, as sweep columns."""
+    """Per-LEO file counts and the KKT residual of an uplink result, as sweep columns."""
     row = {f"mu_{i + 1}": int(v) for i, v in enumerate(result.mu)}
-    row.update(
-        iterations=result.state.iterations,
-        z_lower=result.state.z_lower,
-        z_upper=result.state.z_upper,
-        kkt_residual_max=result.allocation.kkt_residual_max,
-    )
+    row["kkt_residual_max"] = result.allocation.kkt_residual_max
     return row
 
 
-def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
+def _sweep_point(task: str, config: dict, ts: float) -> dict:
     block = _block(task)
-    results = solve_task(task, {**config, block: {**config[block], "t_start_s": ts}}, args.oracle)
+    results = solve_task(task, {**config, block: {**config[block], "t_start_s": ts}})
     row: dict = {"ts_s": ts}
     if task == "downlink-energy":
         alloc, base = results
         row.update(
             energy_j=alloc.total_energy_j,
             baseline_energy_j=base.total_energy_j,
-            iterations=sum(alloc.iterations),
             kkt_residual_max=alloc.kkt_residual_max,
         )
     elif task == "downlink-time":
@@ -374,14 +319,11 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             duration_s=res.duration_s,
             energy_j=res.allocation.total_energy_j,
             budget_bound=res.budget_bound,
-            iterations=sum(res.allocation.iterations),
             kkt_residual_max=res.allocation.kkt_residual_max,
         )
     elif task == "uplink-energy":
-        result, oracle = results
+        (result,) = results
         row.update(energy_j=result.allocation.total_energy_j, **_oa_columns(result))
-        if oracle is not None:
-            row.update(oracle_energy_j=oracle.energy_j, oracle_match=True)  # a mismatch raised
     elif task == "uplink-time":
         (res,) = results
         row.update(duration_s=res.duration_s, energy_j=res.allocation.total_energy_j, budget_bound=res.budget_bound)
@@ -392,9 +334,6 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             regen_energy_j=regen.allocation.total_energy_j,
             mds_energy_j=mds.allocation.total_energy_j,
             regen_helpers=";".join(str(h + 1) for h in regen.helpers),
-            iterations=mds.state.iterations,
-            z_lower=mds.state.z_lower,
-            z_upper=mds.state.z_upper,
             kkt_residual_max=regen.allocation.kkt_residual_max,
         )
     else:  # repair-time
@@ -404,13 +343,8 @@ def _sweep_point(task: str, config: dict, args, ts: float) -> dict:
             mds_duration_s=mds.duration_s,
             regen_energy_j=regen.result.allocation.total_energy_j,
             mds_energy_j=mds.result.allocation.total_energy_j,
-            iterations=None,
-            z_lower=None,
-            z_upper=None,
             kkt_residual_max=regen.result.allocation.kkt_residual_max,
         )
-    for col in DIAG_COLUMNS:
-        row.setdefault(col, None)
     return row
 
 
@@ -427,7 +361,7 @@ def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
     if not span < MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
     points = [round(start + i * args.step, 9) for i in range(int(span) + 1)]
-    rows = [_sweep_point(args.task, config, args, ts) for ts in points]
+    rows = [_sweep_point(args.task, config, ts) for ts in points]
     header: list[str] = []
     for row in rows:
         for key in row:
@@ -477,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override RNG seed")
     common.add_argument("--dt", type=float, help="override grid step [s]")
     common.add_argument("--out", default=".", help="output directory (default: current)")
-    common.add_argument("--oracle", action="store_true", help="cross-check against the exact DP optimum")
     common.add_argument("--gnuplot", action="store_true", help="emit a gnuplot script next to the CSV")
 
     parser = argparse.ArgumentParser(

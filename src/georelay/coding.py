@@ -1,17 +1,22 @@
 """Regenerating-code parameterization, encoding and reconstructability checks.
 
-A code instance distributes M source files over N nodes, each holding
-``per_node_files`` random linear combinations over a finite field. Any K
-nodes reconstruct the source; a failed node regenerates from any D helpers
-at ``per_helper_files`` each. Encoders are seeded random matrices verified
-(and redrawn as needed) to satisfy the K-subset full-rank condition, so the
-module works with any field of order >= 256 without a bespoke construction.
+A code instance distributes M source files over N nodes, each storing
+``per_node_files`` (alpha) linear combinations over a finite field. The
+encoder is one (N alpha) x M Vandermonde matrix on the distinct field
+points 0 .. N alpha - 1: row r is (1, r, r^2, ..., r^(M-1)), and node n
+stores rows n alpha .. (n+1) alpha - 1. Any M of these rows form a square
+Vandermonde matrix whose determinant, the product of the differences of its
+points, is nonzero, so any M stored symbols are independent. Any K nodes,
+and any download that takes a prefix of each node's symbols and M of them
+in all, therefore recover the source by construction; this needs a field of
+at least N alpha elements. :func:`repair_requirement` prices the traffic of
+regenerating a failed node from D helpers at ``per_helper_files`` each, but
+no function here executes a repair.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,57 +124,41 @@ def repair_requirement(point: OperatingPoint, p: RegenParams) -> RepairPlan:
 
 @dataclass(frozen=True)
 class CodedStore:
-    """Encoded state: per-node encoding matrices and stored payloads."""
+    """Encoded state: per-node encoding matrices and stored payloads.
+
+    ``attempts`` is always 1: the construction needs no redraw.
+    """
 
     field: GaloisField
     params: RegenParams
     source: np.ndarray
     encoders: tuple[np.ndarray, ...]
     payloads: tuple[np.ndarray, ...]
-    seed: int
-    attempts: int
+    attempts: int = 1
 
 
-def _k_subsets_full_rank(field, encoders, m, k) -> bool:
-    for subset in itertools.combinations(range(len(encoders)), k):
-        stacked = np.hstack([encoders[i] for i in subset])
-        if field.rank(stacked) != m:
-            return False
-    return True
-
-
-def encode(
-    params: RegenParams,
-    field_order: int = 256,
-    seed: int = 0,
-    source=None,
-    min_field_order: int = 256,
-    max_attempts: int = 64,
-) -> CodedStore:
-    """Draw seeded random encoders, verify K-subset reconstructability, store payloads."""
-    m, n, k, alpha = params.n_files, params.n_nodes, params.reconstruct_k, params.per_node_files
+def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=None) -> CodedStore:
+    """Store ``source`` (M field elements; drawn from ``seed`` when None) under the Vandermonde code."""
+    m, n, alpha = params.n_files, params.n_nodes, params.per_node_files
     if alpha * n < m:
         raise ValueError("total stored files cannot cover the source")
-    if field_order < min_field_order:
-        raise ValueError(f"field order {field_order} below minimum {min_field_order}")
+    if alpha * n > field_order:
+        raise ValueError(f"{alpha * n} stored symbols need a field of order >= {alpha * n}, got {field_order}")
     field = galois_field(field_order)
-    rng = np.random.default_rng(seed)
     if source is None:
-        source = rng.integers(0, field_order, size=m, dtype=np.int64)
+        source = np.random.default_rng(seed).integers(0, field_order, size=m, dtype=np.int64)
     else:
         source = np.asarray(source, dtype=np.int64)
         if source.shape != (m,) or np.any(source < 0) or np.any(source >= field_order):
             raise ValueError("source must be M field elements")
-    for attempt in range(1, max_attempts + 1):
-        encoders = tuple(
-            rng.integers(0, field_order, size=(m, alpha), dtype=np.int64) for _ in range(n)
-        )
-        if _k_subsets_full_rank(field, encoders, m, k):
-            payloads = tuple(
-                field.matmul(h.T, source.reshape(-1, 1)).reshape(-1) for h in encoders
-            )
-            return CodedStore(field, params, source, encoders, payloads, seed, attempt)
-    raise InternalError(f"no full-rank encoder set found in {max_attempts} attempts")
+    points = np.arange(alpha * n, dtype=np.int64)
+    vandermonde = np.ones((alpha * n, m), dtype=np.int64)
+    for j in range(1, m):
+        vandermonde[:, j] = field.mul(vandermonde[:, j - 1], points)
+    stored = field.matmul(vandermonde, source.reshape(-1, 1)).reshape(-1)
+    encoders = tuple(vandermonde[i * alpha : (i + 1) * alpha].T for i in range(n))
+    payloads = tuple(stored[i * alpha : (i + 1) * alpha] for i in range(n))
+    return CodedStore(field, params, source, encoders, payloads)
 
 
 def _selected_columns(store: CodedStore, mu, selectors):

@@ -74,7 +74,6 @@ class AllocationResult:
     total_energy_j: float
     delivered_bits: np.ndarray
     water_levels: np.ndarray
-    iterations: tuple[int, ...]
     kkt_residual_max: float
 
 
@@ -89,7 +88,7 @@ class TimeMinResult:
 
 def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
     """Independent per-node waterfilling solves; infeasibility names the node."""
-    profiles, energies, bits, levels, iters, residuals = [], [], [], [], [], []
+    profiles, energies, bits, levels, residuals = [], [], [], [], []
     for n, (ch, target) in enumerate(zip(channels, targets_bits)):
         try:
             sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, p_max)
@@ -101,7 +100,6 @@ def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
         energies.append(sol.energy_j)
         bits.append(sol.delivered_bits)
         levels.append(sol.water_level)
-        iters.append(sol.iterations)
         residuals.append(sol.kkt_residual)
     return AllocationResult(
         profiles=tuple(profiles),
@@ -109,7 +107,6 @@ def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
         total_energy_j=float(sum(energies)),
         delivered_bits=np.array(bits),
         water_levels=np.array(levels),
-        iterations=tuple(iters),
         kkt_residual_max=max(residuals, default=0.0),
     )
 
@@ -143,7 +140,6 @@ def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResul
         total_energy_j=float(sum(energies)),
         delivered_bits=np.array(bits),
         water_levels=np.array(levels),
-        iterations=tuple(0 for _ in profiles),
         kkt_residual_max=math.nan,
     )
 

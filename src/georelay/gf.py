@@ -14,9 +14,11 @@ from .errors import SingularSystemError
 
 AES_POLY = 0x11B
 AES_GENERATOR = 0x03
+# largest prime-field order whose products stay exact in int64
+MAX_PRIME_ORDER = 2**20
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -109,10 +111,10 @@ class GaloisField:
 
 class PrimeField(GaloisField):
     def __init__(self, order: int):
-        if not _is_prime(order):
-            raise ValueError(f"{order} is not prime")
-        if order > 2**20:
+        if order > MAX_PRIME_ORDER:
             raise ValueError("prime field order too large for int64 arithmetic")
+        if not is_prime(order):
+            raise ValueError(f"{order} is not prime")
         super().__init__(order)
 
     def add(self, a, b):

@@ -23,7 +23,7 @@ from .errors import InfeasibleError
 from .geometry import ConstellationScenario, inter_leos_distance
 from .horizon import budget_horizon, floor_horizon
 from .link import LinkParams, NodeChannel, build_channel
-from .uplink_opt import FileAllocationProblem, OAState, min_time_solve, oa_solve
+from .uplink_opt import FileAllocationProblem, min_time_solve, oa_solve
 from .waterfill import solve_cells
 
 
@@ -75,7 +75,6 @@ class RepairResult:
     files_per_helper: np.ndarray
     allocation: AllocationResult
     total_files: int
-    state: OAState | None = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> R
         files_per_helper=result.mu,
         allocation=result.allocation,
         total_files=req.params.n_files,
-        state=result.state,
     )
 
 
@@ -177,6 +175,5 @@ def mds_repair_min_time(req: RepairRequest) -> RepairTimeResult:
         files_per_helper=res.mu,
         allocation=res.allocation,
         total_files=req.params.n_files,
-        state=res.state,
     )
     return RepairTimeResult(res.duration_s, wrapped, res.budget_bound, res.min_duration_s, res.energy_at_t0_j)

@@ -10,7 +10,8 @@ re-anchored to the feasible operating decade; override ``noise_level_db``
 to study other regimes.
 
 ``leos`` and ``carriers_hz`` arrays replace the defaults wholesale; scalar
-fields merge individually. Unknown keys and non-finite numbers are rejected.
+fields merge individually. Unknown keys and non-finite numbers are rejected,
+and so is a code block the encoder or the repair plan cannot serve.
 The ``solver`` block's tolerances reach the solvers only through the stage
 requests built here.
 """
@@ -28,6 +29,7 @@ from .coding import OperatingPoint, RegenParams, msr_point, mbr_point
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
 from .geometry import ConstellationScenario, Geos
+from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
 from .repair_opt import RepairRequest
 from .uplink_opt import UplinkRequest
@@ -256,6 +258,20 @@ def resolve_config(user: dict) -> dict:
         raise ConfigError(f"code block declares {config['code']['nodes']} nodes, constellation has {n_leos}")
     if not 1 <= config["repair"]["failed_node"] <= n_leos:
         raise ConfigError("repair.failed_node out of range (1-based)")
+    code = config["code"]
+    stored, order = code["nodes"] * code["per_node_files"], code["field_order"]
+    # the code's N * alpha stored symbols need as many distinct field points
+    if not (order == 256 or (order <= MAX_PRIME_ORDER and is_prime(order))) or order < stored:
+        raise ConfigError(
+            f"code.field_order {order} must be 256 or a prime up to {MAX_PRIME_ORDER}, "
+            f"and at least nodes * per_node_files = {stored}"
+        )
+    if stored < code["total_files"]:
+        raise ConfigError(f"nodes * per_node_files = {stored} cannot hold total_files {code['total_files']}")
+    if code["per_node_files"] % code["per_helper_files"]:
+        raise ConfigError(
+            f"per_node_files {code['per_node_files']} is not a multiple of per_helper_files {code['per_helper_files']}"
+        )
     offsets = [leo["phase_offset_deg"] for leo in config["constellation"]["leos"]]
     if sum(1 for p in offsets if p == 0.0) != 1:
         raise ConfigError("exactly one LEO must have phase_offset_deg = 0")

@@ -9,9 +9,9 @@ cost per file never falls. Minimizing a separable convex sum over integer
 boxes with sum mu = M is then solved exactly by marginal-cost greedy: give
 the M files one at a time to the node whose next file costs least (Fox 1966;
 Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
-:func:`oa_solve`, M + N waterfills and a heap. An exact dynamic program over
-the per-node energy tables (:func:`dp_solve`) is the independent check, and
-time minimization bisects the horizon against the floor-valued full-power
+:func:`oa_solve`, M + N waterfills and a heap; the test suite checks it
+against an exact dynamic program over the per-node energy tables. Time
+minimization bisects the horizon against the floor-valued full-power
 file-count step function and then, under a binding budget, against the
 optimal energy (both through :mod:`georelay.horizon`).
 
@@ -159,7 +159,6 @@ class UplinkTimeResult:
     duration_s: float
     allocation: AllocationResult
     mu: np.ndarray
-    state: OAState
     budget_bound: bool
     min_duration_s: float
     energy_at_t0_j: float
@@ -352,7 +351,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
 
     Each of the ``total_files`` files goes, one at a time, to the node whose
     next file costs the least extra energy; on an exact tie the higher node
-    index goes first, which gives ``dp_solve``'s lexicographically smallest
+    index goes first, which gives the lexicographically smallest optimal
     counts. The result reports one iteration with both bounds at the
     optimum. The name stays from the outer-approximation solver this
     replaced: the benchmark calls and traces ``oa_solve``.
@@ -394,61 +393,6 @@ def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
     return oa_solve(req.problem())
 
 
-@dataclass(frozen=True)
-class DpResult:
-    mu: np.ndarray
-    energy_j: float
-    energy_table: np.ndarray
-
-
-def dp_solve(problem: FileAllocationProblem) -> DpResult:
-    """Exact optimum by dynamic programming over per-node energy tables.
-
-    Ties break to the lexicographically smallest file-count vector.
-    """
-    m = problem.total_files
-    u = problem.file_bits
-    n_nodes = problem.n_nodes
-    caps = integer_file_caps(problem)
-    alpha_max = max(problem.max_files_per_node, default=0)
-    table = np.full((n_nodes, alpha_max + 1), math.inf)
-    for n, ch in enumerate(problem.channels):
-        for files in range(int(problem.max_files_per_node[n]) + 1):
-            if files > caps[n]:
-                break
-            sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, files * u, problem.p_max_w)
-            table[n, files] = sol.energy_j
-
-    suffix = np.full((n_nodes + 1, m + 1), math.inf)
-    choice = np.zeros((n_nodes, m + 1), dtype=int)
-    suffix[n_nodes, 0] = 0.0
-    for n in range(n_nodes - 1, -1, -1):
-        for j in range(m + 1):
-            best = math.inf
-            best_m = -1
-            for files in range(min(int(problem.max_files_per_node[n]), j) + 1):
-                if table[n, files] == math.inf:
-                    break
-                rest = suffix[n + 1, j - files]
-                val = table[n, files] + rest
-                if val < best:
-                    best, best_m = val, files
-            suffix[n, j] = best
-            choice[n, j] = best_m
-    if not math.isfinite(suffix[0, m]):
-        raise InfeasibleError("no feasible integer file split")
-    mu = np.zeros(n_nodes, dtype=int)
-    j = m
-    for n in range(n_nodes):
-        mu[n] = choice[n, j]
-        j -= mu[n]
-    return DpResult(mu, float(suffix[0, m]), table)
-
-
-def dp_oracle(req: UplinkRequest) -> DpResult:
-    return dp_solve(req.problem())
-
-
 def min_time_solve(problem_fn, total_files: int, req) -> UplinkTimeResult:
     """Horizon minimization for any ``horizon -> FileAllocationProblem`` builder.
 
@@ -468,7 +412,7 @@ def min_time_solve(problem_fn, total_files: int, req) -> UplinkTimeResult:
         lambda result: result.allocation.total_energy_j,
         t0, req.e_max_j, req.upper_factor, 1e-5, req.energy_rel_tol,
     )
-    return UplinkTimeResult(duration, result.allocation, result.mu, result.state, bound, t0, e0)
+    return UplinkTimeResult(duration, result.allocation, result.mu, bound, t0, e0)
 
 
 def min_time_uplink(req: UplinkRequest) -> UplinkTimeResult:

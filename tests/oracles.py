@@ -2,15 +2,22 @@
 
 These deliberately avoid the library's solution paths: the energy oracle is
 a first-order primal method (augmented Lagrangian with projected FISTA on
-the box), and the combinatorial oracles are plain enumeration.
+the box), the combinatorial oracles are plain enumeration, and the file
+allocation oracle is a dynamic program over per-node waterfilling tables
+rather than the library's greedy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from georelay.errors import InfeasibleError
+from georelay.uplink_opt import integer_file_caps
+from georelay.waterfill import solve_cells
 
 LN2 = math.log(2.0)
 
@@ -115,3 +122,59 @@ def random_cell_problem(rng, n_lo=20, n_hi=80):
     max_bits = float(np.dot(weights, bandwidth * np.log2(1 + p_max * gains)))
     target = rng.uniform(0.15, 0.85) * max_bits
     return weights, gains, bandwidth, target, p_max
+
+
+@dataclass(frozen=True)
+class DpResult:
+    mu: np.ndarray
+    energy_j: float
+    energy_table: np.ndarray
+
+
+def dp_solve(problem) -> DpResult:
+    """Exact optimum by dynamic programming over per-node energy tables.
+
+    Ties break to the lexicographically smallest file-count vector.
+    """
+    m = problem.total_files
+    u = problem.file_bits
+    n_nodes = problem.n_nodes
+    caps = integer_file_caps(problem)
+    alpha_max = max(problem.max_files_per_node, default=0)
+    table = np.full((n_nodes, alpha_max + 1), math.inf)
+    for n, ch in enumerate(problem.channels):
+        for files in range(int(problem.max_files_per_node[n]) + 1):
+            if files > caps[n]:
+                break
+            sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, files * u, problem.p_max_w)
+            table[n, files] = sol.energy_j
+
+    suffix = np.full((n_nodes + 1, m + 1), math.inf)
+    choice = np.zeros((n_nodes, m + 1), dtype=int)
+    suffix[n_nodes, 0] = 0.0
+    for n in range(n_nodes - 1, -1, -1):
+        for j in range(m + 1):
+            best = math.inf
+            best_m = -1
+            for files in range(min(int(problem.max_files_per_node[n]), j) + 1):
+                if table[n, files] == math.inf:
+                    break
+                rest = suffix[n + 1, j - files]
+                val = table[n, files] + rest
+                if val < best:
+                    best, best_m = val, files
+            suffix[n, j] = best
+            choice[n, j] = best_m
+    if not math.isfinite(suffix[0, m]):
+        raise InfeasibleError("no feasible integer file split")
+    mu = np.zeros(n_nodes, dtype=int)
+    j = m
+    for n in range(n_nodes):
+        mu[n] = choice[n, j]
+        j -= mu[n]
+    return DpResult(mu, float(suffix[0, m]), table)
+
+
+def dp_oracle(req) -> DpResult:
+    """:func:`dp_solve` on an uplink request's allocation problem."""
+    return dp_solve(req.problem())

@@ -57,7 +57,6 @@ from georelay.scenario import (
     load_config,
 )
 from georelay.uplink_opt import (
-    dp_oracle,
     integer_file_caps,
     min_time_uplink,
     oa_min_energy_uplink,
@@ -65,7 +64,7 @@ from georelay.uplink_opt import (
     solve_nlp_fixed_mu,
 )
 from georelay.waterfill import solve_cells
-from oracles import projected_gradient_min_energy, random_cell_problem
+from oracles import dp_oracle, projected_gradient_min_energy, random_cell_problem
 
 
 @contextmanager

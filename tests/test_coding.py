@@ -123,10 +123,50 @@ def test_encode_zero_source():
 
 
 def test_encode_field_floor():
+    # N * alpha = 50 stored symbols need 50 distinct field points
     with pytest.raises(ValueError):
-        encode(REFERENCE, 101, seed=0)  # below the default minimum order
-    store = encode(REFERENCE, 257, seed=0, min_field_order=101)
-    assert store.field.order == 257
+        encode(REFERENCE, 47, seed=0)
+    for order in (101, 257):
+        store = encode(REFERENCE, order, seed=0)
+        assert store.field.order == order
+        assert store.attempts == 1
+        mu = np.array([10, 0, 10, 0, 10])
+        assert np.all(reconstruct(store, downloads_for(store, mu)) == store.source)
+
+
+def test_every_prefix_download_of_m_symbols_reconstructs():
+    params = RegenParams(6, 4, 2, 3, 3, 1)  # M=6, N=4, alpha=3
+    store = encode(params, 256, seed=5)
+    m, alpha = params.n_files, params.per_node_files
+    sizes = {m: 0, m - 1: 0}
+    for mu in itertools.product(range(alpha + 1), repeat=params.n_nodes):
+        total = sum(mu)
+        if total == m:
+            assert check_mu_reconstructable(store, mu), mu
+            assert np.all(reconstruct(store, downloads_for(store, mu)) == store.source), mu
+        elif total == m - 1:
+            assert not check_mu_reconstructable(store, mu), mu
+            with pytest.raises(SingularSystemError):
+                reconstruct(store, downloads_for(store, mu))
+        else:
+            continue
+        sizes[total] += 1
+    assert sizes == {m: 44, m - 1: 40}
+
+
+def test_fourteen_node_code_reconstructs_from_any_seven():
+    params = RegenParams(56, 14, 7, 8, 8, 4)  # the coding benchmark's (14,7) code
+    store = encode(params, 256, seed=9)
+    assert store.attempts == 1
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        mu = np.zeros(14, dtype=int)
+        mu[rng.choice(14, size=7, replace=False)] = 8
+        assert np.all(reconstruct(store, downloads_for(store, mu)) == store.source)
+    short = np.zeros(14, dtype=int)
+    short[rng.choice(14, size=6, replace=False)] = 8
+    with pytest.raises(SingularSystemError):
+        reconstruct(store, downloads_for(store, short))
 
 
 def test_mu_reconstructable_cases():

@@ -12,8 +12,6 @@ from georelay.uplink_opt import (
     FileAllocationProblem,
     OAPoint,
     OAState,
-    dp_oracle,
-    dp_solve,
     integer_file_caps,
     min_time_uplink,
     oa_min_energy_uplink,
@@ -22,7 +20,7 @@ from georelay.uplink_opt import (
     solve_nlpr,
     solve_oa_master,
 )
-from oracles import enumerate_integer_splits
+from oracles import dp_oracle, dp_solve, enumerate_integer_splits
 
 
 def flat_channel(span, gain_per_w, bandwidth=1e6, step=1.0):
