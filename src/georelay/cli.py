@@ -101,10 +101,14 @@ def write_manifest(csv_path: str, command: str, config: dict) -> None:
         raise
 
 
+# stage-block field each window flag sets; code-check's parser has none of them
+WINDOW_FLAGS = {"ts": "t_start_s", "horizon": "horizon_s", "emax": "e_max_j", "pmax": "p_max_w"}
+
+
 def _flag_overrides(args, block: str) -> dict:
     """The scenario fields that command-line flags set, as a partial scenario."""
     flags = {
-        block: {"t_start_s": args.ts, "horizon_s": args.horizon, "e_max_j": args.emax, "p_max_w": args.pmax},
+        block: {field: getattr(args, flag, None) for flag, field in WINDOW_FLAGS.items()},
         "solver": {"seed": args.seed, "grid_step_s": args.dt},
     }
     return {name: {k: v for k, v in fields.items() if v is not None} for name, fields in flags.items()}
@@ -212,7 +216,7 @@ def solve_task(task: str, config: dict) -> tuple:
         req = build_downlink_request(config)
         return min_energy_downlink(req), constant_power_baseline(req)
     if task == "downlink-time":
-        return (min_time_downlink(build_downlink_request(config)),)
+        return min_time_downlink(build_downlink_request(config))
     if task == "uplink-energy":
         return (oa_min_energy_uplink(build_uplink_request(config)),)
     if task == "uplink-time":
@@ -231,10 +235,10 @@ def cmd_downlink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
 
 
 def cmd_downlink_time(config: dict, args) -> tuple[list[str], list[dict]]:
-    (res,) = solve_task("downlink-time", config)
-    rows = _alloc_rows(res.allocation)
+    res, floors = solve_task("downlink-time", config)
+    rows = _alloc_rows(res.result)
     for i, row in enumerate(rows[:-1]):
-        row["min_duration_s"] = float(res.min_durations_s[i])
+        row["min_duration_s"] = float(floors[i])
     rows[-1].update(
         {
             "min_duration_s": res.duration_s,
@@ -253,12 +257,12 @@ def cmd_uplink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
 
 def cmd_uplink_time(config: dict, args) -> tuple[list[str], list[dict]]:
     (res,) = solve_task("uplink-time", config)
-    rows = _alloc_rows(res.allocation, mu=res.mu)
+    rows = _alloc_rows(res.result.allocation, mu=res.result.mu)
     rows[-1].update(
         {
             "duration_s": res.duration_s,
             "budget_bound": res.budget_bound,
-            "min_duration_s": res.min_duration_s,
+            "min_duration_s": res.floor_s,
             "energy_at_t0_j": res.energy_at_t0_j,
         }
     )
@@ -314,20 +318,20 @@ def _sweep_point(task: str, config: dict, ts: float) -> dict:
             kkt_residual_max=alloc.kkt_residual_max,
         )
     elif task == "downlink-time":
-        (res,) = results
+        res, _ = results
         row.update(
             duration_s=res.duration_s,
-            energy_j=res.allocation.total_energy_j,
+            energy_j=res.result.total_energy_j,
             budget_bound=res.budget_bound,
-            kkt_residual_max=res.allocation.kkt_residual_max,
+            kkt_residual_max=res.result.kkt_residual_max,
         )
     elif task == "uplink-energy":
         (result,) = results
         row.update(energy_j=result.allocation.total_energy_j, **_oa_columns(result))
     elif task == "uplink-time":
         (res,) = results
-        row.update(duration_s=res.duration_s, energy_j=res.allocation.total_energy_j, budget_bound=res.budget_bound)
-        row.update(_oa_columns(res))
+        row.update(duration_s=res.duration_s, energy_j=res.result.allocation.total_energy_j)
+        row.update(budget_bound=res.budget_bound, **_oa_columns(res.result))
     elif task == "repair-energy":
         regen, mds = results
         row.update(
@@ -349,8 +353,6 @@ def _sweep_point(task: str, config: dict, ts: float) -> dict:
 
 
 def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
-    if args.param != "ts":
-        raise ConfigError(f"unsupported sweep parameter {args.param!r}; only 'ts' is available")
     start = getattr(args, "from")
     # points only increase from `from`, so its bound covers them all
     ts_min = SCHEMA["properties"][_block(args.task)]["properties"]["t_start_s"]["minimum"]
@@ -404,14 +406,16 @@ SWEEP_TASKS = (
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="scenario JSON file (defaults reproduce the reference setup)")
-    common.add_argument("--ts", type=float, help="override transmission start time [s]")
-    common.add_argument("--horizon", type=float, help="override transmission horizon T [s]")
-    common.add_argument("--emax", type=float, help="override energy budget [J]")
-    common.add_argument("--pmax", type=float, help="override per-beam power cap [W]")
     common.add_argument("--seed", type=int, help="override RNG seed")
     common.add_argument("--dt", type=float, help="override grid step [s]")
     common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--gnuplot", action="store_true", help="emit a gnuplot script next to the CSV")
+    # the stage blocks' window and budget; the code block has none
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--ts", type=float, help="override transmission start time [s]")
+    window.add_argument("--horizon", type=float, help="override transmission horizon T [s]")
+    window.add_argument("--emax", type=float, help="override energy budget [J]")
+    window.add_argument("--pmax", type=float, help="override per-beam power cap [W]")
 
     parser = argparse.ArgumentParser(
         prog="georelay",
@@ -419,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    sweep = sub.add_parser("sweep", parents=[common])
-    sweep.add_argument("--param", default="ts", help="swept parameter (only 'ts')")
+        sub.add_parser(name, parents=[common] if name == "code-check" else [common, window])
+    sweep = sub.add_parser("sweep", parents=[common, window], description="sweep the start time --ts")
     sweep.add_argument("--task", default="uplink-energy", choices=SWEEP_TASKS)
     sweep.add_argument("--from", dest="from", type=float, required=True)
     sweep.add_argument("--to", type=float, required=True)

@@ -161,56 +161,40 @@ def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=No
     return CodedStore(field, params, source, encoders, payloads)
 
 
-def _selected_columns(store: CodedStore, mu, selectors):
-    """Per-node effective encoding blocks H^(n) A^(n) for the given download counts."""
+def _selected_columns(store: CodedStore, mu):
+    """Per-node encoding columns of the first ``mu[n]`` stored symbols of node n."""
     mu = np.asarray(mu, dtype=int)
     p = store.params
     if mu.shape != (p.n_nodes,):
         raise ValueError(f"expected {p.n_nodes} download counts")
     if np.any(mu < 0) or np.any(mu > p.per_node_files):
         raise ValueError("download counts must lie in [0, per_node_files]")
-    blocks = []
-    for i, h in enumerate(store.encoders):
-        if selectors is not None and selectors[i] is not None:
-            a = np.asarray(selectors[i], dtype=np.int64)
-            if a.shape != (p.per_node_files, mu[i]):
-                raise ValueError(f"selector {i} must be {p.per_node_files} x {mu[i]}")
-            blocks.append(store.field.matmul(h, a))
-        else:
-            blocks.append(h[:, : mu[i]])
-    return mu, blocks
+    return mu, [h[:, : mu[i]] for i, h in enumerate(store.encoders)]
 
 
-def check_mu_reconstructable(store: CodedStore, mu, selectors=None) -> bool:
+def check_mu_reconstructable(store: CodedStore, mu) -> bool:
     """True iff the per-node download counts allow exact source recovery."""
-    mu, blocks = _selected_columns(store, mu, selectors)
+    mu, blocks = _selected_columns(store, mu)
     if int(mu.sum()) < store.params.n_files:
         return False
     stacked = np.hstack([b for b in blocks if b.shape[1]])
     return store.field.rank(stacked) == store.params.n_files
 
 
-def downloads_for(store: CodedStore, mu, selectors=None) -> list[np.ndarray]:
-    """Symbols each node transmits for the given download counts."""
-    mu, _ = _selected_columns(store, mu, selectors)
-    out = []
-    for i, payload in enumerate(store.payloads):
-        if selectors is not None and selectors[i] is not None:
-            a = np.asarray(selectors[i], dtype=np.int64)
-            out.append(store.field.matmul(a.T, payload.reshape(-1, 1)).reshape(-1))
-        else:
-            out.append(payload[: mu[i]].copy())
-    return out
+def downloads_for(store: CodedStore, mu) -> list[np.ndarray]:
+    """Symbols each node transmits for the given download counts: its first ``mu[n]``."""
+    mu, _ = _selected_columns(store, mu)
+    return [payload[: mu[i]].copy() for i, payload in enumerate(store.payloads)]
 
 
-def reconstruct(store: CodedStore, downloads, selectors=None) -> np.ndarray:
+def reconstruct(store: CodedStore, downloads) -> np.ndarray:
     """Recover the source symbols from per-node downloaded symbol vectors.
 
     Raises :class:`SingularSystemError` when the downloads do not determine
     the source uniquely.
     """
     mu = np.array([len(d) for d in downloads], dtype=int)
-    mu, blocks = _selected_columns(store, mu, selectors)
+    mu, blocks = _selected_columns(store, mu)
     rows = [b.T for b in blocks if b.shape[1]]
     if not rows:
         raise SingularSystemError("no symbols downloaded")

@@ -4,9 +4,9 @@ The energy problem decouples into independent per-LEO waterfilling solves
 because the bit constraints share no variables. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
 optimum T0, and a binding energy budget is handled by bisecting the horizon
-against the optimal-energy curve, which decreases in the horizon. Both
-searches are the shared ones in :mod:`georelay.horizon`; their settings come
-from the request.
+against the optimal-energy curve, which decreases in the horizon. The
+request, both searches and the time result are the shared ones in
+:mod:`georelay.horizon`; the per-LEO floors are this stage's one extra output.
 """
 
 from __future__ import annotations
@@ -17,54 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .geometry import ConstellationScenario, coverage_entry_time, geos_distance
-from .horizon import budget_horizon, floor_horizon
-from .link import LinkParams, NodeChannel, PowerProfile, build_channel
+from .geometry import geos_distance
+from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
+from .link import PowerProfile
 from .waterfill import max_deliverable_bits, solve_cells
 
 
-@dataclass(frozen=True)
-class DownlinkRequest:
-    """Inputs of the GEO-to-LEO allocation problems.
+@dataclass(frozen=True, kw_only=True)
+class DownlinkRequest(StageRequest):
+    """Inputs of the GEO-to-LEO allocation problems: every LEO receives
+    ``files_per_leos`` files from GEO 1 once it enters coverage (links
+    differ in attenuation)."""
 
-    ``links`` carries one entry per LEO (attenuations differ). Windows are
-    entry-limited: LEO n transmits over [max(t_start, entry_n), t_start + horizon].
-    ``upper_factor`` bounds the budget search at that multiple of T0, which
-    stops once the energy is within ``energy_rel_tol`` of the budget.
-    """
-
-    scenario: ConstellationScenario
-    links: tuple[LinkParams, ...]
     files_per_leos: int
     file_bits: float
-    t_start_s: float
-    horizon_s: float
-    p_max_w: float
-    e_max_j: float | None = None
-    grid_step_s: float = 1.0
-    upper_factor: float = 4.0
-    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if len(self.links) != self.scenario.n_leos:
-            raise ValueError("one LinkParams per LEO required")
-        if self.p_max_w <= 0 or self.horizon_s <= 0:
-            raise ValueError("power cap and horizon must be positive")
+        super().__post_init__()
         if self.files_per_leos < 0 or self.file_bits <= 0:
             raise ValueError("bad file parameters")
 
-    def window(self, n: int, horizon_s: float | None = None) -> tuple[float, float]:
-        start = max(self.t_start_s, coverage_entry_time(self.scenario, n))
-        end = self.t_start_s + (self.horizon_s if horizon_s is None else horizon_s)
-        return start, max(start, end)
-
-    def channel(self, n: int, horizon_s: float | None = None) -> NodeChannel:
-        return build_channel(
-            self.links[n],
-            lambda t: geos_distance(self.scenario, n, t),
-            self.window(n, horizon_s),
-            self.grid_step_s,
-        )
+    def distance(self, n: int, t):
+        return geos_distance(self.scenario, n, t)
 
 
 @dataclass(frozen=True)
@@ -75,15 +49,6 @@ class AllocationResult:
     delivered_bits: np.ndarray
     water_levels: np.ndarray
     kkt_residual_max: float
-
-
-@dataclass(frozen=True)
-class TimeMinResult:
-    duration_s: float
-    allocation: AllocationResult
-    budget_bound: bool
-    min_durations_s: np.ndarray
-    energy_at_t0_j: float
 
 
 def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
@@ -118,7 +83,7 @@ def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResul
         if target == 0:
             powers = np.zeros(ch.n_cells)
         else:
-            if ch.bits(np.full(ch.n_cells, p_max)) < target * (1 - 1e-12):
+            if max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) < target * (1 - 1e-12):
                 raise InfeasibleError(f"node {n}: target unreachable at P_max", index=n)
             lo, hi = 0.0, p_max
             for _ in range(200):
@@ -168,24 +133,23 @@ def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
         ch = req.channel(n, horizon)
         return max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w) >= target
 
-    lo = max(0.0, coverage_entry_time(req.scenario, n) - req.t_start_s)
+    lo = max(0.0, req.entry_s(n) - req.t_start_s)
     unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
     return floor_horizon(reaches, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
 
 
-def min_time_downlink(req: DownlinkRequest) -> TimeMinResult:
+def min_time_downlink(req: DownlinkRequest) -> tuple[TimeResult, np.ndarray]:
     """Minimize the transmission horizon subject to the total-energy budget.
 
     With a slack budget the answer is T0 = max_n T_n0 (every LEO at full power
     meets its target within T0); otherwise the horizon is bisected until the
-    optimal energy matches the budget within ``req.energy_rel_tol``.
+    optimal energy matches the budget within ``req.energy_rel_tol``. The
+    per-LEO floors T_n0 come back next to the time result.
     """
     n_leos = req.scenario.n_leos
     t_n0 = np.array([_min_duration_full_power(req, n) for n in range(n_leos)])
     t0 = float(np.max(t_n0)) if n_leos else 0.0
-    duration, alloc, bound, e0 = budget_horizon(
-        lambda horizon: min_energy_downlink(req, horizon_s=horizon),
-        lambda alloc: alloc.total_energy_j,
-        t0, req.e_max_j, req.upper_factor, 1e-7, req.energy_rel_tol,
+    res = budget_horizon(
+        req, lambda horizon: min_energy_downlink(req, horizon_s=horizon), lambda alloc: alloc.total_energy_j, t0, 1e-7
     )
-    return TimeMinResult(duration, alloc, bound, t_n0, e0)
+    return res, t_n0

@@ -35,6 +35,7 @@ class ConstellationScenario:
     ``entry_boundary_angle_rad`` is the rotation angle at which a LEO enters
     the serving GEO's coverage; the LEO whose phase offset is zero reaches it
     at t = 0. ``geos_coverage_angle_rad`` is retained as metadata only.
+    The GEO a link points at is the stage's choice (:func:`geos_distance`).
     """
 
     earth_radius_m: float
@@ -44,7 +45,6 @@ class ConstellationScenario:
     leos_velocity_mps: tuple[float, ...]
     leos_phase_offset_rad: tuple[float, ...]
     entry_boundary_angle_rad: float
-    reference_geos: Geos = Geos.GEOS1
     geos_radius_m: float = field(init=False)
     leos_radius_m: tuple[float, ...] = field(init=False)
 
@@ -99,14 +99,13 @@ def rotation_angle(scenario: ConstellationScenario, n: int, t):
     )
 
 
-def geos_distance(scenario: ConstellationScenario, n: int, t, geos: Geos | None = None):
-    """Distance from LEO n to the serving GEO at time t, meters.
+def geos_distance(scenario: ConstellationScenario, n: int, t, geos: Geos = Geos.GEOS1):
+    """Distance from LEO n to GEO ``geos`` at time t, meters.
 
-    The serving GEO defaults to ``scenario.reference_geos``; GEO 2 sits at
-    angle pi, so the effective separation angle flips to pi - phi_n(t).
+    GEO 2 sits at angle pi, so its separation angle flips to pi - phi_n(t).
     """
     phi = rotation_angle(scenario, n, t)
-    if (geos or scenario.reference_geos) is Geos.GEOS2:
+    if geos is Geos.GEOS2:
         phi = math.pi - phi
     rg = scenario.geos_radius_m
     rl = scenario.leos_radius_m[n]

@@ -1,11 +1,19 @@
-"""One-dimensional horizon search shared by the three time-minimizing stages.
+"""The request and the horizon search shared by the three stages.
 
-Downlink, uplink and repair time minimization have the same shape. The floor
-T0 is the least horizon at which the stage can deliver its traffic at full
-power; that predicate is monotone in the horizon, so T0 is found by growing a
-bracket and bisecting (:func:`floor_horizon`). Beyond T0 the stage's optimal
-energy decreases in the horizon, so a binding energy budget is met by
-bisecting between T0 and ``upper_factor * T0`` (:func:`budget_horizon`).
+GEO-to-LEO downlink, LEO-to-GEO uplink and failed-node repair have the same
+shape. Each gives one link per LEO, a transmission window from ``t_start_s``,
+a power cap and an energy budget; :class:`StageRequest` holds these and
+builds every node's channel, and a stage adds only its own traffic fields,
+the node's window entry and the distance its link spans.
+
+Each stage minimizes energy at a given horizon, and each minimizes the
+horizon under its budget the same way. The floor T0 is the least horizon at
+which the stage can deliver its traffic at full power; that predicate is
+monotone in the horizon, so T0 is found by growing a bracket and bisecting
+(:func:`floor_horizon`). Beyond T0 the stage's optimal energy decreases in
+the horizon, so a binding energy budget is met by bisecting between T0 and
+``upper_factor * T0`` (:func:`budget_horizon`), and every stage reports a
+:class:`TimeResult`.
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
 and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair
@@ -14,11 +22,70 @@ would move the downlink-time outputs or add uplink allocation solves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 from .errors import InfeasibleError, InternalError
+from .geometry import ConstellationScenario, coverage_entry_time
+from .link import LinkParams, NodeChannel, build_channel
 
 # bracket doublings before the traffic counts as unreachable in any horizon
 _BRACKET_GROW_LIMIT = 60
 _MAX_BISECTIONS = 200
+
+
+@dataclass(frozen=True, kw_only=True)
+class StageRequest:
+    """The inputs every stage shares, one link per LEO.
+
+    Node n transmits over [max(t_start, entry_n), t_start + horizon]. The
+    entry is the node's coverage entry unless a stage overrides
+    :meth:`entry_s`; :meth:`distance` is the stage's link length.
+    ``upper_factor`` bounds the budget search at that multiple of T0, which
+    stops once the energy is within ``energy_rel_tol`` of the budget.
+    """
+
+    scenario: ConstellationScenario
+    links: tuple[LinkParams, ...]
+    t_start_s: float
+    horizon_s: float
+    p_max_w: float
+    e_max_j: float | None = None
+    grid_step_s: float = 1.0
+    upper_factor: float = 4.0
+    energy_rel_tol: float = 1e-3
+
+    def __post_init__(self):
+        if len(self.links) != self.scenario.n_leos:
+            raise ValueError("one LinkParams per LEO required")
+        if self.p_max_w <= 0 or self.horizon_s <= 0 or self.grid_step_s <= 0:
+            raise ValueError("power cap, horizon and grid step must be positive")
+
+    def entry_s(self, n: int) -> float:
+        return coverage_entry_time(self.scenario, n)
+
+    def distance(self, n: int, t):
+        raise NotImplementedError
+
+    def window(self, n: int, horizon_s: float | None = None) -> tuple[float, float]:
+        start = max(self.t_start_s, self.entry_s(n))
+        end = self.t_start_s + (self.horizon_s if horizon_s is None else horizon_s)
+        return start, max(start, end)
+
+    def channel(self, n: int, horizon_s: float | None = None) -> NodeChannel:
+        return build_channel(self.links[n], lambda t: self.distance(n, t), self.window(n, horizon_s), self.grid_step_s)
+
+
+@dataclass(frozen=True)
+class TimeResult:
+    """A time solve: the horizon, the stage's minimum-energy result there,
+    whether the budget set it, the floor T0 and the energy at T0."""
+
+    duration_s: float
+    result: Any
+    budget_bound: bool
+    floor_s: float
+    energy_at_t0_j: float
 
 
 def floor_horizon(reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
@@ -46,24 +113,24 @@ def floor_horizon(reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
     return hi
 
 
-def budget_horizon(solve, energy, t0, e_max, upper_factor, rel_tol, energy_rel_tol):
-    """Shortest horizon from ``t0`` whose minimum-energy solve fits ``e_max``.
+def budget_horizon(req, solve, energy, t0, rel_tol) -> TimeResult:
+    """Shortest horizon from ``t0`` whose minimum-energy solve fits ``req.e_max_j``.
 
     ``solve(T)`` is the stage's minimum-energy solve at horizon T and
-    ``energy(result)`` its total energy. Returns ``(duration, result,
-    budget_bound, energy_at_t0)``. A missing or slack budget keeps T0 and its
-    solve; otherwise the horizon is bisected on (T0, ``upper_factor * T0``]
-    until the bracket is narrower than ``rel_tol * max(T0, 1)``, and the
-    energy at the returned horizon must match the budget within
-    ``energy_rel_tol``.
+    ``energy(result)`` its total energy. A missing or slack budget keeps T0
+    and its solve; otherwise the horizon is bisected on
+    (T0, ``req.upper_factor * T0``] until the bracket is narrower than
+    ``rel_tol * max(T0, 1)``, and the energy at the returned horizon must
+    match the budget within ``req.energy_rel_tol``.
     """
+    e_max = req.e_max_j
     result0 = solve(t0)
     e0 = energy(result0)
     if e_max is None or e_max >= e0:
-        return t0, result0, False, e0
+        return TimeResult(t0, result0, False, t0, e0)
     if e_max <= 0:
         raise InfeasibleError("energy budget must be positive")
-    hi = upper_factor * t0
+    hi = req.upper_factor * t0
     result = solve(hi)
     if energy(result) > e_max:
         raise InfeasibleError(
@@ -82,6 +149,6 @@ def budget_horizon(solve, energy, t0, e_max, upper_factor, rel_tol, energy_rel_t
             hi = mid
             best = (mid, result)
     duration, result = best
-    if abs(energy(result) - e_max) > energy_rel_tol * e_max:
+    if abs(energy(result) - e_max) > req.energy_rel_tol * e_max:
         raise InternalError("horizon bisection missed the energy budget")
-    return duration, result, True, e0
+    return TimeResult(duration, result, True, t0, e0)

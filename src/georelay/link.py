@@ -37,7 +37,6 @@ class LinkParams:
     rx_gain_db: float
     attenuation_db: float
     noise_level_db: float
-    light_speed_mps: float = LIGHT_SPEED_MPS
 
     def __post_init__(self):
         if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
@@ -107,7 +106,7 @@ def aggregate_gain(params: LinkParams) -> float:
     gr = db_to_linear(params.rx_gain_db)
     att = db_to_linear(-params.attenuation_db)
     n0 = db_to_linear(params.noise_level_db)
-    c = params.light_speed_mps
+    c = LIGHT_SPEED_MPS
     return (gt * gr * c * c * att) / (
         (4.0 * math.pi * params.carrier_hz) ** 2 * n0 * params.bandwidth_hz
     )

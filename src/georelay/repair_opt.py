@@ -8,7 +8,7 @@ allocation of :func:`georelay.uplink_opt.oa_solve`, with the failed node
 excluded. LEO-to-LEO links carry no coverage gating, so helper windows span
 the whole [t_start, t_start + horizon] interval. Both time solves search the
 horizon through :mod:`georelay.horizon`, with the settings the request
-carries.
+carries; the MDS one reports the joint allocation's result at its horizon.
 """
 
 from __future__ import annotations
@@ -20,53 +20,38 @@ import numpy as np
 from .coding import OperatingPoint, RegenParams, repair_requirement
 from .downlink_opt import AllocationResult, allocate_for_targets
 from .errors import InfeasibleError
-from .geometry import ConstellationScenario, inter_leos_distance
-from .horizon import budget_horizon, floor_horizon
-from .link import LinkParams, NodeChannel, build_channel
+from .geometry import inter_leos_distance
+from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
 from .uplink_opt import FileAllocationProblem, min_time_solve, oa_solve
-from .waterfill import solve_cells
+from .waterfill import max_deliverable_bits, solve_cells
 
 
-@dataclass(frozen=True)
-class RepairRequest:
+@dataclass(frozen=True, kw_only=True)
+class RepairRequest(StageRequest):
     """Inputs of the failed-node repair problems (0-based failed index).
 
-    ``upper_factor`` and ``energy_rel_tol`` set both time solves' budget search.
+    Helpers send to the failed node over inter-LEO links, which need no
+    coverage, so every helper's window opens at ``t_start_s``.
     """
 
-    scenario: ConstellationScenario
-    links: tuple[LinkParams, ...]
     params: RegenParams
     point: OperatingPoint
     failed_node: int
-    t_start_s: float
-    horizon_s: float
-    p_max_w: float
-    e_max_j: float | None = None
-    grid_step_s: float = 1.0
-    upper_factor: float = 4.0
-    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 <= self.failed_node < self.scenario.n_leos:
             raise ValueError("failed node index out of range")
-        if len(self.links) != self.scenario.n_leos:
-            raise ValueError("one LinkParams per LEO required")
-        if self.p_max_w <= 0 or self.horizon_s <= 0:
-            raise ValueError("power cap and horizon must be positive")
 
     @property
     def helpers(self) -> tuple[int, ...]:
         return tuple(n for n in range(self.scenario.n_leos) if n != self.failed_node)
 
-    def channel(self, helper: int, horizon_s: float | None = None) -> NodeChannel:
-        horizon = self.horizon_s if horizon_s is None else horizon_s
-        return build_channel(
-            self.links[helper],
-            lambda t: inter_leos_distance(self.scenario, helper, self.failed_node, t),
-            (self.t_start_s, self.t_start_s + horizon),
-            self.grid_step_s,
-        )
+    def entry_s(self, n: int) -> float:
+        return self.t_start_s
+
+    def distance(self, n: int, t):
+        return inter_leos_distance(self.scenario, n, self.failed_node, t)
 
 
 @dataclass(frozen=True)
@@ -75,15 +60,6 @@ class RepairResult:
     files_per_helper: np.ndarray
     allocation: AllocationResult
     total_files: int
-
-
-@dataclass(frozen=True)
-class RepairTimeResult:
-    duration_s: float
-    result: RepairResult
-    budget_bound: bool
-    min_duration_s: float
-    energy_at_t0_j: float
 
 
 def repair_min_energy(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:
@@ -143,7 +119,7 @@ def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> R
     )
 
 
-def repair_min_time(req: RepairRequest) -> RepairTimeResult:
+def repair_min_time(req: RepairRequest) -> TimeResult:
     """Minimize the regenerating-repair horizon under the energy budget.
 
     The floor is the smallest horizon at which some full helper subset
@@ -154,26 +130,16 @@ def repair_min_time(req: RepairRequest) -> RepairTimeResult:
 
     def reaches(horizon: float) -> bool:
         channels = (req.channel(h, horizon) for h in req.helpers)
-        capable = sum(ch.bits(np.full(ch.n_cells, req.p_max_w)) >= target for ch in channels)
-        return capable >= plan.helpers
+        full = (max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w) for ch in channels)
+        return sum(bits >= target for bits in full) >= plan.helpers
 
     unreachable = InfeasibleError("repair traffic unreachable within the horizon search bound")
     t0 = floor_horizon(reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
-    duration, result, bound, e0 = budget_horizon(
-        lambda horizon: repair_min_energy(req, horizon_s=horizon),
-        lambda result: result.allocation.total_energy_j,
-        t0, req.e_max_j, req.upper_factor, 1e-5, req.energy_rel_tol,
+    return budget_horizon(
+        req, lambda horizon: repair_min_energy(req, horizon), lambda result: result.allocation.total_energy_j, t0, 1e-5
     )
-    return RepairTimeResult(duration, result, bound, t0, e0)
 
 
-def mds_repair_min_time(req: RepairRequest) -> RepairTimeResult:
+def mds_repair_min_time(req: RepairRequest) -> TimeResult:
     """MDS-baseline horizon minimization over the surviving nodes."""
-    res = min_time_solve(lambda horizon: _mds_problem(req, horizon), req.params.n_files, req)
-    wrapped = RepairResult(
-        helpers=req.helpers,
-        files_per_helper=res.mu,
-        allocation=res.allocation,
-        total_files=req.params.n_files,
-    )
-    return RepairTimeResult(res.duration_s, wrapped, res.budget_bound, res.min_duration_s, res.energy_at_t0_j)
+    return min_time_solve(req, lambda horizon: _mds_problem(req, horizon))

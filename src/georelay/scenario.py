@@ -28,7 +28,7 @@ import jsonschema
 from .coding import OperatingPoint, RegenParams, msr_point, mbr_point
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
-from .geometry import ConstellationScenario, Geos
+from .geometry import ConstellationScenario
 from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
 from .repair_opt import RepairRequest
@@ -288,7 +288,6 @@ def build_constellation(config: dict) -> ConstellationScenario:
         leos_velocity_mps=tuple(leo["velocity_mps"] for leo in c["leos"]),
         leos_phase_offset_rad=tuple(math.radians(leo["phase_offset_deg"]) for leo in c["leos"]),
         entry_boundary_angle_rad=math.radians(c["entry_boundary_angle_deg"]),
-        reference_geos=Geos.GEOS1,
     )
 
 
@@ -316,85 +315,63 @@ def code_point_check(config: dict):
     return fn(code["total_files"], code["reconstruct_k"], code["repair_d"])
 
 
-def _search_settings(config: dict) -> dict:
-    """The budget-search settings of every time solve."""
-    solver = config["solver"]
-    return {"upper_factor": solver["time_upper_factor"], "energy_rel_tol": solver["time_energy_rel_tol"]}
-
-
-def build_downlink_request(config: dict) -> DownlinkRequest:
-    scenario = build_constellation(config)
-    d = config["downlink"]
-    links = tuple(
-        LinkParams(
-            carrier_hz=d["carrier_hz"],
-            bandwidth_hz=d["bandwidth_hz"],
-            tx_gain_db=d["tx_gain_db"],
-            rx_gain_db=d["rx_gain_db"],
-            attenuation_db=leo["attenuation_db"],
-            noise_level_db=d["noise_level_db"],
-        )
-        for leo in config["constellation"]["leos"]
-    )
-    return DownlinkRequest(
-        scenario=scenario,
-        links=links,
-        files_per_leos=config["code"]["per_node_files"],
-        file_bits=config["code"]["file_bits"],
-        t_start_s=d["t_start_s"],
-        horizon_s=d["horizon_s"],
-        p_max_w=d["p_max_w"],
-        e_max_j=d["e_max_j"],
-        grid_step_s=config["solver"]["grid_step_s"],
-        **_search_settings(config),
-    )
-
-
-def _uplink_links(config: dict) -> tuple[LinkParams, ...]:
-    u = config["uplink"]
+def _links(config: dict, block: str) -> tuple[LinkParams, ...]:
+    """One link per LEO from a block's RF fields, on its one carrier or one carrier each."""
+    b, leos = config[block], config["constellation"]["leos"]
+    carriers = b["carriers_hz"] if "carriers_hz" in b else [b["carrier_hz"]] * len(leos)
     return tuple(
         LinkParams(
             carrier_hz=carrier,
-            bandwidth_hz=u["bandwidth_hz"],
-            tx_gain_db=u["tx_gain_db"],
-            rx_gain_db=u["rx_gain_db"],
+            bandwidth_hz=b["bandwidth_hz"],
+            tx_gain_db=b["tx_gain_db"],
+            rx_gain_db=b["rx_gain_db"],
             attenuation_db=leo["attenuation_db"],
-            noise_level_db=u["noise_level_db"],
+            noise_level_db=b["noise_level_db"],
         )
-        for carrier, leo in zip(u["carriers_hz"], config["constellation"]["leos"])
+        for carrier, leo in zip(carriers, leos)
+    )
+
+
+def _stage_fields(config: dict, block: str, links: tuple[LinkParams, ...]) -> dict:
+    """The shared request fields: a block's window and budget, and the solver settings."""
+    b, solver = config[block], config["solver"]
+    return {
+        "scenario": build_constellation(config),
+        "links": links,
+        "t_start_s": b["t_start_s"],
+        "horizon_s": b["horizon_s"],
+        "p_max_w": b["p_max_w"],
+        "e_max_j": b["e_max_j"],
+        "grid_step_s": solver["grid_step_s"],
+        "upper_factor": solver["time_upper_factor"],
+        "energy_rel_tol": solver["time_energy_rel_tol"],
+    }
+
+
+def build_downlink_request(config: dict) -> DownlinkRequest:
+    code = config["code"]
+    return DownlinkRequest(
+        files_per_leos=code["per_node_files"],
+        file_bits=code["file_bits"],
+        **_stage_fields(config, "downlink", _links(config, "downlink")),
     )
 
 
 def build_uplink_request(config: dict) -> UplinkRequest:
-    u = config["uplink"]
+    code = config["code"]
     return UplinkRequest(
-        scenario=build_constellation(config),
-        links=_uplink_links(config),
-        total_files=config["code"]["total_files"],
-        files_per_leos=config["code"]["per_node_files"],
-        file_bits=config["code"]["file_bits"],
-        t_start_s=u["t_start_s"],
-        horizon_s=u["horizon_s"],
-        p_max_w=u["p_max_w"],
-        e_max_j=u["e_max_j"],
-        grid_step_s=config["solver"]["grid_step_s"],
-        serving_geos=Geos.GEOS2,
-        **_search_settings(config),
+        total_files=code["total_files"],
+        files_per_leos=code["per_node_files"],
+        file_bits=code["file_bits"],
+        **_stage_fields(config, "uplink", _links(config, "uplink")),
     )
 
 
 def build_repair_request(config: dict) -> RepairRequest:
-    r = config["repair"]
+    """Repair helpers send on their uplink carriers."""
     return RepairRequest(
-        scenario=build_constellation(config),
-        links=_uplink_links(config),
         params=build_regen_params(config),
         point=operating_point(config),
-        failed_node=r["failed_node"] - 1,
-        t_start_s=r["t_start_s"],
-        horizon_s=r["horizon_s"],
-        p_max_w=r["p_max_w"],
-        e_max_j=r["e_max_j"],
-        grid_step_s=config["solver"]["grid_step_s"],
-        **_search_settings(config),
+        failed_node=config["repair"]["failed_node"] - 1,
+        **_stage_fields(config, "repair", _links(config, "uplink")),
     )

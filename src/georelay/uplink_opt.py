@@ -13,7 +13,8 @@ Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
 against an exact dynamic program over the per-node energy tables. Time
 minimization bisects the horizon against the floor-valued full-power
 file-count step function and then, under a binding budget, against the
-optimal energy (both through :mod:`georelay.horizon`).
+optimal energy (both through :mod:`georelay.horizon`, whose request and
+time result the uplink and the MDS repair share).
 
 The outer-approximation pieces the greedy replaced, the relaxation
 :func:`solve_nlpr` and the master MILP :func:`solve_oa_master` over
@@ -31,11 +32,11 @@ import numpy as np
 
 from .downlink_opt import AllocationResult, allocate_for_targets
 from .errors import InfeasibleError, InternalError
-from .geometry import ConstellationScenario, Geos, coverage_entry_time, geos_distance
-from .horizon import budget_horizon, floor_horizon
-from .link import LinkParams, NodeChannel, build_channel
+from .geometry import Geos, geos_distance
+from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
+from .link import NodeChannel
 from .lp_solver import AT_LOWER, AT_UPPER, INFEASIBLE, LinearProgram, MilpSpec, solve_milp
-from .waterfill import LN2, power_at_level, solve_cells
+from .waterfill import LN2, max_deliverable_bits, power_at_level, solve_cells
 
 
 @dataclass(frozen=True)
@@ -62,54 +63,29 @@ class FileAllocationProblem:
         return len(self.channels)
 
 
-@dataclass(frozen=True)
-class UplinkRequest:
-    """Inputs of the LEO-to-GEO allocation problems (one carrier per LEO).
+@dataclass(frozen=True, kw_only=True)
+class UplinkRequest(StageRequest):
+    """Inputs of the LEO-to-GEO allocation problems: ``total_files`` files
+    to GEO 2, at most ``files_per_leos`` from each LEO once it enters
+    coverage, on one carrier per LEO."""
 
-    ``upper_factor`` and ``energy_rel_tol`` set the budget search of the
-    time solve.
-    """
-
-    scenario: ConstellationScenario
-    links: tuple[LinkParams, ...]
     total_files: int
     files_per_leos: int
     file_bits: float
-    t_start_s: float
-    horizon_s: float
-    p_max_w: float
-    e_max_j: float | None = None
-    grid_step_s: float = 1.0
-    serving_geos: Geos = Geos.GEOS2
-    upper_factor: float = 4.0
-    energy_rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if len(self.links) != self.scenario.n_leos:
-            raise ValueError("one LinkParams per LEO required")
+        super().__post_init__()
         carriers = [lk.carrier_hz for lk in self.links]
         if len(set(carriers)) != len(carriers):
             raise ValueError("uplink carriers must be distinct")
         if self.files_per_leos * self.scenario.n_leos < self.total_files:
             raise ValueError("per-LEO storage cannot cover the file total")
-        if self.p_max_w <= 0 or self.horizon_s <= 0:
-            raise ValueError("power cap and horizon must be positive")
 
-    def window(self, n: int, horizon_s: float | None = None) -> tuple[float, float]:
-        start = max(self.t_start_s, coverage_entry_time(self.scenario, n))
-        end = self.t_start_s + (self.horizon_s if horizon_s is None else horizon_s)
-        return start, max(start, end)
+    def distance(self, n: int, t):
+        return geos_distance(self.scenario, n, t, Geos.GEOS2)
 
     def problem(self, horizon_s: float | None = None) -> FileAllocationProblem:
-        channels = tuple(
-            build_channel(
-                self.links[n],
-                lambda t, n=n: geos_distance(self.scenario, n, t, self.serving_geos),
-                self.window(n, horizon_s),
-                self.grid_step_s,
-            )
-            for n in range(self.scenario.n_leos)
-        )
+        channels = tuple(self.channel(n, horizon_s) for n in range(self.scenario.n_leos))
         return FileAllocationProblem(
             channels,
             self.total_files,
@@ -155,16 +131,6 @@ class UplinkResult:
 
 
 @dataclass(frozen=True)
-class UplinkTimeResult:
-    duration_s: float
-    allocation: AllocationResult
-    mu: np.ndarray
-    budget_bound: bool
-    min_duration_s: float
-    energy_at_t0_j: float
-
-
-@dataclass(frozen=True)
 class NlprSolution:
     powers: tuple[np.ndarray, ...]
     mu: np.ndarray
@@ -173,8 +139,8 @@ class NlprSolution:
 
 def deliverable_bits(problem: FileAllocationProblem) -> np.ndarray:
     """Per-node bits at full power over the whole window."""
-    full = [np.full(ch.n_cells, problem.p_max_w) for ch in problem.channels]
-    return np.array([ch.bits(p) for ch, p in zip(problem.channels, full)])
+    p = problem.p_max_w
+    return np.array([max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p) for ch in problem.channels])
 
 
 def integer_file_caps(problem: FileAllocationProblem) -> np.ndarray:
@@ -393,28 +359,27 @@ def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
     return oa_solve(req.problem())
 
 
-def min_time_solve(problem_fn, total_files: int, req) -> UplinkTimeResult:
+def min_time_solve(req: StageRequest, problem_fn) -> TimeResult:
     """Horizon minimization for any ``horizon -> FileAllocationProblem`` builder.
 
     The unconstrained floor T0 is the smallest horizon whose full-power
-    integer file counts cover the total; a binding budget is handled by
-    bisecting the horizon against the optimal energy, decreasing in T.
-    ``req`` (an uplink or repair request) supplies the budget, the grid step
-    and the search settings.
+    integer file counts cover the problem's file total; a binding budget is
+    handled by bisecting the horizon against the optimal energy, decreasing
+    in T. ``req`` (an uplink or repair request) supplies the budget, the
+    grid step and the search settings.
     """
+
+    def reaches(horizon: float) -> bool:
+        problem = problem_fn(horizon)
+        return int(integer_file_caps(problem).sum()) >= problem.total_files
+
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
-    t0 = floor_horizon(
-        lambda horizon: int(integer_file_caps(problem_fn(horizon)).sum()) >= total_files,
-        0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable,
+    t0 = floor_horizon(reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
+    return budget_horizon(
+        req, lambda horizon: oa_solve(problem_fn(horizon)), lambda result: result.allocation.total_energy_j, t0, 1e-5
     )
-    duration, result, bound, e0 = budget_horizon(
-        lambda horizon: oa_solve(problem_fn(horizon)),
-        lambda result: result.allocation.total_energy_j,
-        t0, req.e_max_j, req.upper_factor, 1e-5, req.energy_rel_tol,
-    )
-    return UplinkTimeResult(duration, result.allocation, result.mu, bound, t0, e0)
 
 
-def min_time_uplink(req: UplinkRequest) -> UplinkTimeResult:
+def min_time_uplink(req: UplinkRequest) -> TimeResult:
     """Minimize the uplink horizon subject to the network energy budget."""
-    return min_time_solve(req.problem, req.total_files, req)
+    return min_time_solve(req, req.problem)

@@ -164,12 +164,12 @@ def test_criterion_4_mu_calibration():
         time_result = min_time_uplink(req0)
         reference_time_mu = [0, 5, 9, 10, 6]
         print(
-            f"  calibration (time-min, ts=0): solver {time_result.mu.tolist()} "
+            f"  calibration (time-min, ts=0): solver {time_result.result.mu.tolist()} "
             f"vs reference {reference_time_mu} "
-            f"(exact match: {time_result.mu.tolist() == reference_time_mu})"
+            f"(exact match: {time_result.result.mu.tolist() == reference_time_mu})"
         )
 
-        for mu, problem in ((energy_result.mu, req.problem()), (time_result.mu, req0.problem(time_result.duration_s))):
+        for mu, problem in ((energy_result.mu, req.problem()), (time_result.result.mu, req0.problem(time_result.duration_s))):
             for n, m in _dominance_chain(problem):
                 assert mu[n] >= mu[m], f"dominant node {n} got fewer files than {m}"
 
@@ -220,13 +220,13 @@ def test_criterion_6_time_minimization_contracts():
         ]
         assert all(a >= b - 1e-9 for a, b in zip(energies, energies[1:]))
 
-        free = min_time_downlink(dataclasses.replace(downlink, e_max_j=None))
-        assert free.duration_s == float(np.max(free.min_durations_s))
+        free, floors = min_time_downlink(dataclasses.replace(downlink, e_max_j=None))
+        assert free.duration_s == float(np.max(floors))
         floor_e = min_energy_downlink(downlink, horizon_s=4.0 * free.duration_s).total_energy_j
         budget = 0.5 * (floor_e + free.energy_at_t0_j)
-        bound = min_time_downlink(dataclasses.replace(downlink, e_max_j=budget))
+        bound, _ = min_time_downlink(dataclasses.replace(downlink, e_max_j=budget))
         assert bound.budget_bound
-        assert abs(bound.allocation.total_energy_j - budget) <= 1e-3 * budget
+        assert abs(bound.result.total_energy_j - budget) <= 1e-3 * budget
 
         uplink = build_uplink_request(config)
         m = uplink.total_files
@@ -235,7 +235,7 @@ def test_criterion_6_time_minimization_contracts():
             return int(integer_file_caps(uplink.problem(horizon_s)).sum())
 
         free_up = min_time_uplink(dataclasses.replace(uplink, e_max_j=None))
-        t0 = free_up.min_duration_s
+        t0 = free_up.floor_s
         assert file_count_step(t0) >= m
         assert file_count_step(t0 - config["solver"]["grid_step_s"]) < m
         assert file_count_step(t0 - 1e-3) < m
@@ -246,7 +246,7 @@ def test_criterion_6_time_minimization_contracts():
         budget_up = 0.5 * (floor_up + free_up.energy_at_t0_j)
         bound_up = min_time_uplink(dataclasses.replace(uplink, e_max_j=budget_up))
         assert bound_up.budget_bound
-        assert abs(bound_up.allocation.total_energy_j - budget_up) <= 1e-3 * budget_up
+        assert abs(bound_up.result.allocation.total_energy_j - budget_up) <= 1e-3 * budget_up
 
 
 def test_criterion_7_coding_round_trip():

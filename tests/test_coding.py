@@ -221,25 +221,6 @@ def test_reconstruct_fails_below_k_nodes():
         reconstruct(store, downloads)
 
 
-def test_custom_selectors():
-    store = encode(REFERENCE, 256, seed=31)
-    rng = np.random.default_rng(4)
-    selectors = []
-    mu = [10, 10, 10, 0, 0]
-    for n in range(5):
-        if mu[n]:
-            sel = np.zeros((10, mu[n]), dtype=np.int64)
-            perm = rng.permutation(10)[: mu[n]]
-            for j, row in enumerate(perm):
-                sel[row, j] = 1
-            selectors.append(sel)
-        else:
-            selectors.append(np.zeros((10, 0), dtype=np.int64))
-    assert check_mu_reconstructable(store, mu, selectors)
-    downloads = downloads_for(store, mu, selectors)
-    assert np.all(reconstruct(store, downloads, selectors) == store.source)
-
-
 def test_params_validation_rejects_nonpositive():
     with pytest.raises(ValueError):
         RegenParams(0, 5, 3, 4, 10, 5)

@@ -112,38 +112,38 @@ def test_infeasibility_names_leos(request_ref):
 
 def test_min_time_unbounded_budget(request_ref):
     req = dataclasses.replace(request_ref, e_max_j=None)
-    res = min_time_downlink(req)
+    res, floors = min_time_downlink(req)
     assert not res.budget_bound
-    assert res.duration_s == pytest.approx(float(np.max(res.min_durations_s)))
+    assert res.duration_s == pytest.approx(float(np.max(floors)))
     # per-LEO full-power durations decrease with entry order
-    assert np.all(np.diff(res.min_durations_s) < 0)
+    assert np.all(np.diff(floors) < 0)
 
 
 def test_min_time_t0_is_exact_boundary(request_ref):
     req = dataclasses.replace(request_ref, e_max_j=None)
-    res = min_time_downlink(req)
+    res, floors = min_time_downlink(req)
     target = req.files_per_leos * req.file_bits
     for n in range(req.scenario.n_leos):
-        ch = req.channel(n, horizon_s=float(res.min_durations_s[n]))
+        ch = req.channel(n, horizon_s=float(floors[n]))
         at_cap = ch.bits(np.full(ch.n_cells, req.p_max_w))
         assert at_cap >= target * (1 - 1e-9)
-        ch_less = req.channel(n, horizon_s=float(res.min_durations_s[n]) * (1 - 1e-6))
+        ch_less = req.channel(n, horizon_s=float(floors[n]) * (1 - 1e-6))
         assert ch_less.bits(np.full(ch_less.n_cells, req.p_max_w)) < target
 
 
 def test_min_time_budget_branch(request_ref):
-    free = min_time_downlink(dataclasses.replace(request_ref, e_max_j=None))
+    free, _ = min_time_downlink(dataclasses.replace(request_ref, e_max_j=None))
     e_floor = min_energy_downlink(request_ref, horizon_s=4.0 * free.duration_s).total_energy_j
     budget = 0.5 * (e_floor + free.energy_at_t0_j)
-    res = min_time_downlink(dataclasses.replace(request_ref, e_max_j=budget))
+    res, _ = min_time_downlink(dataclasses.replace(request_ref, e_max_j=budget))
     assert res.budget_bound
     assert res.duration_s > free.duration_s
-    assert abs(res.allocation.total_energy_j - budget) <= 1e-3 * budget
+    assert abs(res.result.total_energy_j - budget) <= 1e-3 * budget
 
 
 def test_min_time_budget_slack_returns_t0(request_ref):
-    free = min_time_downlink(dataclasses.replace(request_ref, e_max_j=None))
-    res = min_time_downlink(dataclasses.replace(request_ref, e_max_j=2.0 * free.energy_at_t0_j))
+    free, _ = min_time_downlink(dataclasses.replace(request_ref, e_max_j=None))
+    res, _ = min_time_downlink(dataclasses.replace(request_ref, e_max_j=2.0 * free.energy_at_t0_j))
     assert not res.budget_bound
     assert res.duration_s == free.duration_s
 

@@ -1,7 +1,11 @@
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from georelay.errors import InfeasibleError, InternalError
 from georelay.horizon import _BRACKET_GROW_LIMIT, budget_horizon, floor_horizon
+from georelay.scenario import build_downlink_request
 
 
 def test_floor_raises_unreachable_after_the_grow_limit():
@@ -46,25 +50,30 @@ def _energy(result):
     return result["energy"]
 
 
+def _req(e_max):
+    # the budget and search settings budget_horizon reads from a stage request
+    return SimpleNamespace(e_max_j=e_max, upper_factor=4.0, energy_rel_tol=1e-3)
+
+
 def test_budget_slack_or_absent_keeps_the_floor():
     for e_max in (None, 100.0, 1000.0):
-        duration, result, bound, e0 = budget_horizon(_solve, _energy, 10.0, e_max, 4.0, 1e-5, 1e-3)
-        assert (duration, result["horizon"], bound, e0) == (10.0, 10.0, False, 100.0)
+        res = budget_horizon(_req(e_max), _solve, _energy, 10.0, 1e-5)
+        assert (res.duration_s, res.result["horizon"], res.budget_bound, res.energy_at_t0_j) == (10.0, 10.0, False, 100.0)
 
 
 def test_budget_bisection_meets_the_budget():
-    duration, result, bound, e0 = budget_horizon(_solve, _energy, 10.0, 40.0, 4.0, 1e-7, 1e-3)
-    assert bound and e0 == 100.0
-    assert result["horizon"] == duration
-    assert duration == pytest.approx(25.0, rel=1e-6)
-    assert _energy(result) <= 40.0
+    res = budget_horizon(_req(40.0), _solve, _energy, 10.0, 1e-7)
+    assert res.budget_bound and res.energy_at_t0_j == 100.0
+    assert res.result["horizon"] == res.duration_s
+    assert res.duration_s == pytest.approx(25.0, rel=1e-6)
+    assert _energy(res.result) <= 40.0
 
 
 def test_budget_below_the_floor_at_the_search_bound_is_infeasible():
     with pytest.raises(InfeasibleError, match="below the energy floor"):
-        budget_horizon(_solve, _energy, 10.0, 20.0, 4.0, 1e-5, 1e-3)
+        budget_horizon(_req(20.0), _solve, _energy, 10.0, 1e-5)
     with pytest.raises(InfeasibleError, match="must be positive"):
-        budget_horizon(_solve, _energy, 10.0, -1.0, 4.0, 1e-5, 1e-3)
+        budget_horizon(_req(-1.0), _solve, _energy, 10.0, 1e-5)
 
 
 def test_budget_missed_by_a_step_in_the_energy_curve_is_an_internal_error():
@@ -72,4 +81,12 @@ def test_budget_missed_by_a_step_in_the_energy_curve_is_an_internal_error():
         return {"energy": 100.0 if horizon < 20.0 else 10.0}
 
     with pytest.raises(InternalError):
-        budget_horizon(solve, _energy, 10.0, 50.0, 4.0, 1e-5, 1e-3)
+        budget_horizon(_req(50.0), solve, _energy, 10.0, 1e-5)
+
+
+@pytest.mark.parametrize("field", ["p_max_w", "horizon_s", "grid_step_s"])
+def test_stage_request_rejects_nonpositive_power_horizon_and_grid_step(default_config, field):
+    # a zero grid step would divide by zero when the channel grid is built
+    req = build_downlink_request(default_config)
+    with pytest.raises(ValueError, match="must be positive"):
+        dataclasses.replace(req, **{field: 0.0})

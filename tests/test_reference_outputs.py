@@ -1,11 +1,13 @@
 """CLI outputs against committed reference CSVs.
 
-The CSVs under ``data/reference`` were written by the CLI when the uplink
-allocator was still outer approximation and the waterfill still bisected its
-level. They hold three solver diagnostics, ``iterations``, ``z_lower`` and
-``z_upper``, that the CLI no longer writes. The written header must be the
-reference header without them, and every other column must match: floats
-at rel 1e-12, every other value exactly.
+The first nine CSVs under ``data/reference`` were written by the CLI when
+the uplink allocator was still outer approximation and the waterfill still
+bisected its level. They hold three solver diagnostics, ``iterations``,
+``z_lower`` and ``z_upper``, that the CLI no longer writes. The others (grid
+step 0.1 s, start 133 s with seed 7, the downlink budget and the other five
+sweep tasks) were written after the deterministic encoder, without them. The
+written header must be the reference header without the three, and every
+other column must match: floats at rel 1e-12, every other value exactly.
 """
 
 import csv
@@ -33,7 +35,17 @@ CALLS = {
     "sweep-uplink-energy": [
         "sweep", "--task", "uplink-energy", "--from", "0", "--to", "100", "--step", "50", "--dt", "1",
     ],
+    "downlink-time-budget": ["downlink-time", "--emax", "21500", "--dt", "1"],
 }
+for _cmd in ("code-check", "downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"):
+    CALLS[f"{_cmd}-dt0.1"] = [_cmd, "--dt", "0.1"]
+    # code-check takes no start time
+    if _cmd == "code-check":
+        CALLS["code-check-seed7"] = [_cmd, "--seed", "7", "--dt", "1"]
+    else:
+        CALLS[f"{_cmd}-ts133-seed7"] = [_cmd, "--ts", "133", "--seed", "7", "--dt", "1"]
+for _task in ("downlink-energy", "downlink-time", "uplink-time", "repair-energy", "repair-time"):
+    CALLS[f"sweep-{_task}"] = ["sweep", "--task", _task, "--from", "0", "--to", "100", "--step", "50", "--dt", "1"]
 
 
 def read_rows(path):

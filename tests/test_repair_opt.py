@@ -115,7 +115,10 @@ def test_insufficient_helpers():
         from georelay.repair_opt import RepairRequest
 
         repair_min_energy(
-            RepairRequest(sc, links, params, OperatingPoint.MSR, 0, 0.0, 20.0, 900.0)
+            RepairRequest(
+                scenario=sc, links=links, params=params, point=OperatingPoint.MSR, failed_node=0,
+                t_start_s=0.0, horizon_s=20.0, p_max_w=900.0,
+            )
         )
 
 

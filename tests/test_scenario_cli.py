@@ -264,10 +264,21 @@ def test_cli_sweep_rejects_negative_start(tmp_path, monkeypatch):
 
 
 def test_cli_sweep_rejects_unknown_param(tmp_path):
-    rc = run_cli(
-        ["sweep", "--param", "pmax", "--task", "uplink-energy", "--from", "0", "--to", "1", "--step", "1", "--out", str(tmp_path)]
-    )
-    assert rc == 2
+    # the start time is the one swept parameter, so sweep takes no --param
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            ["sweep", "--param", "pmax", "--task", "uplink-energy", "--from", "0", "--to", "1", "--step", "1", "--out", str(tmp_path)]
+        )
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--ts", "--horizon", "--emax", "--pmax"])
+def test_cli_code_check_refuses_window_flags(tmp_path, flag):
+    # the code block has no window or budget for these flags to set
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["code-check", flag, "133", "--seed", "7", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_gnuplot_emission(tmp_path):

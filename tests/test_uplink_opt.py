@@ -262,19 +262,19 @@ def test_min_time_unbounded_budget(request_ref):
     res = min_time_uplink(req)
     assert not res.budget_bound
     m = req.total_files
-    assert file_count_step(req, res.min_duration_s) >= m
-    assert file_count_step(req, res.min_duration_s - 0.01) < m
-    assert int(res.mu.sum()) == m
+    assert file_count_step(req, res.floor_s) >= m
+    assert file_count_step(req, res.floor_s - 0.01) < m
+    assert int(res.result.mu.sum()) == m
 
 
 def test_min_time_budget_branch(request_ref):
     free = min_time_uplink(dataclasses.replace(request_ref, e_max_j=None))
-    floor_res = oa_solve(request_ref.problem(4.0 * free.min_duration_s))
+    floor_res = oa_solve(request_ref.problem(4.0 * free.floor_s))
     budget = 0.5 * (floor_res.allocation.total_energy_j + free.energy_at_t0_j)
     res = min_time_uplink(dataclasses.replace(request_ref, e_max_j=budget))
     assert res.budget_bound
     assert res.duration_s > free.duration_s
-    assert abs(res.allocation.total_energy_j - budget) <= 1e-3 * budget
+    assert abs(res.result.allocation.total_energy_j - budget) <= 1e-3 * budget
 
 
 def test_oa_energy_decreases_with_horizon(request_ref):
