@@ -3,8 +3,14 @@
 Each subcommand resolves the scenario (defaults + file + flag overrides,
 validated together against one schema), runs one experiment, and writes
 ``<out>/<name>.csv`` plus a run manifest ``<name>.manifest.json`` holding the
-fully resolved configuration. Outputs are byte-deterministic for a fixed
-(config, seed); files are written to a temporary path and atomically renamed.
+fully resolved configuration (and, with ``--gnuplot``, a ``<name>.gp`` plot
+script). Outputs are byte-deterministic for a fixed (config, seed); every file
+is written to a temporary path and atomically renamed.
+
+Each of the six tasks in ``TASKS`` solves its stage once and returns its
+subcommand's header and rows and its sweep row. A stage subcommand writes
+one task's rows, ``repair`` joins the two repair tasks, and ``sweep`` writes
+one task's sweep rows over the start time.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 infeasible instance,
 4 internal invariant failure.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -63,16 +70,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed into place."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row.get(col)) for col in header])
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,25 +85,12 @@ def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         raise
 
 
-def write_manifest(csv_path: str, command: str, config: dict) -> None:
-    path = csv_path[: -len(".csv")] + ".manifest.json" if csv_path.endswith(".csv") else csv_path + ".manifest.json"
-    payload = {
-        "command": command,
-        "config": config,
-        "seed": config["solver"]["seed"],
-        "package_version": __version__,
-    }
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(row.get(col)) for col in header] for row in rows)
+    _write(path, text.getvalue())
 
 
 # stage-block field each window flag sets; code-check's parser has none of them
@@ -114,34 +106,30 @@ def _flag_overrides(args, block: str) -> dict:
     return {name: {k: v for k, v in fields.items() if v is not None} for name, fields in flags.items()}
 
 
-def _alloc_rows(alloc, baseline=None, mu=None):
-    rows = []
-    n = len(alloc.profiles)
-    for i in range(n):
-        rows.append(
-            {
-                "leos": i + 1,
-                "window_start_s": alloc.profiles[i].t_start_s,
-                "window_end_s": alloc.profiles[i].t_end_s,
-                "mu_files": None if mu is None else int(mu[i]),
-                "energy_j": float(alloc.energies_j[i]),
-                "delivered_bits": float(alloc.delivered_bits[i]),
-                "water_level": float(alloc.water_levels[i]),
-                "baseline_energy_j": None if baseline is None else float(baseline.energies_j[i]),
-                "kkt_residual_max": None,
-            }
-        )
-    rows.append(
+def _alloc_rows(alloc, baseline=None, mu=None) -> list[dict]:
+    """One row per LEO and a total row; ``baseline`` and ``mu`` fill their columns when given."""
+    rows = [
         {
-            "leos": "total",
-            "mu_files": None if mu is None else int(np.sum(mu)),
-            "energy_j": alloc.total_energy_j,
-            "delivered_bits": float(np.sum(alloc.delivered_bits)),
-            "baseline_energy_j": None if baseline is None else baseline.total_energy_j,
-            "kkt_residual_max": alloc.kkt_residual_max,
+            "leos": i + 1,
+            "window_start_s": profile.t_start_s,
+            "window_end_s": profile.t_end_s,
+            "mu_files": None if mu is None else int(mu[i]),
+            "energy_j": float(alloc.energies_j[i]),
+            "delivered_bits": float(alloc.delivered_bits[i]),
+            "water_level": float(alloc.water_levels[i]),
+            "baseline_energy_j": None if baseline is None else float(baseline.energies_j[i]),
         }
-    )
-    return rows
+        for i, profile in enumerate(alloc.profiles)
+    ]
+    total = {
+        "leos": "total",
+        "mu_files": None if mu is None else int(np.sum(mu)),
+        "energy_j": alloc.total_energy_j,
+        "delivered_bits": float(np.sum(alloc.delivered_bits)),
+        "baseline_energy_j": None if baseline is None else baseline.total_energy_j,
+        "kkt_residual_max": alloc.kkt_residual_max,
+    }
+    return rows + [total]
 
 
 _ALLOC_HEADER = [
@@ -157,7 +145,7 @@ _ALLOC_HEADER = [
 ]
 
 
-def cmd_code_check(config: dict, args) -> tuple[list[str], list[dict]]:
+def code_check(config: dict) -> tuple[list[str], list[dict]]:
     params = build_regen_params(config)
     report = validate_params(params)
     point = code_point_check(config)
@@ -171,9 +159,8 @@ def cmd_code_check(config: dict, args) -> tuple[list[str], list[dict]]:
         f"gamma={point.repair_bandwidth} capacity_sum={report.capacity_sum} "
         f"params_ok={report.ok} rank_ok={rank_ok} attempts={store.attempts}"
     )
-    if not report.ok:
-        for v in report.violations:
-            print(f"  violation: {v}")
+    for v in report.violations:
+        print(f"  violation: {v}")
     row = {
         "field_order": config["code"]["field_order"],
         "total_files": params.n_files,
@@ -197,8 +184,7 @@ def cmd_code_check(config: dict, args) -> tuple[list[str], list[dict]]:
         "seed": seed,
         "kkt_residual_max": None,
     }
-    header = [k for k in row]
-    return header, [row]
+    return list(row), [row]
 
 
 def _block(task: str) -> str:
@@ -206,153 +192,143 @@ def _block(task: str) -> str:
     return task.split("-")[0]
 
 
-def solve_task(task: str, config: dict) -> tuple:
-    """The results of one sweep task's solves on a resolved scenario.
-
-    This is the one place the CLI calls the stage solvers; their settings
-    travel in the requests the scenario builds.
-    """
-    if task == "downlink-energy":
-        req = build_downlink_request(config)
-        return min_energy_downlink(req), constant_power_baseline(req)
-    if task == "downlink-time":
-        return min_time_downlink(build_downlink_request(config))
-    if task == "uplink-energy":
-        return (oa_min_energy_uplink(build_uplink_request(config)),)
-    if task == "uplink-time":
-        return (min_time_uplink(build_uplink_request(config)),)
-    req = build_repair_request(config)
-    if task == "repair-energy":
-        return repair_min_energy(req), mds_repair_baseline(req)
-    if task == "repair-time":
-        return repair_min_time(req), mds_repair_min_time(req)
-    raise ConfigError(f"unknown task {task!r}")
+# Each sweep task solves once on a resolved scenario and returns the header
+# and rows of its subcommand and its one sweep row (without ``ts_s``). These
+# are the only calls of the stage solvers; their settings travel in the
+# requests the scenario builds.
 
 
-def cmd_downlink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
-    alloc, baseline = solve_task("downlink-energy", config)
-    return _ALLOC_HEADER, _alloc_rows(alloc, baseline=baseline)
+def _downlink_energy(config: dict) -> tuple[list[str], list[dict], dict]:
+    req = build_downlink_request(config)
+    alloc, baseline = min_energy_downlink(req), constant_power_baseline(req)
+    point = {
+        "energy_j": alloc.total_energy_j,
+        "baseline_energy_j": baseline.total_energy_j,
+        "kkt_residual_max": alloc.kkt_residual_max,
+    }
+    return _ALLOC_HEADER, _alloc_rows(alloc, baseline=baseline), point
 
 
-def cmd_downlink_time(config: dict, args) -> tuple[list[str], list[dict]]:
-    res, floors = solve_task("downlink-time", config)
+def _downlink_time(config: dict) -> tuple[list[str], list[dict], dict]:
+    res, floors = min_time_downlink(build_downlink_request(config))
     rows = _alloc_rows(res.result)
-    for i, row in enumerate(rows[:-1]):
-        row["min_duration_s"] = float(floors[i])
-    rows[-1].update(
-        {
-            "min_duration_s": res.duration_s,
-            "budget_bound": res.budget_bound,
-            "energy_at_t0_j": res.energy_at_t0_j,
-        }
-    )
-    header = _ALLOC_HEADER + ["min_duration_s", "budget_bound", "energy_at_t0_j"]
-    return header, rows
+    for row, floor in zip(rows[:-1], floors):
+        row["min_duration_s"] = float(floor)
+    rows[-1].update(min_duration_s=res.duration_s, budget_bound=res.budget_bound, energy_at_t0_j=res.energy_at_t0_j)
+    point = {
+        "duration_s": res.duration_s,
+        "energy_j": res.result.total_energy_j,
+        "budget_bound": res.budget_bound,
+        "kkt_residual_max": res.result.kkt_residual_max,
+    }
+    return _ALLOC_HEADER + ["min_duration_s", "budget_bound", "energy_at_t0_j"], rows, point
 
 
-def cmd_uplink_energy(config: dict, args) -> tuple[list[str], list[dict]]:
-    (result,) = solve_task("uplink-energy", config)
-    return _ALLOC_HEADER, _alloc_rows(result.allocation, mu=result.mu)
+def _mu_columns(rows: list[dict]) -> dict:
+    """An uplink sweep row's per-LEO file counts and KKT residual, read off the subcommand rows."""
+    *leos, total = rows
+    return {**{f"mu_{row['leos']}": row["mu_files"] for row in leos}, "kkt_residual_max": total["kkt_residual_max"]}
 
 
-def cmd_uplink_time(config: dict, args) -> tuple[list[str], list[dict]]:
-    (res,) = solve_task("uplink-time", config)
+def _uplink_energy(config: dict) -> tuple[list[str], list[dict], dict]:
+    result = oa_min_energy_uplink(build_uplink_request(config))
+    rows = _alloc_rows(result.allocation, mu=result.mu)
+    return _ALLOC_HEADER, rows, {"energy_j": result.allocation.total_energy_j, **_mu_columns(rows)}
+
+
+def _uplink_time(config: dict) -> tuple[list[str], list[dict], dict]:
+    res = min_time_uplink(build_uplink_request(config))
     rows = _alloc_rows(res.result.allocation, mu=res.result.mu)
     rows[-1].update(
-        {
-            "duration_s": res.duration_s,
-            "budget_bound": res.budget_bound,
-            "min_duration_s": res.floor_s,
-            "energy_at_t0_j": res.energy_at_t0_j,
-        }
+        duration_s=res.duration_s,
+        budget_bound=res.budget_bound,
+        min_duration_s=res.floor_s,
+        energy_at_t0_j=res.energy_at_t0_j,
     )
-    header = _ALLOC_HEADER + ["duration_s", "budget_bound", "min_duration_s", "energy_at_t0_j"]
-    return header, rows
+    point = {
+        "duration_s": res.duration_s,
+        "energy_j": res.result.allocation.total_energy_j,
+        "budget_bound": res.budget_bound,
+        **_mu_columns(rows),
+    }
+    return _ALLOC_HEADER + ["duration_s", "budget_bound", "min_duration_s", "energy_at_t0_j"], rows, point
 
 
-def cmd_repair(config: dict, args) -> tuple[list[str], list[dict]]:
-    regen, mds = solve_task("repair-energy", config)
-    regen_time, mds_time = solve_task("repair-time", config)
+_REPAIR_HEADER = ["scheme", "leos", "files", "energy_j", "duration_s", "budget_bound", "kkt_residual_max"]
+_SCHEMES = ("regenerating", "mds")
+
+
+def _repair_energy(config: dict) -> tuple[list[str], list[dict], dict]:
+    req = build_repair_request(config)
+    regen, mds = repair_min_energy(req), mds_repair_baseline(req)
     rows = []
-    for scheme, res, tres in (("regenerating", regen, regen_time), ("mds", mds, mds_time)):
-        for i, helper in enumerate(res.helpers):
-            rows.append(
-                {
-                    "scheme": scheme,
-                    "leos": helper + 1,
-                    "files": int(res.files_per_helper[i]),
-                    "energy_j": float(res.allocation.energies_j[i]),
-                }
-            )
-        rows.append(
-            {
-                "scheme": scheme,
-                "leos": "total",
-                "files": res.total_files,
-                "energy_j": res.allocation.total_energy_j,
-                "duration_s": tres.duration_s,
-                "budget_bound": tres.budget_bound,
-                "kkt_residual_max": res.allocation.kkt_residual_max,
-            }
-        )
-    header = ["scheme", "leos", "files", "energy_j", "duration_s", "budget_bound", "kkt_residual_max"]
+    for scheme, res in zip(_SCHEMES, (regen, mds)):
+        alloc = res.allocation
+        for helper, files, energy in zip(res.helpers, res.files_per_helper, alloc.energies_j):
+            rows.append({"scheme": scheme, "leos": helper + 1, "files": int(files), "energy_j": float(energy)})
+        total = {"files": res.total_files, "energy_j": alloc.total_energy_j, "kkt_residual_max": alloc.kkt_residual_max}
+        rows.append({"scheme": scheme, "leos": "total", **total})
+    point = {
+        "regen_energy_j": regen.allocation.total_energy_j,
+        "mds_energy_j": mds.allocation.total_energy_j,
+        "regen_helpers": ";".join(str(h + 1) for h in regen.helpers),
+        "kkt_residual_max": regen.allocation.kkt_residual_max,
+    }
+    return _REPAIR_HEADER, rows, point
+
+
+def _repair_time(config: dict) -> tuple[list[str], list[dict], dict]:
+    req = build_repair_request(config)
+    regen, mds = repair_min_time(req), mds_repair_min_time(req)
+    rows = [
+        {"scheme": scheme, "leos": "total", "duration_s": res.duration_s, "budget_bound": res.budget_bound}
+        for scheme, res in zip(_SCHEMES, (regen, mds))
+    ]
+    point = {
+        "regen_duration_s": regen.duration_s,
+        "mds_duration_s": mds.duration_s,
+        "regen_energy_j": regen.result.allocation.total_energy_j,
+        "mds_energy_j": mds.result.allocation.total_energy_j,
+        "kkt_residual_max": regen.result.allocation.kkt_residual_max,
+    }
+    return _REPAIR_HEADER, rows, point
+
+
+TASKS = {
+    "downlink-energy": _downlink_energy,
+    "downlink-time": _downlink_time,
+    "uplink-energy": _uplink_energy,
+    "uplink-time": _uplink_time,
+    "repair-energy": _repair_energy,
+    "repair-time": _repair_time,
+}
+SWEEP_TASKS = tuple(TASKS)
+
+
+def repair(config: dict) -> tuple[list[str], list[dict]]:
+    """Both repair schemes at the configured horizon, each total row with its scheme's least horizon."""
+    header, rows, _ = _repair_energy(config)
+    _, time_rows, _ = _repair_time(config)
+    for total, time_row in zip([row for row in rows if row["leos"] == "total"], time_rows):
+        total.update(time_row)
     return header, rows
 
 
-def _oa_columns(result) -> dict:
-    """Per-LEO file counts and the KKT residual of an uplink result, as sweep columns."""
-    row = {f"mu_{i + 1}": int(v) for i, v in enumerate(result.mu)}
-    row["kkt_residual_max"] = result.allocation.kkt_residual_max
-    return row
+# subcommand -> its header and rows on a resolved scenario (a task adds its sweep row)
+COMMANDS = {
+    "code-check": code_check,
+    **{task: solve for task, solve in TASKS.items() if _block(task) != "repair"},
+    "repair": repair,
+}
 
 
 def _sweep_point(task: str, config: dict, ts: float) -> dict:
     block = _block(task)
-    results = solve_task(task, {**config, block: {**config[block], "t_start_s": ts}})
-    row: dict = {"ts_s": ts}
-    if task == "downlink-energy":
-        alloc, base = results
-        row.update(
-            energy_j=alloc.total_energy_j,
-            baseline_energy_j=base.total_energy_j,
-            kkt_residual_max=alloc.kkt_residual_max,
-        )
-    elif task == "downlink-time":
-        res, _ = results
-        row.update(
-            duration_s=res.duration_s,
-            energy_j=res.result.total_energy_j,
-            budget_bound=res.budget_bound,
-            kkt_residual_max=res.result.kkt_residual_max,
-        )
-    elif task == "uplink-energy":
-        (result,) = results
-        row.update(energy_j=result.allocation.total_energy_j, **_oa_columns(result))
-    elif task == "uplink-time":
-        (res,) = results
-        row.update(duration_s=res.duration_s, energy_j=res.result.allocation.total_energy_j)
-        row.update(budget_bound=res.budget_bound, **_oa_columns(res.result))
-    elif task == "repair-energy":
-        regen, mds = results
-        row.update(
-            regen_energy_j=regen.allocation.total_energy_j,
-            mds_energy_j=mds.allocation.total_energy_j,
-            regen_helpers=";".join(str(h + 1) for h in regen.helpers),
-            kkt_residual_max=regen.allocation.kkt_residual_max,
-        )
-    else:  # repair-time
-        regen, mds = results
-        row.update(
-            regen_duration_s=regen.duration_s,
-            mds_duration_s=mds.duration_s,
-            regen_energy_j=regen.result.allocation.total_energy_j,
-            mds_energy_j=mds.result.allocation.total_energy_j,
-            kkt_residual_max=regen.result.allocation.kkt_residual_max,
-        )
-    return row
+    _, _, point = TASKS[task]({**config, block: {**config[block], "t_start_s": ts}})
+    return {"ts_s": ts, **point}
 
 
-def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
+def run_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
     start = getattr(args, "from")
     # points only increase from `from`, so its bound covers them all
     ts_min = SCHEMA["properties"][_block(args.task)]["properties"]["t_start_s"]["minimum"]
@@ -364,43 +340,7 @@ def cmd_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
         raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
     points = [round(start + i * args.step, 9) for i in range(int(span) + 1)]
     rows = [_sweep_point(args.task, config, ts) for ts in points]
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    return header, rows
-
-
-def _write_gnuplot(csv_path: str, header: list[str]) -> None:
-    gp_path = csv_path[: -len(".csv")] + ".gp"
-    ycol = 2 if len(header) > 1 else 1
-    script = (
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
-        f"plot '{os.path.basename(csv_path)}' using 1:{ycol} with linespoints\n"
-    )
-    with open(gp_path, "w") as fh:
-        fh.write(script)
-
-
-COMMANDS = {
-    "code-check": cmd_code_check,
-    "downlink-energy": cmd_downlink_energy,
-    "downlink-time": cmd_downlink_time,
-    "uplink-energy": cmd_uplink_energy,
-    "uplink-time": cmd_uplink_time,
-    "repair": cmd_repair,
-}
-
-SWEEP_TASKS = (
-    "downlink-energy",
-    "downlink-time",
-    "uplink-energy",
-    "uplink-time",
-    "repair-energy",
-    "repair-time",
-)
+    return list(dict.fromkeys(key for row in rows for key in row)), rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,24 +369,39 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--from", dest="from", type=float, required=True)
     sweep.add_argument("--to", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
+    # a subcommand reports the arguments it does not take with its own usage line
+    for subparser in sub.choices.values():
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    sweep = args.command == "sweep"
+    name = f"sweep-{args.task}" if sweep else args.command
     try:
-        if args.command == "sweep":
-            handler, task, name = cmd_sweep, args.task, f"sweep-{args.task}"
-        else:
-            handler, task, name = COMMANDS[args.command], args.command, args.command
-        config = load_config(args.scenario, _flag_overrides(args, _block(task)))
-        header, rows = handler(config, args)
-        csv_path = os.path.join(args.out, f"{name}.csv")
-        write_csv(csv_path, header, rows)
-        write_manifest(csv_path, args.command, config)
+        config = load_config(args.scenario, _flag_overrides(args, _block(args.task if sweep else name)))
+        header, rows, *_ = run_sweep(config, args) if sweep else COMMANDS[name](config)
+        stem = os.path.join(args.out, name)
+        write_csv(stem + ".csv", header, rows)
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "seed": config["solver"]["seed"],
+            "package_version": __version__,
+        }
+        _write(stem + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         if args.gnuplot:
-            _write_gnuplot(csv_path, header)
-        print(f"wrote {csv_path}")
+            ycol = 2 if len(header) > 1 else 1
+            _write(
+                stem + ".gp",
+                "set datafile separator ','\n"
+                "set key autotitle columnhead\n"
+                f"plot '{name}.csv' using 1:{ycol} with linespoints\n",
+            )
+        print(f"wrote {stem}.csv")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -34,13 +34,12 @@ class ConstellationScenario:
 
     ``entry_boundary_angle_rad`` is the rotation angle at which a LEO enters
     the serving GEO's coverage; the LEO whose phase offset is zero reaches it
-    at t = 0. ``geos_coverage_angle_rad`` is retained as metadata only.
-    The GEO a link points at is the stage's choice (:func:`geos_distance`).
+    at t = 0. The GEO a link points at is the stage's choice
+    (:func:`geos_distance`).
     """
 
     earth_radius_m: float
     geos_altitude_m: float
-    geos_coverage_angle_rad: float
     leos_altitude_m: tuple[float, ...]
     leos_velocity_mps: tuple[float, ...]
     leos_phase_offset_rad: tuple[float, ...]

@@ -32,6 +32,9 @@ from .link import LinkParams, NodeChannel, build_channel
 # bracket doublings before the traffic counts as unreachable in any horizon
 _BRACKET_GROW_LIMIT = 60
 _MAX_BISECTIONS = 200
+# grid cells one channel may hold: the reference scenario's largest channel,
+# a 4 x 600 s budget search at a 0.1 s step, has about 24,000
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -42,7 +45,10 @@ class StageRequest:
     entry is the node's coverage entry unless a stage overrides
     :meth:`entry_s`; :meth:`distance` is the stage's link length.
     ``upper_factor`` bounds the budget search at that multiple of T0, which
-    stops once the energy is within ``energy_rel_tol`` of the budget.
+    stops once the energy is within ``energy_rel_tol`` of the budget. No
+    channel holds more than ``MAX_CELLS`` grid cells: a request whose own
+    horizon needs more is refused, and a search horizon that needs more
+    makes the search infeasible.
     """
 
     scenario: ConstellationScenario
@@ -60,6 +66,10 @@ class StageRequest:
             raise ValueError("one LinkParams per LEO required")
         if self.p_max_w <= 0 or self.horizon_s <= 0 or self.grid_step_s <= 0:
             raise ValueError("power cap, horizon and grid step must be positive")
+        if self.horizon_s / self.grid_step_s > MAX_CELLS:
+            raise ValueError(
+                f"horizon {self.horizon_s:g} s needs more than {MAX_CELLS} grid cells of {self.grid_step_s:g} s"
+            )
 
     def entry_s(self, n: int) -> float:
         return coverage_entry_time(self.scenario, n)
@@ -73,7 +83,12 @@ class StageRequest:
         return start, max(start, end)
 
     def channel(self, n: int, horizon_s: float | None = None) -> NodeChannel:
-        return build_channel(self.links[n], lambda t: self.distance(n, t), self.window(n, horizon_s), self.grid_step_s)
+        start, end = self.window(n, horizon_s)
+        if (end - start) / self.grid_step_s > MAX_CELLS:
+            raise InfeasibleError(
+                f"a {end - start:.6g} s window needs more than {MAX_CELLS} grid cells of {self.grid_step_s:g} s"
+            )
+        return build_channel(self.links[n], lambda t: self.distance(n, t), (start, end), self.grid_step_s)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ geometry can deliver a single file at full power, so the defaults are
 re-anchored to the feasible operating decade; override ``noise_level_db``
 to study other regimes.
 
-``leos`` and ``carriers_hz`` arrays replace the defaults wholesale; scalar
-fields merge individually. Unknown keys and non-finite numbers are rejected,
-and so is a code block the encoder or the repair plan cannot serve.
-The ``solver`` block's tolerances reach the solvers only through the stage
-requests built here.
+Each field is declared once, its default next to its schema entry;
+``DEFAULT_CONFIG`` and ``SCHEMA`` are read off that table. ``leos`` and
+``carriers_hz`` arrays replace the defaults wholesale; scalar fields merge
+individually. Unknown keys and non-finite numbers are rejected, and so is a
+code block the encoder or the repair plan cannot serve. Resolving also
+builds the three stage requests and the code point, so a scenario their own
+checks refuse (say, a LEO above the GEO altitude, repeated uplink carriers,
+K > D, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
+a configuration error before any solve. The ``solver`` block's tolerances
+reach the solvers only through the stage requests built here.
 """
 
 from __future__ import annotations
@@ -34,181 +39,106 @@ from .link import LinkParams
 from .repair_opt import RepairRequest
 from .uplink_opt import UplinkRequest
 
-DEFAULT_CONFIG: dict = {
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+
+
+def _object(properties: dict, **keywords) -> dict:
+    """A JSON-schema object that takes no properties beyond ``properties``."""
+    return {"type": "object", "additionalProperties": False, **keywords, "properties": properties}
+
+
+# block -> field -> (default, schema); DEFAULT_CONFIG and SCHEMA are read off it
+_FIELDS: dict = {
     "constellation": {
-        "earth_radius_m": 6371.0e3,
-        "geos_altitude_m": 35786.0e3,
-        "geos_coverage_angle_deg": 12.0,
-        "entry_boundary_angle_deg": -41.06,
-        "leos": [
-            {"altitude_m": 500.0e3, "velocity_mps": 7200.0, "phase_offset_deg": 12.0, "attenuation_db": 10.0},
-            {"altitude_m": 700.0e3, "velocity_mps": 7300.0, "phase_offset_deg": 9.0, "attenuation_db": 8.0},
-            {"altitude_m": 900.0e3, "velocity_mps": 7400.0, "phase_offset_deg": 6.0, "attenuation_db": 6.0},
-            {"altitude_m": 1100.0e3, "velocity_mps": 7500.0, "phase_offset_deg": 3.0, "attenuation_db": 4.0},
-            {"altitude_m": 1300.0e3, "velocity_mps": 7600.0, "phase_offset_deg": 0.0, "attenuation_db": 2.0},
-        ],
+        "earth_radius_m": (6371.0e3, _POSITIVE),
+        "geos_altitude_m": (35786.0e3, _POSITIVE),
+        "entry_boundary_angle_deg": (-41.06, _NUMBER),
+        "leos": (
+            [
+                {"altitude_m": 500.0e3, "velocity_mps": 7200.0, "phase_offset_deg": 12.0, "attenuation_db": 10.0},
+                {"altitude_m": 700.0e3, "velocity_mps": 7300.0, "phase_offset_deg": 9.0, "attenuation_db": 8.0},
+                {"altitude_m": 900.0e3, "velocity_mps": 7400.0, "phase_offset_deg": 6.0, "attenuation_db": 6.0},
+                {"altitude_m": 1100.0e3, "velocity_mps": 7500.0, "phase_offset_deg": 3.0, "attenuation_db": 4.0},
+                {"altitude_m": 1300.0e3, "velocity_mps": 7600.0, "phase_offset_deg": 0.0, "attenuation_db": 2.0},
+            ],
+            {
+                "type": "array",
+                "minItems": 1,
+                "items": _object(
+                    {
+                        "altitude_m": _POSITIVE,
+                        "velocity_mps": _POSITIVE,
+                        "phase_offset_deg": _NONNEGATIVE,
+                        "attenuation_db": _NUMBER,
+                    },
+                    required=["altitude_m", "velocity_mps", "phase_offset_deg", "attenuation_db"],
+                ),
+            },
+        ),
     },
     "code": {
-        "total_files": 30,
-        "nodes": 5,
-        "reconstruct_k": 3,
-        "repair_d": 4,
-        "per_node_files": 10,
-        "per_helper_files": 5,
-        "file_bits": 1.6e8,
-        "field_order": 256,
-        "point": "msr",
+        "total_files": (30, _COUNT),
+        "nodes": (5, _COUNT),
+        "reconstruct_k": (3, _COUNT),
+        "repair_d": (4, _COUNT),
+        "per_node_files": (10, _COUNT),
+        "per_helper_files": (5, _COUNT),
+        "file_bits": (1.6e8, _POSITIVE),
+        "field_order": (256, {"type": "integer", "minimum": 2}),
+        "point": ("msr", {"enum": [point.value for point in OperatingPoint]}),
     },
     "downlink": {
-        "carrier_hz": 19.7e9,
-        "bandwidth_hz": 40.0e6,
-        "tx_gain_db": 40.0,
-        "rx_gain_db": 10.0,
-        "noise_level_db": -220.56,
-        "p_max_w": 40.0,
-        "e_max_j": 3.7e4,
-        "t_start_s": 0.0,
-        "horizon_s": 600.0,
+        "carrier_hz": (19.7e9, _POSITIVE),
+        "bandwidth_hz": (40.0e6, _POSITIVE),
+        "tx_gain_db": (40.0, _NUMBER),
+        "rx_gain_db": (10.0, _NUMBER),
+        "noise_level_db": (-220.56, _NUMBER),
+        "p_max_w": (40.0, _POSITIVE),
+        "e_max_j": (3.7e4, _POSITIVE),
+        "t_start_s": (0.0, _NONNEGATIVE),
+        "horizon_s": (600.0, _POSITIVE),
     },
     "uplink": {
-        "carriers_hz": [29.5e9, 29.875e9, 30.25e9, 30.625e9, 31.0e9],
-        "bandwidth_hz": 20.0e6,
-        "tx_gain_db": 20.0,
-        "rx_gain_db": 20.0,
-        "noise_level_db": -223.08,
-        "p_max_w": 900.0,
-        "e_max_j": 5.8e5,
-        "t_start_s": 0.0,
-        "horizon_s": 600.0,
+        "carriers_hz": (
+            [29.5e9, 29.875e9, 30.25e9, 30.625e9, 31.0e9],
+            {"type": "array", "minItems": 1, "items": _POSITIVE},
+        ),
+        "bandwidth_hz": (20.0e6, _POSITIVE),
+        "tx_gain_db": (20.0, _NUMBER),
+        "rx_gain_db": (20.0, _NUMBER),
+        "noise_level_db": (-223.08, _NUMBER),
+        "p_max_w": (900.0, _POSITIVE),
+        "e_max_j": (5.8e5, _POSITIVE),
+        "t_start_s": (0.0, _NONNEGATIVE),
+        "horizon_s": (600.0, _POSITIVE),
     },
     # short maintenance slot: keeps helper loads in the convex rate region,
     # where regeneration's lower traffic volume beats skipping weak helpers
     "repair": {
-        "failed_node": 5,
-        "p_max_w": 900.0,
-        "e_max_j": 3.1e4,
-        "t_start_s": 0.0,
-        "horizon_s": 20.0,
+        "failed_node": (5, _COUNT),
+        "p_max_w": (900.0, _POSITIVE),
+        "e_max_j": (3.1e4, _POSITIVE),
+        "t_start_s": (0.0, _NONNEGATIVE),
+        "horizon_s": (20.0, _POSITIVE),
     },
     "solver": {
-        "grid_step_s": 1.0,
-        "time_energy_rel_tol": 1e-3,
-        "time_upper_factor": 4.0,
-        "seed": 1,
+        "grid_step_s": (1.0, _POSITIVE),
+        "time_energy_rel_tol": (1e-3, _POSITIVE),
+        "time_upper_factor": (4.0, {"type": "number", "exclusiveMinimum": 1}),
+        "seed": (1, {"type": "integer", "minimum": 0}),
     },
 }
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_COUNT = {"type": "integer", "minimum": 1}
-
-SCHEMA: dict = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "constellation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "earth_radius_m": _POSITIVE,
-                "geos_altitude_m": _POSITIVE,
-                "geos_coverage_angle_deg": _POSITIVE,
-                "entry_boundary_angle_deg": _NUMBER,
-                "leos": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["altitude_m", "velocity_mps", "phase_offset_deg", "attenuation_db"],
-                        "properties": {
-                            "altitude_m": _POSITIVE,
-                            "velocity_mps": _POSITIVE,
-                            "phase_offset_deg": {"type": "number", "minimum": 0},
-                            "attenuation_db": _NUMBER,
-                        },
-                    },
-                },
-            },
-        },
-        "code": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "total_files": _COUNT,
-                "nodes": _COUNT,
-                "reconstruct_k": _COUNT,
-                "repair_d": _COUNT,
-                "per_node_files": _COUNT,
-                "per_helper_files": _COUNT,
-                "file_bits": _POSITIVE,
-                "field_order": {"type": "integer", "minimum": 2},
-                "point": {"enum": ["msr", "mbr"]},
-            },
-        },
-        "downlink": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "carrier_hz": _POSITIVE,
-                "bandwidth_hz": _POSITIVE,
-                "tx_gain_db": _NUMBER,
-                "rx_gain_db": _NUMBER,
-                "noise_level_db": _NUMBER,
-                "p_max_w": _POSITIVE,
-                "e_max_j": _POSITIVE,
-                "t_start_s": {"type": "number", "minimum": 0},
-                "horizon_s": _POSITIVE,
-            },
-        },
-        "uplink": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "carriers_hz": {"type": "array", "minItems": 1, "items": _POSITIVE},
-                "bandwidth_hz": _POSITIVE,
-                "tx_gain_db": _NUMBER,
-                "rx_gain_db": _NUMBER,
-                "noise_level_db": _NUMBER,
-                "p_max_w": _POSITIVE,
-                "e_max_j": _POSITIVE,
-                "t_start_s": {"type": "number", "minimum": 0},
-                "horizon_s": _POSITIVE,
-            },
-        },
-        "repair": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "failed_node": _COUNT,
-                "p_max_w": _POSITIVE,
-                "e_max_j": _POSITIVE,
-                "t_start_s": {"type": "number", "minimum": 0},
-                "horizon_s": _POSITIVE,
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "grid_step_s": _POSITIVE,
-                "time_energy_rel_tol": _POSITIVE,
-                "time_upper_factor": {"type": "number", "exclusiveMinimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
+DEFAULT_CONFIG: dict = {
+    block: {name: default for name, (default, _) in fields.items()} for block, fields in _FIELDS.items()
 }
 
-
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+SCHEMA: dict = _object(
+    {block: _object({name: schema for name, (_, schema) in fields.items()}) for block, fields in _FIELDS.items()}
+)
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -248,7 +178,8 @@ def resolve_config(user: dict) -> dict:
         json.dumps(user, allow_nan=False)
     except ValueError as exc:
         raise ConfigError("scenario invalid: NaN or infinite number") from exc
-    config = _merge(DEFAULT_CONFIG, user)
+    # the schema admits only known blocks of scalars and arrays, so fields merge one level down
+    config = copy.deepcopy({block: {**fields, **user.get(block, {})} for block, fields in DEFAULT_CONFIG.items()})
     n_leos = len(config["constellation"]["leos"])
     if len(config["uplink"]["carriers_hz"]) != n_leos:
         raise ConfigError(
@@ -256,8 +187,6 @@ def resolve_config(user: dict) -> dict:
         )
     if config["code"]["nodes"] != n_leos:
         raise ConfigError(f"code block declares {config['code']['nodes']} nodes, constellation has {n_leos}")
-    if not 1 <= config["repair"]["failed_node"] <= n_leos:
-        raise ConfigError("repair.failed_node out of range (1-based)")
     code = config["code"]
     stored, order = code["nodes"] * code["per_node_files"], code["field_order"]
     # the code's N * alpha stored symbols need as many distinct field points
@@ -272,9 +201,14 @@ def resolve_config(user: dict) -> dict:
         raise ConfigError(
             f"per_node_files {code['per_node_files']} is not a multiple of per_helper_files {code['per_helper_files']}"
         )
-    offsets = [leo["phase_offset_deg"] for leo in config["constellation"]["leos"]]
-    if sum(1 for p in offsets if p == 0.0) != 1:
-        raise ConfigError("exactly one LEO must have phase_offset_deg = 0")
+    # the dataclasses' own checks, before any solve meets them
+    try:
+        build_downlink_request(config)
+        build_uplink_request(config)
+        build_repair_request(config)
+        code_point_check(config)
+    except ValueError as exc:
+        raise ConfigError(f"scenario invalid: {exc}") from exc
     return config
 
 
@@ -283,7 +217,6 @@ def build_constellation(config: dict) -> ConstellationScenario:
     return ConstellationScenario(
         earth_radius_m=c["earth_radius_m"],
         geos_altitude_m=c["geos_altitude_m"],
-        geos_coverage_angle_rad=math.radians(c["geos_coverage_angle_deg"]),
         leos_altitude_m=tuple(leo["altitude_m"] for leo in c["leos"]),
         leos_velocity_mps=tuple(leo["velocity_mps"] for leo in c["leos"]),
         leos_phase_offset_rad=tuple(math.radians(leo["phase_offset_deg"]) for leo in c["leos"]),

@@ -77,7 +77,6 @@ def test_baseline_equals_waterfilling_on_flat_channel(default_config):
     sc = ConstellationScenario(
         earth_radius_m=6371e3,
         geos_altitude_m=35786e3,
-        geos_coverage_angle_rad=0.2,
         leos_altitude_m=(800e3,),
         leos_velocity_mps=(7500.0,),
         leos_phase_offset_rad=(0.0,),

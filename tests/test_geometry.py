@@ -30,7 +30,6 @@ def test_angle_collapses_to_boundary_without_offsets():
     sc = ConstellationScenario(
         earth_radius_m=6371e3,
         geos_altitude_m=35786e3,
-        geos_coverage_angle_rad=math.radians(12),
         leos_altitude_m=(500e3,),
         leos_velocity_mps=(7200.0,),
         leos_phase_offset_rad=(0.0,),
@@ -73,7 +72,6 @@ def test_geos_distance_collinear_and_antipodal():
     sc = ConstellationScenario(
         earth_radius_m=6371e3,
         geos_altitude_m=35786e3,
-        geos_coverage_angle_rad=math.radians(12),
         leos_altitude_m=(500e3,),
         leos_velocity_mps=(7200.0,),
         leos_phase_offset_rad=(0.0,),
@@ -118,7 +116,6 @@ def test_inter_leos_degenerate_cases():
     sc = ConstellationScenario(
         earth_radius_m=6371e3,
         geos_altitude_m=35786e3,
-        geos_coverage_angle_rad=1.0,
         leos_altitude_m=(500e3, 500e3),
         leos_velocity_mps=(7200.0, 7200.0),
         leos_phase_offset_rad=(0.0, math.pi),
@@ -130,7 +127,6 @@ def test_inter_leos_degenerate_cases():
     sc2 = ConstellationScenario(
         earth_radius_m=6371e3,
         geos_altitude_m=35786e3,
-        geos_coverage_angle_rad=1.0,
         leos_altitude_m=(500e3, 500e3),
         leos_velocity_mps=(7200.0, 7300.0),
         leos_phase_offset_rad=(0.0, 0.1),
@@ -173,7 +169,6 @@ def test_invalid_index_and_validation(default_config):
         ConstellationScenario(
             earth_radius_m=6371e3,
             geos_altitude_m=35786e3,
-            geos_coverage_angle_rad=1.0,
             leos_altitude_m=(40000e3,),  # above the GEO shell
             leos_velocity_mps=(7000.0,),
             leos_phase_offset_rad=(0.0,),
@@ -183,7 +178,6 @@ def test_invalid_index_and_validation(default_config):
         ConstellationScenario(
             earth_radius_m=6371e3,
             geos_altitude_m=35786e3,
-            geos_coverage_angle_rad=1.0,
             leos_altitude_m=(500e3, 600e3),
             leos_velocity_mps=(7000.0, 7100.0),
             leos_phase_offset_rad=(0.1, 0.2),  # nobody enters at t = 0

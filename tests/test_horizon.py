@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from georelay.errors import InfeasibleError, InternalError
-from georelay.horizon import _BRACKET_GROW_LIMIT, budget_horizon, floor_horizon
+from georelay.horizon import _BRACKET_GROW_LIMIT, MAX_CELLS, budget_horizon, floor_horizon
 from georelay.scenario import build_downlink_request
 
 
@@ -90,3 +90,14 @@ def test_stage_request_rejects_nonpositive_power_horizon_and_grid_step(default_c
     req = build_downlink_request(default_config)
     with pytest.raises(ValueError, match="must be positive"):
         dataclasses.replace(req, **{field: 0.0})
+
+
+def test_stage_request_bounds_the_cells_of_every_channel(default_config):
+    req = build_downlink_request(default_config)
+    with pytest.raises(ValueError, match=f"more than {MAX_CELLS} grid cells"):
+        dataclasses.replace(req, horizon_s=(MAX_CELLS + 1) * req.grid_step_s)
+    dataclasses.replace(req, horizon_s=MAX_CELLS * req.grid_step_s)
+    # a search horizon past the bound is infeasible before any cell is built
+    with pytest.raises(InfeasibleError, match=f"more than {MAX_CELLS} grid cells"):
+        req.channel(0, horizon_s=req.entry_s(0) + (MAX_CELLS + 1) * req.grid_step_s)
+    assert req.channel(0, horizon_s=req.entry_s(0) + MAX_CELLS * req.grid_step_s).n_cells == MAX_CELLS

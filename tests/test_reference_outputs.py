@@ -1,13 +1,8 @@
 """CLI outputs against committed reference CSVs.
 
-The first nine CSVs under ``data/reference`` were written by the CLI when
-the uplink allocator was still outer approximation and the waterfill still
-bisected its level. They hold three solver diagnostics, ``iterations``,
-``z_lower`` and ``z_upper``, that the CLI no longer writes. The others (grid
-step 0.1 s, start 133 s with seed 7, the downlink budget and the other five
-sweep tasks) were written after the deterministic encoder, without them. The
-written header must be the reference header without the three, and every
-other column must match: floats at rel 1e-12, every other value exactly.
+Each call's written header must equal the header of its CSV under
+``data/reference``, and every column must match: floats at rel 1e-12,
+every other value exactly.
 """
 
 import csv
@@ -19,7 +14,6 @@ import pytest
 from georelay.cli import main
 
 REFERENCE = Path(__file__).parent / "data" / "reference"
-DROPPED = {"iterations", "z_lower", "z_upper"}
 FLOAT_REL_TOL = 1e-12
 
 # reference file stem -> CLI arguments (each call writes exactly one CSV)
@@ -66,8 +60,6 @@ def test_cli_matches_reference_csv(tmp_path, name):
     assert main(CALLS[name] + ["--out", str(tmp_path)]) == 0
     (written,) = tmp_path.glob("*.csv")
     expected, got = read_rows(REFERENCE / f"{name}.csv"), read_rows(written)
-    kept = [i for i, col in enumerate(expected[0]) if col not in DROPPED]
-    expected = [[row[i] for i in kept] for row in expected]
     assert got[0] == expected[0]
     assert len(got) == len(expected)
     for r, (want_row, got_row) in enumerate(zip(expected[1:], got[1:]), start=1):

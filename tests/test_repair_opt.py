@@ -105,7 +105,6 @@ def test_insufficient_helpers():
         sc = ConstellationScenario(
             earth_radius_m=6371e3,
             geos_altitude_m=35786e3,
-            geos_coverage_angle_rad=0.2,
             leos_altitude_m=(500e3, 700e3, 900e3, 1100e3),
             leos_velocity_mps=(7200.0, 7300.0, 7400.0, 7500.0),
             leos_phase_offset_rad=(0.05, 0.03, 0.01, 0.0),

@@ -1,5 +1,6 @@
 import csv
 import json
+import resource
 import subprocess
 import sys
 
@@ -101,6 +102,69 @@ def test_cli_inconsistent_code_block_is_a_config_error(tmp_path, capsys, code, c
         assert run_cli([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2, command
         assert message in capsys.readouterr().err
         assert not (tmp_path / f"{command}.csv").exists()
+
+
+STAGE_COMMANDS = ["downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"]
+
+
+@pytest.mark.parametrize(
+    "user, commands, message",
+    [
+        (
+            {"uplink": {"carriers_hz": [29.5e9, 29.5e9, 30.25e9, 30.625e9, 31.0e9]}},
+            ["uplink-energy", "uplink-time"],
+            "uplink carriers must be distinct",
+        ),
+        (
+            {"constellation": {"geos_altitude_m": 1000e3}},
+            ["code-check", *STAGE_COMMANDS],
+            "LEO altitudes must lie below the GEO altitude",
+        ),
+        ({"code": {"reconstruct_k": 4, "repair_d": 3}}, ["code-check", "repair"], "need K <= D"),
+    ],
+    ids=["repeated-carrier", "geo-below-leos", "k-above-d"],
+)
+def test_cli_scenario_a_request_refuses_is_a_config_error(tmp_path, capsys, user, commands, message):
+    # the constellation, stage request and code point checks run when the scenario resolves
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(user))
+    for command in commands:
+        assert run_cli([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2, command
+        assert f"configuration error: scenario invalid: {message}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["downlink-energy", "--dt", "1e-7"], 2, "scenario invalid: horizon 600 s needs more than 1000000 grid cells"),
+        (["uplink-time", "--pmax", "1e-6"], 3, "infeasible: a 1.04838e+06 s window needs more than 1000000 grid cells"),
+        (["downlink-time", "--pmax", "1e-6"], 3, "infeasible: a 1.04858e+06 s window needs more than 1000000 grid cells"),
+    ],
+    ids=["grid-step", "uplink-floor", "downlink-floor"],
+)
+def test_cli_grid_cell_bound(tmp_path, args, code, message):
+    """A grid that would hold more than MAX_CELLS cells per channel ends in exit 2 or 3.
+
+    The call runs in a process capped at 2 GiB of address space: without the
+    bound these calls ask for 67 M to 4 G cells, so a regression fails the
+    test rather than exhausting the host's memory.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-m", "georelay.cli", *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_infeasible_exit_code(tmp_path):
@@ -263,22 +327,28 @@ def test_cli_sweep_rejects_negative_start(tmp_path, monkeypatch):
     assert run_cli(args) == 2
 
 
-def test_cli_sweep_rejects_unknown_param(tmp_path):
+def test_cli_sweep_rejects_unknown_param(tmp_path, capsys):
     # the start time is the one swept parameter, so sweep takes no --param
     with pytest.raises(SystemExit) as exc:
         run_cli(
             ["sweep", "--param", "pmax", "--task", "uplink-energy", "--from", "0", "--to", "1", "--step", "1", "--out", str(tmp_path)]
         )
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: georelay sweep ")
+    assert "georelay sweep: error: unrecognized arguments: --param pmax" in err
 
 
 @pytest.mark.parametrize("flag", ["--ts", "--horizon", "--emax", "--pmax"])
-def test_cli_code_check_refuses_window_flags(tmp_path, flag):
+def test_cli_code_check_refuses_window_flags(tmp_path, capsys, flag):
     # the code block has no window or budget for these flags to set
     with pytest.raises(SystemExit) as exc:
         run_cli(["code-check", flag, "133", "--seed", "7", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("usage: georelay code-check ")
+    assert f"georelay code-check: error: unrecognized arguments: {flag} 133" in err
 
 
 def test_cli_gnuplot_emission(tmp_path):
