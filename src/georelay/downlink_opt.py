@@ -51,12 +51,19 @@ class AllocationResult:
     kkt_residual_max: float
 
 
-def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
-    """Independent per-node waterfilling solves; infeasibility names the node."""
+def allocate_for_targets(channels, targets_bits, p_max, tables=None) -> AllocationResult:
+    """Independent per-node waterfilling solves; infeasibility names the node.
+
+    ``tables``, one :class:`~georelay.waterfill.BreakpointTable` per channel
+    at ``p_max``, prices the targets on tables a caller already built.
+    """
     profiles, energies, bits, levels, residuals = [], [], [], [], []
     for n, (ch, target) in enumerate(zip(channels, targets_bits)):
         try:
-            sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, p_max)
+            if tables is None:
+                sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, p_max)
+            else:
+                sol = tables[n].solve(target)
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"node {n}: {exc}", max_bits=exc.max_bits, index=n

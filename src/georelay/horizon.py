@@ -6,14 +6,21 @@ a power cap and an energy budget; :class:`StageRequest` holds these and
 builds every node's channel, and a stage adds only its own traffic fields,
 the node's window entry and the distance its link spans.
 
+A search asks for one node's channel at many horizons, and every window of a
+node opens at the same instant, so the channels differ only in their cell
+count and their last, partial cell. A request keeps one channel per node,
+the longest built so far, and serves every horizon as a cut of it: the full
+cells copied, the last cell recomputed from one distance evaluation. Only a
+horizon that needs more cells than that channel holds builds a new one.
+
 Each stage minimizes energy at a given horizon, and each minimizes the
 horizon under its budget the same way. The floor T0 is the least horizon at
 which the stage can deliver its traffic at full power; that predicate is
 monotone in the horizon, so T0 is found by growing a bracket and bisecting
 (:func:`floor_horizon`). Beyond T0 the stage's optimal energy decreases in
 the horizon, so a binding energy budget is met by bisecting between T0 and
-``upper_factor * T0`` (:func:`budget_horizon`), and every stage reports a
-:class:`TimeResult`.
+``upper_factor * T0``, held at ``MAX_CELLS`` grid steps (:func:`budget_horizon`),
+and every stage reports a :class:`TimeResult`.
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
 and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair
@@ -22,12 +29,14 @@ would move the downlink-time outputs or add uplink allocation solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from .errors import InfeasibleError, InternalError
 from .geometry import ConstellationScenario, coverage_entry_time
-from .link import LinkParams, NodeChannel, build_channel
+from .link import LinkParams, NodeChannel, aggregate_gain, build_channel, grid_cell_count
 
 # bracket doublings before the traffic counts as unreachable in any horizon
 _BRACKET_GROW_LIMIT = 60
@@ -45,10 +54,11 @@ class StageRequest:
     entry is the node's coverage entry unless a stage overrides
     :meth:`entry_s`; :meth:`distance` is the stage's link length.
     ``upper_factor`` bounds the budget search at that multiple of T0, which
-    stops once the energy is within ``energy_rel_tol`` of the budget. No
-    channel holds more than ``MAX_CELLS`` grid cells: a request whose own
-    horizon needs more is refused, and a search horizon that needs more
-    makes the search infeasible.
+    stops once the energy is within ``energy_rel_tol`` of the budget, and
+    never passes ``MAX_CELLS`` grid steps. No channel holds more than
+    ``MAX_CELLS`` grid cells: a request whose own horizon needs more is
+    refused, and a search horizon that needs more makes the search
+    infeasible. :meth:`channel` keeps each node's longest channel.
     """
 
     scenario: ConstellationScenario
@@ -60,6 +70,8 @@ class StageRequest:
     grid_step_s: float = 1.0
     upper_factor: float = 4.0
     energy_rel_tol: float = 1e-3
+    # node -> the channel over its longest window built so far
+    _longest: dict[int, NodeChannel] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.links) != self.scenario.n_leos:
@@ -83,12 +95,36 @@ class StageRequest:
         return start, max(start, end)
 
     def channel(self, n: int, horizon_s: float | None = None) -> NodeChannel:
+        """Node n's channel at ``horizon_s``, cut from its longest one built.
+
+        Bit for bit ``build_channel`` over :meth:`window`: the cut copies
+        the first k - 1 cells, which are full in every channel from the same
+        start, and recomputes the last one with ``build_channel``'s own
+        expressions. Only a horizon that needs more cells than the longest
+        channel holds builds a new one.
+        """
         start, end = self.window(n, horizon_s)
-        if (end - start) / self.grid_step_s > MAX_CELLS:
+        step = self.grid_step_s
+        cells = grid_cell_count(start, end, step)
+        if cells > MAX_CELLS:
             raise InfeasibleError(
-                f"a {end - start:.6g} s window needs more than {MAX_CELLS} grid cells of {self.grid_step_s:g} s"
+                f"a {end - start:.6g} s window needs more than {MAX_CELLS} grid cells of {step:g} s"
             )
-        return build_channel(self.links[n], lambda t: self.distance(n, t), (start, end), self.grid_step_s)
+        link = self.links[n]
+        if cells == 0:
+            return NodeChannel(start, start, step, np.zeros(0), np.zeros(0), link.bandwidth_hz)
+        longest = self._longest.get(n)
+        if longest is None or longest.n_cells < cells:
+            longest = self._longest[n] = build_channel(link, lambda t: self.distance(n, t), (start, end), step)
+        weights = np.empty(cells)
+        gains = np.empty(cells)
+        weights[:-1] = longest.weights_s[: cells - 1]
+        gains[:-1] = longest.gains_per_w[: cells - 1]
+        weights[-1] = (end - start) - step * (cells - 1)
+        mid = start + step * (cells - 1) + weights[-1] / 2.0
+        d = np.asarray(self.distance(n, np.array([mid])), dtype=float)
+        gains[-1:] = aggregate_gain(link) / (d * d)
+        return NodeChannel(start, end, step, weights, gains, link.bandwidth_hz)
 
 
 @dataclass(frozen=True)
@@ -134,9 +170,11 @@ def budget_horizon(req, solve, energy, t0, rel_tol) -> TimeResult:
     ``solve(T)`` is the stage's minimum-energy solve at horizon T and
     ``energy(result)`` its total energy. A missing or slack budget keeps T0
     and its solve; otherwise the horizon is bisected on
-    (T0, ``req.upper_factor * T0``] until the bracket is narrower than
-    ``rel_tol * max(T0, 1)``, and the energy at the returned horizon must
-    match the budget within ``req.energy_rel_tol``.
+    (T0, min(``req.upper_factor * T0``, ``MAX_CELLS * req.grid_step_s``)]
+    until the bracket is narrower than ``rel_tol * max(T0, 1)``, and the
+    energy at the returned horizon must match the budget within
+    ``req.energy_rel_tol``. The cell bound holds the upper end because no
+    node's window is longer than the horizon, so every search channel fits.
     """
     e_max = req.e_max_j
     result0 = solve(t0)
@@ -145,7 +183,7 @@ def budget_horizon(req, solve, energy, t0, rel_tol) -> TimeResult:
         return TimeResult(t0, result0, False, t0, e0)
     if e_max <= 0:
         raise InfeasibleError("energy budget must be positive")
-    hi = req.upper_factor * t0
+    hi = max(t0, min(req.upper_factor * t0, MAX_CELLS * req.grid_step_s))
     result = solve(hi)
     if energy(result) > e_max:
         raise InfeasibleError(

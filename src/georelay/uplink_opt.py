@@ -9,7 +9,8 @@ cost per file never falls. Minimizing a separable convex sum over integer
 boxes with sum mu = M is then solved exactly by marginal-cost greedy: give
 the M files one at a time to the node whose next file costs least (Fox 1966;
 Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
-:func:`oa_solve`, M + N waterfills and a heap; the test suite checks it
+:func:`oa_solve`: one breakpoint table per node, M + N waterfills priced on
+the tables and a heap; the test suite checks it
 against an exact dynamic program over the per-node energy tables. Time
 minimization bisects the horizon against the floor-valued full-power
 file-count step function and then, under a binding budget, against the
@@ -36,7 +37,7 @@ from .geometry import Geos, geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
 from .link import NodeChannel
 from .lp_solver import AT_LOWER, AT_UPPER, INFEASIBLE, LinearProgram, MilpSpec, solve_milp
-from .waterfill import LN2, max_deliverable_bits, power_at_level, solve_cells
+from .waterfill import LN2, BreakpointTable, max_deliverable_bits, power_at_level, solve_cells
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,9 @@ def solve_nlpr(problem: FileAllocationProblem) -> NlprSolution:
     return NlprSolution(tuple(powers), mu, energy)
 
 
-def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
-    """Waterfilling at fixed integer file counts."""
+def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu, tables=None) -> AllocationResult:
+    """Waterfilling at fixed integer file counts, on ``tables`` (one
+    breakpoint table per channel) when given."""
     mu = np.asarray(mu)
     if mu.shape != (problem.n_nodes,):
         raise ValueError("one file count per node required")
@@ -226,7 +228,7 @@ def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
     if int(round(float(mu.sum()))) != problem.total_files:
         raise ValueError("file counts must sum to the file total")
     targets = [float(mu[n]) * problem.file_bits for n in range(problem.n_nodes)]
-    return allocate_for_targets(problem.channels, targets, problem.p_max_w)
+    return allocate_for_targets(problem.channels, targets, problem.p_max_w, tables)
 
 
 @dataclass(frozen=True)
@@ -328,10 +330,10 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
             f"only {int(caps.sum())} files deliverable at P_max, need {problem.total_files}"
         )
 
+    tables = [BreakpointTable(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, problem.p_max_w) for ch in problem.channels]
+
     def energy(n: int, files: int) -> float:
-        ch = problem.channels[n]
-        target = files * problem.file_bits
-        return solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, problem.p_max_w).energy_j
+        return tables[n].solve(files * problem.file_bits).energy_j
 
     # (extra energy of the node's next file, -node, its energy with that file)
     heap = []
@@ -348,7 +350,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
         if mu[n] < caps[n]:
             e = energy(n, mu[n] + 1)
             heapq.heappush(heap, (e - spent, neg_n, e))
-    alloc = solve_nlp_fixed_mu(problem, mu)
+    alloc = solve_nlp_fixed_mu(problem, mu, tables)
     state = OAState(z_lower=alloc.total_energy_j, z_upper=alloc.total_energy_j)
     state.history.append(OAIteration(state.z_lower, state.z_upper, tuple(int(v) for v in mu)))
     return UplinkResult(alloc, mu, state)

@@ -3,9 +3,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from georelay import horizon, link
+from georelay.cli import main
+from georelay.downlink_opt import min_time_downlink
 from georelay.errors import InfeasibleError, InternalError
 from georelay.horizon import _BRACKET_GROW_LIMIT, MAX_CELLS, budget_horizon, floor_horizon
-from georelay.scenario import build_downlink_request
+from georelay.repair_opt import repair_min_time
+from georelay.scenario import build_downlink_request, build_repair_request, build_uplink_request, resolve_config
+from georelay.uplink_opt import min_time_uplink
 
 
 def test_floor_raises_unreachable_after_the_grow_limit():
@@ -51,8 +56,8 @@ def _energy(result):
 
 
 def _req(e_max):
-    # the budget and search settings budget_horizon reads from a stage request
-    return SimpleNamespace(e_max_j=e_max, upper_factor=4.0, energy_rel_tol=1e-3)
+    # the budget, search settings and grid step budget_horizon reads from a stage request
+    return SimpleNamespace(e_max_j=e_max, upper_factor=4.0, energy_rel_tol=1e-3, grid_step_s=1.0)
 
 
 def test_budget_slack_or_absent_keeps_the_floor():
@@ -101,3 +106,104 @@ def test_stage_request_bounds_the_cells_of_every_channel(default_config):
     with pytest.raises(InfeasibleError, match=f"more than {MAX_CELLS} grid cells"):
         req.channel(0, horizon_s=req.entry_s(0) + (MAX_CELLS + 1) * req.grid_step_s)
     assert req.channel(0, horizon_s=req.entry_s(0) + MAX_CELLS * req.grid_step_s).n_cells == MAX_CELLS
+
+
+_BUILDERS = (build_downlink_request, build_uplink_request, build_repair_request)
+
+
+def _assert_same_channel(got, want):
+    assert (got.t_start_s, got.t_end_s, got.grid_step_s, got.bandwidth_hz) == (
+        want.t_start_s,
+        want.t_end_s,
+        want.grid_step_s,
+        want.bandwidth_hz,
+    )
+    assert got.weights_s.dtype == want.weights_s.dtype and got.gains_per_w.dtype == want.gains_per_w.dtype
+    assert got.weights_s.tobytes() == want.weights_s.tobytes()
+    assert got.gains_per_w.tobytes() == want.gains_per_w.tobytes()
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=["downlink", "uplink", "repair"])
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
+def test_channel_cuts_equal_fresh_builds_bit_for_bit(monkeypatch, default_config, build, dt):
+    """Every channel a request serves is build_channel over its window, bit
+    for bit, and only a horizon needing more cells than any before builds."""
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return link.build_channel(*args)
+
+    monkeypatch.setattr(horizon, "build_channel", counted)
+    req = dataclasses.replace(build(default_config), grid_step_s=dt, t_start_s=133.0)
+    n_leos = req.scenario.n_leos
+    nodes = getattr(req, "helpers", range(n_leos))
+    # shrink, grow past the longest, an empty window for the nodes not yet
+    # in coverage, ends on a cell boundary from t_start and from the first
+    # node's window start, and the request's own horizon
+    on_boundary = req.entry_s(nodes[0]) - req.t_start_s + 73 * dt
+    horizons = [300.0, 120.3, 450.7, 450.7 - dt / 3, 1200.25, 1200.0, 10.0, 50 * dt, on_boundary, None]
+    longest = [0] * n_leos
+    expected_builds = 0
+    for h in horizons:
+        for n in nodes:
+            want = link.build_channel(req.links[n], lambda t, n=n: req.distance(n, t), req.window(n, h), dt)
+            _assert_same_channel(req.channel(n, h), want)
+            if want.n_cells > longest[n]:
+                longest[n] = want.n_cells
+                expected_builds += 1
+    # repair windows open at t_start, so only its horizons give no empty one
+    assert 0 in {req.channel(n, 10.0).n_cells for n in nodes} or build is build_repair_request
+    assert len(builds) == expected_builds
+    # one channel per node at most, the longest served
+    assert sorted(req._longest) == [n for n in range(n_leos) if longest[n]]
+    assert [req._longest[n].n_cells for n in sorted(req._longest)] == [c for c in longest if c]
+
+
+def test_budget_search_stops_at_the_cell_bound(monkeypatch, default_config):
+    """A search bound of upper_factor * T0 past the cell bound is held at
+    MAX_CELLS grid steps: budgets a default search meets are met there."""
+    monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
+    config = resolve_config(
+        {
+            "solver": {"time_upper_factor": 1e6},
+            "downlink": {"e_max_j": 21500.0},
+            "uplink": {"e_max_j": 190000.0},
+            "repair": {"e_max_j": 3000.0},
+        }
+    )
+    down = build_downlink_request(config)
+    up = build_uplink_request(config)
+    rep = build_repair_request(config)
+    solved = [
+        (down, min_time_downlink(down)[0].result.total_energy_j),
+        (up, min_time_uplink(up).result.allocation.total_energy_j),
+        (rep, repair_min_time(rep).result.allocation.total_energy_j),
+    ]
+    for req, energy in solved:
+        assert abs(energy - req.e_max_j) <= req.energy_rel_tol * req.e_max_j
+
+
+@pytest.mark.parametrize("command, emax", [("downlink-time", "21500"), ("uplink-time", "190000"), ("repair", "3000")])
+def test_cli_budget_search_within_the_cell_bound(monkeypatch, tmp_path, capsys, command, emax):
+    monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
+    scenario = tmp_path / "factor.json"
+    scenario.write_text('{"solver": {"time_upper_factor": 1e6}}')
+    common = ["--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main([command, "--emax", emax, *common]) == 0
+    # a budget below the energy floor at the held bound is still infeasible
+    assert main([command, "--emax", "1", *common]) == 3
+    assert "below the energy floor" in capsys.readouterr().err
+
+
+def test_cell_check_passes_at_the_bound_despite_rounding(monkeypatch, default_config):
+    """At horizon MAX_CELLS * dt the window t_start + h - t_start can round
+    past MAX_CELLS steps; the window still holds MAX_CELLS cells."""
+    monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
+    dt = 0.1
+    bound = 3000 * dt
+    t_start = next(t for t in (133.0 + 0.37 * k + 1e-7 * k for k in range(20000)) if ((t + bound) - t) / dt > 3000)
+    req = dataclasses.replace(build_repair_request(default_config), grid_step_s=dt, t_start_s=t_start)
+    assert req.channel(0, bound).n_cells == 3000
+    with pytest.raises(InfeasibleError, match="more than 3000 grid cells"):
+        req.channel(0, bound + dt)

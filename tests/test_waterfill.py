@@ -5,7 +5,7 @@ import pytest
 
 from georelay.errors import InfeasibleError
 from georelay.link import LinkParams, aggregate_gain, build_channel
-from georelay.waterfill import max_deliverable_bits, solve_cells
+from georelay.waterfill import BreakpointTable, CellSolution, max_deliverable_bits, solve_cells
 from oracles import projected_gradient_min_energy, random_cell_problem
 
 LN2 = math.log(2.0)
@@ -240,6 +240,8 @@ def test_targets_at_every_breakpoint():
     rng = np.random.default_rng(1)
     for _ in range(20):
         w, h, W, _, p_max = random_cell_problem(rng, 3, 12)
+        # one breakpoint table priced at every target, as the allocator does
+        table = BreakpointTable(w, h, W, p_max)
         for height in np.concatenate((1.0 / h, p_max + 1.0 / h)):
             base = bits_at_height(w, h, W, p_max, height)
             if base <= 0.0:
@@ -250,3 +252,10 @@ def test_targets_at_every_breakpoint():
                     continue
                 sol = solve_cells(w, h, W, target, p_max)
                 assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
+                priced = table.solve(target)
+                for name in CellSolution.__dataclass_fields__:
+                    got, want = getattr(priced, name), getattr(sol, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                    else:
+                        assert got == want, name
