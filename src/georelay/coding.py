@@ -111,14 +111,21 @@ class RepairPlan:
 
 
 def repair_requirement(point: OperatingPoint, p: RegenParams) -> RepairPlan:
-    """Helper count and traffic to regenerate one node at the given point."""
+    """Helper count and traffic to regenerate one node at the given point,
+    which fixes the count from alpha and beta; a ``repair_d`` that differs
+    is refused."""
     alpha, beta = p.per_node_files, p.per_helper_files
     if alpha % beta != 0:
-        raise ValueError(f"alpha={alpha} not a multiple of beta={beta}; not at {point.value}")
+        raise ValueError(f"per_node_files {alpha} is not a multiple of per_helper_files {beta}")
     if point is OperatingPoint.MSR:
         d = alpha // beta + p.reconstruct_k - 1
     else:
         d = alpha // beta
+    if d != p.repair_d:
+        raise ValueError(
+            f"per_node_files {alpha} and per_helper_files {beta} give {d} repair helpers "
+            f"at {point.value}, but repair_d is {p.repair_d}"
+        )
     return RepairPlan(d, beta, d * beta)
 
 

@@ -1,329 +1,19 @@
-"""Dense bounded-variable simplex and branch-and-bound MILP.
+"""Stubs of the removed LP and MILP engines.
 
-Small deterministic engines sized for outer-approximation master problems:
-a few tens of rows, up to a few thousand columns, finite bounds on every
-structural variable. Rows are equilibrated before solving. Pricing is
-Dantzig with a Bland fallback after a degeneracy streak; profitable bound
-flips are batched within one pricing pass since they leave the basis (and
-hence all reduced costs) unchanged. Identical inputs give identical outputs.
+The simplex and branch-and-bound engines served the outer-approximation
+allocator, which exact greedy (:func:`georelay.uplink_opt.oa_solve`)
+replaced. These two names exist only because the benchmark's tracer
+(``perfbench/layers.py`` ``TRACED``) imports this module and wraps them;
+ROADMAP item 1's benchmark change deletes them and this module. No module of
+the package imports it.
 """
 
-from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .errors import InternalError
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-AT_LOWER, AT_UPPER = 0, 1
-
-_COST_TOL = 1e-9
-_DEGEN_STREAK = 60
+def solve_lp(*args, **kwargs):
+    """Removed: the bounded-variable simplex."""
+    raise NotImplementedError("solve_lp was removed with the outer-approximation allocator")
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c.x  s.t.  a_ub.x <= b_ub,  a_eq.x = b_eq,  lower <= x <= upper."""
-
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.c)
-        object.__setattr__(self, "a_ub", self.a_ub.reshape(-1, n))
-        object.__setattr__(self, "a_eq", self.a_eq.reshape(-1, n))
-        if len(self.b_ub) != self.a_ub.shape[0] or len(self.b_eq) != self.a_eq.shape[0]:
-            raise ValueError("row counts disagree with right-hand sides")
-        if len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("bound lengths disagree with objective")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-            raise ValueError("all variable bounds must be finite")
-        if np.any(self.lower > self.upper + 1e-12):
-            raise ValueError("lower bound exceeds upper bound")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.c)
-
-
-@dataclass(frozen=True)
-class MilpSpec:
-    """A bounded LP plus the indices of integer-constrained variables.
-
-    ``initial_statuses`` optionally seeds every node's simplex with a
-    per-structural-variable starting bound (AT_LOWER / AT_UPPER); a good seed
-    keeps phase 1 nearly trivial.
-    """
-
-    lp: LinearProgram
-    integer_indices: tuple[int, ...]
-    initial_statuses: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "integer_indices", tuple(self.integer_indices))
-        for j in self.integer_indices:
-            lo, hi = self.lp.lower[j], self.lp.upper[j]
-            if abs(lo - round(lo)) > 1e-9 or abs(hi - round(hi)) > 1e-9:
-                raise ValueError(f"integer variable {j} has non-integer bounds")
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    x: np.ndarray | None
-    value: float | None
-
-
-class _Simplex:
-    """Bounded-variable primal simplex over the equality system A x = b."""
-
-    def __init__(self, a, b, lower, upper, statuses):
-        self.a = a
-        self.b = b
-        self.lower = lower
-        self.upper = upper
-        self.m, self.n = a.shape
-        self.basis = np.zeros(self.m, dtype=int)
-        self.status = statuses
-        self.is_basic = np.zeros(self.n, dtype=bool)
-        self.pivots = 0
-
-    def nonbasic_values(self):
-        vals = np.where(self.status == AT_UPPER, self.upper, self.lower)
-        vals[self.is_basic] = 0.0
-        return vals
-
-    def solution(self):
-        x = self.nonbasic_values()
-        basis_mat = self.a[:, self.basis]
-        x[self.basis] = np.linalg.solve(basis_mat, self.b - self.a @ x)
-        return x
-
-    def run(self, c, max_pivots) -> str:
-        bland = False
-        degen = 0
-        passes_limit = 4 * (self.n + self.m) + 200
-        for _ in range(passes_limit):
-            basis_mat = self.a[:, self.basis]
-            try:
-                b_inv = np.linalg.inv(basis_mat)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise InternalError("singular simplex basis") from exc
-            x_b = b_inv @ (self.b - self.a @ self.nonbasic_values())
-            y = c[self.basis] @ b_inv
-            reduced = c - y @ self.a
-            movable = ~self.is_basic & (self.upper - self.lower > 0.0)
-            viol = np.where(self.status == AT_LOWER, -reduced, reduced)
-            viol[~movable] = 0.0
-            candidates = np.flatnonzero(viol > _COST_TOL)
-            if candidates.size == 0:
-                return OPTIMAL
-            if bland:
-                order = candidates
-            else:
-                order = candidates[np.lexsort((candidates, -viol[candidates]))]
-
-            pivoted = False
-            for enter in order:
-                enter = int(enter)
-                sigma = 1.0 if self.status[enter] == AT_LOWER else -1.0
-                d = b_inv @ self.a[:, enter]
-                step = sigma * d
-                best_t = self.upper[enter] - self.lower[enter]
-                leave_pos, leave_to = -1, AT_LOWER
-                for i in range(self.m):
-                    si = step[i]
-                    if si > 1e-11:
-                        t = (x_b[i] - self.lower[self.basis[i]]) / si
-                        to = AT_LOWER
-                    elif si < -1e-11:
-                        t = (self.upper[self.basis[i]] - x_b[i]) / -si
-                        to = AT_UPPER
-                    else:
-                        continue
-                    if t < best_t - 1e-12:
-                        best_t, leave_pos, leave_to = t, i, to
-                if math.isinf(best_t):
-                    return UNBOUNDED
-                best_t = max(best_t, 0.0)
-                if leave_pos < 0:
-                    # bound flip: basis unchanged, reduced costs stay valid,
-                    # so keep scanning candidates within this pass
-                    self.status[enter] = AT_UPPER if self.status[enter] == AT_LOWER else AT_LOWER
-                    x_b = x_b - step * best_t
-                    continue
-                self.pivots += 1
-                if self.pivots > max_pivots:
-                    raise InternalError("simplex pivot limit exceeded")
-                degen = degen + 1 if best_t <= 1e-10 else 0
-                if degen > _DEGEN_STREAK:
-                    bland = True
-                leaving = self.basis[leave_pos]
-                self.basis[leave_pos] = enter
-                self.is_basic[enter] = True
-                self.is_basic[leaving] = False
-                self.status[leaving] = leave_to
-                pivoted = True
-                break
-            if not pivoted:
-                # pass ended purely in bound flips; reprice
-                continue
-        raise InternalError("simplex pass limit exceeded")
-
-
-def solve_lp(lp: LinearProgram, initial_statuses=None) -> LpResult:
-    """Solve a bounded LP; statuses: optimal, infeasible, unbounded."""
-    n = lp.n_vars
-    m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-    m = m_ub + m_eq
-    if m == 0:
-        x = np.where(lp.c > 0, lp.lower, lp.upper)
-        zero = lp.c == 0
-        x[zero] = lp.lower[zero]
-        return LpResult(OPTIMAL, x, float(lp.c @ x))
-
-    rows = np.vstack([lp.a_ub, lp.a_eq])
-    rhs = np.concatenate([lp.b_ub, lp.b_eq])
-    scale = np.maximum(np.max(np.abs(rows), axis=1), 1e-12)
-    rows = rows / scale[:, None]
-    rhs = rhs / scale
-
-    if initial_statuses is None:
-        struct_status = np.full(n, AT_LOWER, dtype=np.int8)
-    else:
-        struct_status = np.asarray(initial_statuses, dtype=np.int8).copy()
-        if struct_status.shape != (n,):
-            raise ValueError("initial statuses must cover every structural variable")
-
-    x0 = np.where(struct_status == AT_UPPER, lp.upper, lp.lower)
-    residual = rhs - rows @ x0
-
-    # columns: structural | slacks for <= rows | artificials where needed
-    art_rows = [i for i in range(m) if i >= m_ub or residual[i] < 0]
-    n_art = len(art_rows)
-    total = n + m_ub + n_art
-    a = np.zeros((m, total))
-    a[:, :n] = rows
-    for i in range(m_ub):
-        a[i, n + i] = 1.0
-    lower = np.concatenate([lp.lower, np.zeros(m_ub + n_art)])
-    upper = np.concatenate([lp.upper, np.full(m_ub + n_art, np.inf)])
-    statuses = np.concatenate([struct_status, np.full(m_ub + n_art, AT_LOWER, dtype=np.int8)])
-
-    sx = _Simplex(a, rhs, lower, upper, statuses)
-    art_of_row = {}
-    for k, i in enumerate(art_rows):
-        j = n + m_ub + k
-        a[i, j] = 1.0 if residual[i] >= 0 else -1.0
-        art_of_row[i] = j
-    for i in range(m):
-        if i in art_of_row:
-            sx.basis[i] = art_of_row[i]
-        else:
-            sx.basis[i] = n + i  # feasible slack
-        sx.is_basic[sx.basis[i]] = True
-
-    max_pivots = 5000 + 20 * total
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[n + m_ub :] = 1.0
-        if sx.run(phase1, max_pivots) != OPTIMAL:  # pragma: no cover
-            raise InternalError("phase-1 simplex cannot be unbounded")
-        if float(phase1 @ sx.solution()) > 1e-7:
-            return LpResult(INFEASIBLE, None, None)
-        # freeze artificials at zero for phase 2
-        sx.upper[n + m_ub :] = 0.0
-
-    phase2 = np.zeros(total)
-    phase2[:n] = lp.c
-    status = sx.run(phase2, max_pivots)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
-    x = np.clip(sx.solution()[:n], lp.lower, lp.upper)
-    return LpResult(OPTIMAL, x, float(lp.c @ x))
-
-
-@dataclass(order=True)
-class _Node:
-    bound: float
-    order: int
-    lower: np.ndarray = field(compare=False)
-    upper: np.ndarray = field(compare=False)
-
-
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
-def solve_milp(spec: MilpSpec, max_nodes: int = 100_000) -> LpResult:
-    """Exact best-first branch-and-bound over the integer-marked variables.
-
-    Nodes are explored in (bound, creation order); among equal-value integer
-    solutions the lexicographically smallest integer subvector is kept.
-    """
-    lp = spec.lp
-    ints = np.array(spec.integer_indices, dtype=int)
-    heap: list[_Node] = []
-    counter = 0
-    heapq.heappush(heap, _Node(-math.inf, counter, lp.lower.copy(), lp.upper.copy()))
-    incumbent_x = None
-    incumbent_val = math.inf
-    nodes = 0
-    while heap:
-        node = heapq.heappop(heap)
-        tie_tol = 1e-12 * (1.0 + abs(incumbent_val)) if incumbent_x is not None else 0.0
-        if incumbent_x is not None and node.bound > incumbent_val + tie_tol:
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise InternalError("branch-and-bound node limit exceeded")
-        res = solve_lp(
-            LinearProgram(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, node.lower, node.upper),
-            initial_statuses=spec.initial_statuses,
-        )
-        if res.status == UNBOUNDED:
-            return LpResult(UNBOUNDED, None, None)
-        if res.status != OPTIMAL:
-            continue
-        if incumbent_x is not None and res.value > incumbent_val + tie_tol:
-            continue
-        frac = res.x[ints] - np.round(res.x[ints])
-        fractional = np.flatnonzero(np.abs(frac) > 1e-7)
-        if fractional.size == 0:
-            x = res.x.copy()
-            x[ints] = np.round(x[ints])
-            if incumbent_x is None or res.value < incumbent_val - tie_tol:
-                incumbent_x, incumbent_val = x, res.value
-            elif _lex_smaller(x[ints], incumbent_x[ints]):
-                incumbent_x, incumbent_val = x, min(incumbent_val, res.value)
-            continue
-        j = int(ints[fractional[0]])
-        split = res.x[j]
-        down_upper = node.upper.copy()
-        down_upper[j] = math.floor(split)
-        up_lower = node.lower.copy()
-        up_lower[j] = math.ceil(split)
-        for child_lower, child_upper in ((node.lower.copy(), down_upper), (up_lower, node.upper.copy())):
-            if child_lower[j] <= child_upper[j]:
-                counter += 1
-                heapq.heappush(heap, _Node(res.value, counter, child_lower, child_upper))
-    if incumbent_x is None:
-        return LpResult(INFEASIBLE, None, None)
-    return LpResult(OPTIMAL, incumbent_x, incumbent_val)
+def solve_milp(*args, **kwargs):
+    """Removed: the branch-and-bound MILP."""
+    raise NotImplementedError("solve_milp was removed with the outer-approximation allocator")

@@ -30,7 +30,7 @@ import math
 
 import jsonschema
 
-from .coding import OperatingPoint, RegenParams, msr_point, mbr_point
+from .coding import OperatingPoint, RegenParams, msr_point, mbr_point, repair_requirement
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
 from .geometry import ConstellationScenario
@@ -197,16 +197,13 @@ def resolve_config(user: dict) -> dict:
         )
     if stored < code["total_files"]:
         raise ConfigError(f"nodes * per_node_files = {stored} cannot hold total_files {code['total_files']}")
-    if code["per_node_files"] % code["per_helper_files"]:
-        raise ConfigError(
-            f"per_node_files {code['per_node_files']} is not a multiple of per_helper_files {code['per_helper_files']}"
-        )
     # the dataclasses' own checks, before any solve meets them
     try:
         build_downlink_request(config)
         build_uplink_request(config)
         build_repair_request(config)
         code_point_check(config)
+        repair_requirement(operating_point(config), build_regen_params(config))
     except ValueError as exc:
         raise ConfigError(f"scenario invalid: {exc}") from exc
     return config

@@ -17,27 +17,25 @@ file-count step function and then, under a binding budget, against the
 optimal energy (both through :mod:`georelay.horizon`, whose request and
 time result the uplink and the MDS repair share).
 
-The outer-approximation pieces the greedy replaced, the relaxation
-:func:`solve_nlpr` and the master MILP :func:`solve_oa_master` over
-:mod:`georelay.lp_solver`, stay importable because the benchmark traces them
-by name; no solve path calls them.
+The greedy is the only allocator. :func:`solve_nlpr` and
+:func:`solve_oa_master` are stubs that raise: the benchmark's tracer
+(``perfbench/layers.py`` ``TRACED``) still wraps both names, and they go
+when the benchmark stops naming them (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .downlink_opt import AllocationResult, allocate_for_targets
-from .errors import InfeasibleError, InternalError
+from .errors import InfeasibleError
 from .geometry import Geos, geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
 from .link import NodeChannel
-from .lp_solver import AT_LOWER, AT_UPPER, INFEASIBLE, LinearProgram, MilpSpec, solve_milp
-from .waterfill import LN2, BreakpointTable, max_deliverable_bits, power_at_level, solve_cells
+from .waterfill import BreakpointTable, max_deliverable_bits
 
 
 @dataclass(frozen=True)
@@ -97,31 +95,11 @@ class UplinkRequest(StageRequest):
 
 
 @dataclass
-class OAPoint:
-    powers: tuple[np.ndarray, ...]
-    mu: np.ndarray
-
-
-@dataclass
-class OAIteration:
-    z_lower: float
-    z_upper: float
-    mu: tuple[int, ...]
-
-
-@dataclass
 class OAState:
-    """Bounds and per-iteration log of an allocation (and the linearization
-    points of an outer-approximation master)."""
+    """Iteration count of an allocation: always 1, as the greedy is exact.
+    The benchmark's tracer reads it from every ``oa_solve`` result."""
 
-    z_lower: float = -math.inf
-    z_upper: float = math.inf
-    points: list[OAPoint] = field(default_factory=list)
-    history: list[OAIteration] = field(default_factory=list)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.history)
+    iterations: int = 1
 
 
 @dataclass(frozen=True)
@@ -129,13 +107,6 @@ class UplinkResult:
     allocation: AllocationResult
     mu: np.ndarray
     state: OAState
-
-
-@dataclass(frozen=True)
-class NlprSolution:
-    powers: tuple[np.ndarray, ...]
-    mu: np.ndarray
-    energy_j: float
 
 
 def deliverable_bits(problem: FileAllocationProblem) -> np.ndarray:
@@ -149,72 +120,6 @@ def integer_file_caps(problem: FileAllocationProblem) -> np.ndarray:
     bits = deliverable_bits(problem)
     by_link = np.floor(bits * (1.0 + 1e-12) / problem.file_bits).astype(int)
     return np.minimum(np.array(problem.max_files_per_node), by_link)
-
-
-def solve_nlpr(problem: FileAllocationProblem) -> NlprSolution:
-    """Continuous relaxation: fractional file counts equalizing marginal energy.
-
-    The marginal energy of one extra file at node n is u * lam_n / W_n, where
-    lam_n is the node's water level. All nodes active at the shared marginal
-    theta use the water level theta * W_n / u directly, so the relaxation
-    reduces to one bisection on theta.
-    """
-    m = problem.total_files
-    u = problem.file_bits
-    caps = np.minimum(
-        np.array(problem.max_files_per_node, dtype=float),
-        deliverable_bits(problem) / u,
-    )
-    if float(caps.sum()) < m:
-        raise InfeasibleError("file total exceeds deliverable capacity at P_max")
-    if m == 0:
-        powers = tuple(np.zeros(ch.n_cells) for ch in problem.channels)
-        return NlprSolution(powers, np.zeros(problem.n_nodes), 0.0)
-
-    def mu_at(theta: float) -> np.ndarray:
-        out = np.zeros(problem.n_nodes)
-        for n, ch in enumerate(problem.channels):
-            if ch.n_cells == 0:
-                continue
-            level = theta * ch.bandwidth_hz / u
-            p = power_at_level(ch.gains_per_w, level, problem.p_max_w)
-            out[n] = min(ch.bits(p) / u, caps[n])
-        return out
-
-    hi = 1.0
-    grown = 0
-    while float(mu_at(hi).sum()) < m:
-        hi *= 2.0
-        grown += 1
-        if grown > 200:
-            raise InternalError("marginal-energy bisection bracket failed to close")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(mu_at(mid).sum()) >= m:
-            hi = mid
-        else:
-            lo = mid
-    mu = mu_at(hi)
-    # distribute the (tiny) bisection residual over unclamped coordinates
-    for _ in range(problem.n_nodes + 1):
-        residual = m - float(mu.sum())
-        if abs(residual) <= 1e-9:
-            break
-        free = [n for n in range(problem.n_nodes) if 1e-12 < mu[n] < caps[n] - 1e-12]
-        if not free:
-            break
-        bump = residual / len(free)
-        for n in free:
-            mu[n] = min(max(mu[n] + bump, 0.0), caps[n])
-
-    powers = []
-    energy = 0.0
-    for n, ch in enumerate(problem.channels):
-        sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, mu[n] * u, problem.p_max_w)
-        powers.append(sol.powers_w)
-        energy += sol.energy_j
-    return NlprSolution(tuple(powers), mu, energy)
 
 
 def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu, tables=None) -> AllocationResult:
@@ -231,98 +136,15 @@ def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu, tables=None) -> Alloc
     return allocate_for_targets(problem.channels, targets, problem.p_max_w, tables)
 
 
-@dataclass(frozen=True)
-class MasterSolution:
-    powers: tuple[np.ndarray, ...]
-    mu: np.ndarray
-    value: float
-
-
-def _master_layout(problem: FileAllocationProblem):
-    offsets = []
-    pos = 0
-    for ch in problem.channels:
-        offsets.append(pos)
-        pos += ch.n_cells
-    return offsets, pos  # mu block starts at pos
-
-
-def build_master(problem: FileAllocationProblem, points, caps) -> MilpSpec:
-    """Assemble the linearized master MILP from the accumulated point set."""
-    offsets, n_power = _master_layout(problem)
-    n_nodes = problem.n_nodes
-    n_vars = n_power + n_nodes
-    u = problem.file_bits
-
-    c = np.zeros(n_vars)
-    lower = np.zeros(n_vars)
-    upper = np.zeros(n_vars)
-    statuses = np.full(n_vars, AT_LOWER, dtype=np.int8)
-    for n, ch in enumerate(problem.channels):
-        sl = slice(offsets[n], offsets[n] + ch.n_cells)
-        c[sl] = ch.weights_s
-        upper[sl] = problem.p_max_w
-        statuses[sl] = AT_UPPER
-        upper[n_power + n] = caps[n]
-
-    a_eq = np.zeros((1, n_vars))
-    a_eq[0, n_power:] = 1.0
-    b_eq = np.array([float(problem.total_files)])
-
-    rows, rhs = [], []
-    for point in points:
-        for n, ch in enumerate(problem.channels):
-            if ch.n_cells == 0:
-                continue
-            p_bar = point.powers[n]
-            mu_bar = float(point.mu[n])
-            w_over = u / ch.bandwidth_hz
-            s_bar = 1.0 + p_bar * ch.gains_per_w
-            grad = -(ch.weights_s / LN2) * ch.gains_per_w / s_bar
-            f_bar = w_over * mu_bar - float(
-                np.dot(ch.weights_s, np.log2(s_bar))
-            )
-            row = np.zeros(n_vars)
-            row[offsets[n] : offsets[n] + ch.n_cells] = grad
-            row[n_power + n] = w_over
-            rows.append(row)
-            rhs.append(-f_bar + float(np.dot(grad, p_bar)) + w_over * mu_bar)
-    a_ub = np.vstack(rows) if rows else np.zeros((0, n_vars))
-    b_ub = np.array(rhs)
-
-    lp = LinearProgram(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-    integer_indices = tuple(range(n_power, n_vars))
-    return MilpSpec(lp, integer_indices, initial_statuses=statuses)
-
-
-def solve_oa_master(problem: FileAllocationProblem, state: OAState, caps=None) -> MasterSolution:
-    """Exact optimum of the linearized master; its value lower-bounds the MINLP."""
-    if not state.points:
-        raise ValueError("master requires at least one linearization point")
-    if caps is None:
-        caps = integer_file_caps(problem)
-    spec = build_master(problem, state.points, caps)
-    res = solve_milp(spec)
-    if res.status == INFEASIBLE:
-        raise InfeasibleError("outer-approximation master is infeasible")
-    offsets, n_power = _master_layout(problem)
-    powers = tuple(
-        res.x[offsets[n] : offsets[n] + ch.n_cells].copy()
-        for n, ch in enumerate(problem.channels)
-    )
-    mu = np.rint(res.x[n_power:]).astype(int)
-    return MasterSolution(powers, mu, res.value)
-
-
 def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     """Least-energy integer file counts and power profiles: exact greedy.
 
     Each of the ``total_files`` files goes, one at a time, to the node whose
     next file costs the least extra energy; on an exact tie the higher node
     index goes first, which gives the lexicographically smallest optimal
-    counts. The result reports one iteration with both bounds at the
-    optimum. The name stays from the outer-approximation solver this
-    replaced: the benchmark calls and traces ``oa_solve``.
+    counts. The result reports one iteration. The name stays from the
+    outer-approximation solver this replaced: the benchmark calls and traces
+    ``oa_solve``.
     """
     caps = integer_file_caps(problem)
     if int(caps.sum()) < problem.total_files:
@@ -351,9 +173,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
             e = energy(n, mu[n] + 1)
             heapq.heappush(heap, (e - spent, neg_n, e))
     alloc = solve_nlp_fixed_mu(problem, mu, tables)
-    state = OAState(z_lower=alloc.total_energy_j, z_upper=alloc.total_energy_j)
-    state.history.append(OAIteration(state.z_lower, state.z_upper, tuple(int(v) for v in mu)))
-    return UplinkResult(alloc, mu, state)
+    return UplinkResult(alloc, mu, OAState())
 
 
 def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
@@ -385,3 +205,13 @@ def min_time_solve(req: StageRequest, problem_fn) -> TimeResult:
 def min_time_uplink(req: UplinkRequest) -> TimeResult:
     """Minimize the uplink horizon subject to the network energy budget."""
     return min_time_solve(req, req.problem)
+
+
+def solve_nlpr(*args, **kwargs):
+    """Removed: the outer-approximation relaxation. See the module docstring."""
+    raise NotImplementedError("solve_nlpr was removed with the outer-approximation allocator")
+
+
+def solve_oa_master(*args, **kwargs):
+    """Removed: the outer-approximation master MILP. See the module docstring."""
+    raise NotImplementedError("solve_oa_master was removed with the outer-approximation allocator")

@@ -44,11 +44,6 @@ LN2 = math.log(2.0)
 REL_BIT_TOL = 1e-9
 
 
-def power_at_level(gains: np.ndarray, level: float, p_max: float) -> np.ndarray:
-    """Clamped waterfilling power for a given water level."""
-    return np.clip(level / LN2 - 1.0 / gains, 0.0, p_max)
-
-
 def cell_bits(weights: np.ndarray, gains: np.ndarray, powers: np.ndarray, bandwidth_hz: float) -> float:
     return float(np.dot(weights, bandwidth_hz * np.log2(1.0 + powers * gains)))
 

@@ -9,7 +9,6 @@ rather than the library's greedy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,19 +96,6 @@ def enumerate_integer_splits(total, caps):
     for head in range(min(caps[0], total) + 1):
         for tail in enumerate_integer_splits(total - head, caps[1:]):
             yield (head,) + tail
-
-
-def brute_force_knapsack_milp(c, a_ub, b_ub, lower, upper):
-    """Exhaustive minimum of c.x over integer boxes subject to a_ub x <= b_ub."""
-    ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(lower, upper)]
-    best_val, best_x = math.inf, None
-    for x in itertools.product(*ranges):
-        xv = np.array(x, dtype=float)
-        if np.all(a_ub @ xv <= np.asarray(b_ub) + 1e-12):
-            val = float(np.dot(c, xv))
-            if val < best_val - 1e-15:
-                best_val, best_x = val, xv
-    return best_x, best_val
 
 
 def random_cell_problem(rng, n_lo=20, n_hi=80):

@@ -92,8 +92,10 @@ def test_cli_schema_error_exit_code(tmp_path):
         ({"per_helper_files": 3}, ["code-check", "repair"], "per_node_files 10 is not a multiple of per_helper_files 3"),
         ({"per_node_files": 5}, ["code-check", "uplink-energy"], "nodes * per_node_files = 25 cannot hold total_files 30"),
         ({"total_files": 60}, ["code-check", "uplink-energy"], "nodes * per_node_files = 50 cannot hold total_files 60"),
+        ({"point": "mbr"}, ["code-check", "repair"], "give 2 repair helpers at mbr, but repair_d is 4"),
+        ({"repair_d": 3}, ["code-check", "repair"], "give 4 repair helpers at msr, but repair_d is 3"),
     ],
-    ids=["field-7", "field-100", "helper-3", "node-5", "total-60"],
+    ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3"],
 )
 def test_cli_inconsistent_code_block_is_a_config_error(tmp_path, capsys, code, commands, message):
     scenario = tmp_path / "code.json"
@@ -368,3 +370,11 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "rank_ok=True" in proc.stdout
+
+
+def test_cli_import_leaves_lp_solver_unloaded():
+    # a fresh process: the benchmark-contract test imports the module into this one
+    code = "import sys, georelay.cli; print('georelay.lp_solver' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
