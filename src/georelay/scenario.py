@@ -13,7 +13,8 @@ Each field is declared once, its default next to its schema entry;
 ``DEFAULT_CONFIG`` and ``SCHEMA`` are read off that table. ``leos`` and
 ``carriers_hz`` arrays replace the defaults wholesale; scalar fields merge
 individually. Unknown keys and non-finite numbers are rejected, and so is a
-code block the encoder or the repair plan cannot serve. Resolving also
+code block the encoder or the repair plan cannot serve, or whose alpha and
+beta are not its operating point's. Resolving also
 builds the three stage requests and the code point, so a scenario their own
 checks refuse (say, a LEO above the GEO altitude, repeated uplink carriers,
 K > D, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
@@ -202,8 +203,15 @@ def resolve_config(user: dict) -> dict:
         build_downlink_request(config)
         build_uplink_request(config)
         build_repair_request(config)
-        code_point_check(config)
+        point = code_point_check(config)
         repair_requirement(operating_point(config), build_regen_params(config))
+        if (code["per_node_files"], code["per_helper_files"]) != (point.per_node_files, point.per_helper_files):
+            raise ValueError(
+                f"per_node_files {code['per_node_files']} and per_helper_files {code['per_helper_files']} "
+                f"are not the {code['point']} point of total_files {code['total_files']}, "
+                f"reconstruct_k {code['reconstruct_k']} and repair_d {code['repair_d']}: "
+                f"alpha {point.per_node_files}, beta {point.per_helper_files}"
+            )
     except ValueError as exc:
         raise ConfigError(f"scenario invalid: {exc}") from exc
     return config

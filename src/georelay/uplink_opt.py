@@ -9,9 +9,10 @@ cost per file never falls. Minimizing a separable convex sum over integer
 boxes with sum mu = M is then solved exactly by marginal-cost greedy: give
 the M files one at a time to the node whose next file costs least (Fox 1966;
 Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
-:func:`oa_solve`: one breakpoint table per node, M + N waterfills priced on
-the tables and a heap; the test suite checks it
-against an exact dynamic program over the per-node energy tables. Time
+:func:`oa_solve`: one breakpoint table per node, M + N waterfill energies
+priced on the tables in O(log n) each, a heap, and one waterfill per node at
+the final counts; the test suite checks it against an exact dynamic program
+over the per-node energy tables. Time
 minimization bisects the horizon against the floor-valued full-power
 file-count step function and then, under a binding budget, against the
 optimal energy (both through :mod:`georelay.horizon`, whose request and
@@ -142,6 +143,10 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     Each of the ``total_files`` files goes, one at a time, to the node whose
     next file costs the least extra energy; on an exact tie the higher node
     index goes first, which gives the lexicographically smallest optimal
+    counts. Each of the M + N prices is one
+    :meth:`~georelay.waterfill.BreakpointTable.energy` on the node's table;
+    the reported powers and energies come from one
+    :meth:`~georelay.waterfill.BreakpointTable.solve` per node at the final
     counts. The result reports one iteration. The name stays from the
     outer-approximation solver this replaced: the benchmark calls and traces
     ``oa_solve``.
@@ -155,7 +160,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     tables = [BreakpointTable(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, problem.p_max_w) for ch in problem.channels]
 
     def energy(n: int, files: int) -> float:
-        return tables[n].solve(files * problem.file_bits).energy_j
+        return tables[n].energy(files * problem.file_bits)
 
     # (extra energy of the node's next file, -node, its energy with that file)
     heap = []

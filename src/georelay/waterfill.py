@@ -10,10 +10,13 @@ P_k = clamp(x - 1/h_k, 0, P_max) at the water height x = lam/ln2, with the
 level lam set so the bit constraint holds with equality. Delivered bits rise
 with x, and between the 2n breakpoints 1/h_k (cell k turns on) and
 P_max + 1/h_k (cell k saturates) the zero/interior/saturated split is fixed.
-One sweep over the sorted breakpoints, with prefix sums of w_k, w_k log2 h_k
-and the saturated cells' bits, gives the bits at every breakpoint and so the
-interval that brackets the target. On that interval's split the level has a
-closed form,
+On the interval [h_i, h_i+1] between two sorted breakpoints only the
+interior cells move, with total weight w_i, so the bits rise as
+W w_i log2(x / h_i) and the energy as w_i (x - h_i). One sweep over the
+sorted breakpoints gives every w_i, and running sums of those two rises give
+the bits b_i and the energy e_i at every breakpoint, and so the interval
+that brackets the target. On that interval's split the level has a closed
+form,
 
     ln lam = (b ln2 / W - sum_int w_k ln(h_k / ln2)) / sum_int w_k,
 
@@ -22,11 +25,15 @@ tolerance loop (Palomar & Fonollosa, IEEE TSP 2005). When rounding puts the
 closed form outside its bracket, the level is the nearer bracket end.
 
 The sort and the sweep depend on the channel and the power cap only, so they
-form one :class:`BreakpointTable` per channel; each target is then priced on
-it by :meth:`BreakpointTable.solve` (bracket, split, closed form, clamp and
-the under-delivery check). The file allocator prices every next file of a
-node on one table; :func:`solve_cells` is the one-shot form, a table and one
-solve, with the same floats.
+form one :class:`BreakpointTable` per channel.
+:meth:`BreakpointTable.energy` prices a target b on it in O(log n): a binary
+search for the bracket, then x = h_i 2^((b - b_i) / (W w_i)) clamped to the
+bracket and e_i + w_i (x - h_i). :meth:`BreakpointTable.solve` finds the
+same bracket and returns the powers (split, closed form, clamp and the
+under-delivery check). The file allocator prices every next file of a node
+with ``energy`` and solves each node once, at its final count;
+:func:`solve_cells` is the one-shot form, a table and one solve, with the
+same floats.
 """
 
 from __future__ import annotations
@@ -72,10 +79,13 @@ def max_deliverable_bits(weights, gains, bandwidth_hz, p_max) -> float:
 class BreakpointTable:
     """One channel's waterfill breakpoints, built once and priced per target.
 
-    Holds 1/h_k, the saturated rates, the stable-sorted breakpoint heights
-    and the bits delivered at each of them, and the bits at full power;
-    :meth:`solve` finds the bracket of one target and its level in closed
-    form. :func:`solve_cells` is a table and one solve.
+    Holds the bits at full power and the stable-sorted breakpoint heights
+    with, at each of them, the bits delivered, the energy spent and the
+    interior weight up to the next one.
+    :meth:`energy` prices a target in O(log n): a binary search for its
+    bracket and the level in closed form on it. :meth:`solve` finds the same
+    bracket and returns the powers. :func:`solve_cells` is a table and one
+    solve.
     """
 
     def __init__(self, weights, gains, bandwidth_hz, p_max):
@@ -85,28 +95,56 @@ class BreakpointTable:
         gains = np.asarray(gains, dtype=float)
         n = weights.size
         self.weights, self.gains, self.bandwidth_hz, self.p_max = weights, gains, bandwidth_hz, p_max
-        self.inv_gain = inv_gain = 1.0 / gains
-        self.sat_rate = sat_rate = bandwidth_hz * np.log2(1.0 + p_max * gains)
-        self.full_bits = float(np.dot(weights, sat_rate))
+        self.full_bits = max_deliverable_bits(weights, gains, bandwidth_hz, p_max)
 
-        # bits at every breakpoint height (cell k turns on at 1/h_k and
-        # saturates at p_max + 1/h_k), from prefix sums over the sorted events;
-        # one 2n-array at a time keeps the temporaries small
-        self.marks = marks = np.concatenate((inv_gain, inv_gain + p_max))
+        # cell k turns on at 1/h_k and saturates at p_max + 1/h_k; sorted,
+        # these events give the interior weight on [heights[i], heights[i+1]]
+        inv_gain = 1.0 / gains
+        marks = np.concatenate((inv_gain, inv_gain + p_max))
         order = np.argsort(marks, kind="stable")
         self.heights = heights = marks[order]
+        events = np.concatenate((weights, -weights), out=marks)[order]
+        self.w_int = w_int = np.maximum(np.cumsum(events, out=events), 0.0, out=events)
+        # the sort is done with: free it before the last 2n-array, and reuse
+        # the marks' storage for the energies
+        del order
 
-        def prefix(at_on, at_sat):
-            events = np.concatenate((at_on, at_sat))[order]
-            return np.cumsum(events, out=events)
+        # from the lowest height on, the energy grows by w_int[i] times each
+        # gap and the bits by W w_int[i] log2(heights[i+1] / heights[i]):
+        # sums of terms >= 0, which never fall, as a binary search needs
+        self.e_at = e_at = marks
+        self.bits = bits = np.empty(2 * n)
+        e_at[:1] = bits[:1] = 0.0
+        gap = np.subtract(heights[1:], heights[:-1], out=e_at[1:])
+        np.log1p(np.divide(gap, heights[:-1], out=bits[1:]), out=bits[1:])
+        bits[1:] *= w_int[:-1]
+        gap *= w_int[:-1]
+        np.cumsum(e_at, out=e_at)
+        np.cumsum(bits, out=bits)
+        bits *= bandwidth_hz / LN2
 
-        log_w = weights * np.log2(gains)
-        bits = prefix(weights, -weights)
-        bits *= np.log2(heights)
-        bits += prefix(log_w, -log_w)
-        bits += prefix(np.zeros(n), weights * sat_rate / bandwidth_hz)
-        bits *= bandwidth_hz
-        self.bits = bits
+    def _bracket(self, target_bits) -> int:
+        """The i whose interval [heights[i], heights[i+1]] holds the level of
+        a positive, deliverable target: the first height above the lowest
+        whose bits reach it, or the top one."""
+        return min(int(self.bits.searchsorted(target_bits)), self.bits.size - 1) - 1
+
+    def energy(self, target_bits) -> float:
+        """Least energy delivering ``target_bits``: ``solve(target_bits).energy_j``
+        to rounding, in O(log n). A zero, empty or undeliverable target goes
+        to :meth:`solve`, which raises what it raises."""
+        if not 0.0 < target_bits <= self.full_bits * (1.0 + REL_BIT_TOL):
+            return self.solve(target_bits).energy_j
+        i = self._bracket(target_bits)
+        if target_bits >= self.bits[i + 1]:
+            # at the bracket's top, or above the top bracket within tolerance
+            return float(self.e_at[i + 1])
+        # bits[i] < target < bits[i + 1], so some cell is interior and the
+        # level is x = h 2^rise in [h, heights[i + 1]]; x - h through expm1
+        # keeps its digits just above h
+        h, w = self.heights[i], self.w_int[i]
+        rise = (target_bits - self.bits[i]) / (self.bandwidth_hz * w)
+        return float(self.e_at[i] + w * h * math.expm1(rise * LN2))
 
     def solve(self, target_bits) -> CellSolution:
         """Least-energy powers delivering ``target_bits`` on this channel."""
@@ -128,19 +166,17 @@ class BreakpointTable:
                 max_bits=best,
             )
 
-        inv_gain, sat_rate, heights = self.inv_gain, self.sat_rate, self.heights
-        # the first height (the lowest turn-on) delivers nothing
-        reached = self.bits[1:] >= target_bits
-        top = 1 + int(np.argmax(reached)) if reached.any() else 2 * n - 1
+        inv_gain, heights = 1.0 / gains, self.heights
+        top = self._bracket(target_bits) + 1
         h_lo, h_hi = heights[top - 1], heights[top]
 
         # the split on the open interval just below h_hi, then the level in
         # closed form on it
         zero = inv_gain >= h_hi
-        sat = self.marks[n:] < h_hi
+        sat = inv_gain + p_max < h_hi
         interior = ~zero & ~sat
         level = None
-        rhs = target_bits - float(np.dot(weights[sat], sat_rate[sat]))
+        rhs = target_bits - float(np.dot(weights[sat], bandwidth_hz * np.log2(1.0 + p_max * gains[sat])))
         if np.any(interior) and rhs > 0.0:
             w_int = float(np.sum(weights[interior]))
             ln_level = (

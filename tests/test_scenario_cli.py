@@ -94,8 +94,14 @@ def test_cli_schema_error_exit_code(tmp_path):
         ({"total_files": 60}, ["code-check", "uplink-energy"], "nodes * per_node_files = 50 cannot hold total_files 60"),
         ({"point": "mbr"}, ["code-check", "repair"], "give 2 repair helpers at mbr, but repair_d is 4"),
         ({"repair_d": 3}, ["code-check", "repair"], "give 4 repair helpers at msr, but repair_d is 3"),
+        (
+            {"per_node_files": 20, "per_helper_files": 10},
+            ["code-check", "downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"],
+            "per_node_files 20 and per_helper_files 10 are not the msr point of total_files 30, "
+            "reconstruct_k 3 and repair_d 4: alpha 10, beta 5",
+        ),
     ],
-    ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3"],
+    ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3", "off-point"],
 )
 def test_cli_inconsistent_code_block_is_a_config_error(tmp_path, capsys, code, commands, message):
     scenario = tmp_path / "code.json"

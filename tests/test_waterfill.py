@@ -5,7 +5,7 @@ import pytest
 
 from georelay.errors import InfeasibleError
 from georelay.link import LinkParams, aggregate_gain, build_channel
-from georelay.waterfill import BreakpointTable, CellSolution, max_deliverable_bits, solve_cells
+from georelay.waterfill import REL_BIT_TOL, BreakpointTable, CellSolution, max_deliverable_bits, solve_cells
 from oracles import projected_gradient_min_energy, random_cell_problem
 
 LN2 = math.log(2.0)
@@ -259,3 +259,117 @@ def test_targets_at_every_breakpoint():
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
                     else:
                         assert got == want, name
+
+
+# ------------------------------------------------------------------- pricing
+
+
+def breakpoint_targets(table):
+    """The bits at every breakpoint above the lowest height, and at full
+    power."""
+    return [float(b) for b in table.bits[table.heights > table.heights[0]]] + [table.full_bits]
+
+
+def assert_prices_match_solve(table, targets, rel):
+    for target in targets:
+        assert table.energy(target) == pytest.approx(table.solve(target).energy_j, rel=rel, abs=0.0), target
+
+
+def assert_bracket_is_linear_scan(table, targets):
+    """The binary search finds the first height above the lowest whose bits
+    reach the target, or the top one, as a linear scan does."""
+    for target in targets:
+        reached = table.bits[1:] >= target
+        assert table._bracket(target) == (int(np.argmax(reached)) if reached.any() else table.bits.size - 2)
+
+
+def test_energy_matches_solve_on_random_channels():
+    """The O(log n) price against the waterfill's energy at each instance's
+    target, at every breakpoint's bits and at full power; every other
+    channel has its gains triplicated, which ties their breakpoints."""
+    rng = np.random.default_rng(17)
+    for k in range(40):
+        w, h, W, target, p_max = random_cell_problem(rng, 1, 60)
+        if k % 2:
+            h = np.repeat(h[: max(1, h.size // 3)], 3)
+            w = rng.uniform(0.5, 2.0, h.size)
+            target = rng.uniform(0.15, 0.85) * max_deliverable_bits(w, h, W, p_max)
+        table = BreakpointTable(w, h, W, p_max)
+        assert_prices_match_solve(table, [target, *breakpoint_targets(table)], 1e-12)
+        assert_bracket_is_linear_scan(table, [target, *table.bits[table.bits > 0.0], table.full_bits])
+
+
+def test_energy_matches_solve_on_tied_breakpoints_and_a_single_cell():
+    tied_w = np.random.default_rng(7).uniform(0.5, 2.0, 12)
+    for w, h, W, p_max in (
+        (tied_w, np.repeat([2e-3, 5e-3, 5e-3, 3e-2], 3), 1e6, 400.0),
+        (np.array([1.5]), np.array([1e-3]), 2e6, 100.0),
+    ):
+        table = BreakpointTable(w, h, W, p_max)
+        # shares up to a hair above full power, which the bit tolerance admits
+        shares = [s * table.full_bits for s in (0.05, 0.3, 0.5, 0.6, 0.9, 0.999, 1.0 + 0.5 * REL_BIT_TOL)]
+        assert_prices_match_solve(table, shares + breakpoint_targets(table), 1e-12)
+
+
+def test_energy_on_brackets_with_no_interior_cell():
+    """Between a saturation and the next turn-on no cell is interior: the
+    bits stay flat there, and a target at their value costs the energy at
+    the bracket's foot."""
+    rng = np.random.default_rng(0)
+    flat = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        table = BreakpointTable(rng.uniform(0.5, 2.0, n), 10 ** rng.uniform(-3, 0, n), 1e6, 10 ** rng.uniform(-1, 1))
+        for i in np.flatnonzero(table.w_int[1:-1] == 0.0) + 1:
+            flat += 1
+            assert table.bits[i + 1] == table.bits[i]
+            assert_prices_match_solve(table, [table.bits[i]], 1e-12)
+    assert flat > 0
+
+
+def test_energy_of_a_tiny_target():
+    """Far below the second breakpoint only the best cell k is on, and its
+    energy is w_k (2^(t / (W w_k)) - 1) / h_k. The closed form is the
+    reference here, not ``solve``: its powers x - 1/h_k lose digits to
+    cancellation this close to the foot of the bracket."""
+    rng = np.random.default_rng(23)
+    w, h, W, _, p_max = random_cell_problem(rng, 20, 40)
+    table = BreakpointTable(w, h, W, p_max)
+    k = int(np.argmax(h))
+    for share in (1e-3, 1e-6, 1e-9, 1e-12):
+        target = share * table.bits[1]
+        exact = w[k] * math.expm1(target * LN2 / (W * w[k])) / h[k]
+        assert table.energy(target) == pytest.approx(exact, rel=1e-12, abs=0.0), share
+
+
+def test_energy_refuses_what_solve_refuses():
+    table = BreakpointTable(np.ones(3), np.array([1e-3, 2e-3, 4e-3]), 1e6, 10.0)
+    assert table.energy(0.0) == 0.0
+    with pytest.raises(ValueError):
+        table.energy(-1.0)
+    with pytest.raises(InfeasibleError):
+        table.energy(2.0 * table.full_bits)
+    empty = BreakpointTable(np.zeros(0), np.zeros(0), 1e6, 10.0)
+    assert empty.energy(0.0) == 0.0
+    with pytest.raises(InfeasibleError):
+        empty.energy(1.0)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
+def test_energy_matches_solve_on_reference_uplink_channels(default_config, dt):
+    """Every file count the allocator prices on each default uplink channel.
+    The bracket of these targets and of every breakpoint's bits is the one
+    a linear scan finds, and it holds the level ``solve`` sets."""
+    from georelay.scenario import build_uplink_request
+    from georelay.uplink_opt import integer_file_caps
+
+    default_config["solver"]["grid_step_s"] = dt
+    problem = build_uplink_request(default_config).problem()
+    for ch, cap in zip(problem.channels, integer_file_caps(problem)):
+        table = BreakpointTable(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, problem.p_max_w)
+        files = [m * problem.file_bits for m in range(1, cap + 1)]
+        assert_prices_match_solve(table, files, 1e-10)
+        assert_bracket_is_linear_scan(table, files + breakpoint_targets(table))
+        for target in files:
+            i, height = table._bracket(target), table.solve(target).water_level / LN2
+            assert table.heights[i] * (1 - 1e-12) <= height <= table.heights[i + 1] * (1 + 1e-12)
