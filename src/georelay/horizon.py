@@ -20,7 +20,10 @@ monotone in the horizon, so T0 is found by growing a bracket and bisecting
 (:func:`floor_horizon`). Beyond T0 the stage's optimal energy decreases in
 the horizon, so a binding energy budget is met by bisecting between T0 and
 ``upper_factor * T0``, held at ``MAX_CELLS`` grid steps (:func:`budget_horizon`),
-and every stage reports a :class:`TimeResult`.
+and every stage reports a :class:`TimeResult`. The uplink, the MDS repair
+and the regenerating repair run both searches through one file-allocation
+wrapper, :func:`georelay.uplink_opt.min_time_solve`; the downlink calls them
+directly.
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
 and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair

@@ -1,29 +1,26 @@
 """Failed-node repair planning over inter-LEO links.
 
-A regenerating-code repair downloads a fixed per-helper file count from an
-exactly-sized helper set. Each helper's energy is its own waterfilling
-cost, so the cheapest set is the cheapest helpers. The MDS baseline instead
-re-downloads the full source through the joint file-count and power
-allocation of :func:`georelay.uplink_opt.oa_solve`, with the failed node
-excluded. LEO-to-LEO links carry no coverage gating, so helper windows span
-the whole [t_start, t_start + horizon] interval. Both time solves search the
-horizon through :mod:`georelay.horizon`, with the settings the request
-carries; the MDS one reports the joint allocation's result at its horizon.
+Regenerating repair downloads beta files from each of D helpers; the MDS
+baseline re-downloads all M source files. Each helper's energy is its own
+waterfilling cost, so both are a :class:`~georelay.uplink_opt.FileAllocationProblem`
+over the survivors for the exact greedy :func:`~georelay.uplink_opt.oa_solve`
+and the horizon search :func:`~georelay.uplink_opt.min_time_solve`. The
+regenerating problem has D blocks of beta files and a cap of one block per
+helper, so the greedy takes the D cheapest feasible helpers. LEO-to-LEO links
+need no coverage, so helper windows span [t_start, t_start + horizon].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coding import OperatingPoint, RegenParams, repair_requirement
-from .downlink_opt import AllocationResult, allocate_for_targets
-from .errors import InfeasibleError
+from .downlink_opt import AllocationResult
 from .geometry import inter_leos_distance
-from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
-from .uplink_opt import FileAllocationProblem, min_time_solve, oa_solve
-from .waterfill import max_deliverable_bits, solve_cells
+from .horizon import StageRequest, TimeResult
+from .uplink_opt import FileAllocationProblem, UplinkResult, min_time_solve, oa_solve
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -62,38 +59,41 @@ class RepairResult:
     total_files: int
 
 
+def _regen_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAllocationProblem:
+    """Regenerating repair over the survivors: D blocks of beta files, at most one per helper."""
+    plan = repair_requirement(req.point, req.params)
+    channels = tuple(req.channel(h, horizon_s) for h in req.helpers)
+    block_bits = plan.per_helper_files * req.params.file_bits
+    return FileAllocationProblem(channels, plan.helpers, tuple(1 for _ in channels), block_bits, req.p_max_w)
+
+
+def _regen_result(req: RepairRequest, result: UplinkResult) -> RepairResult:
+    """The greedy's regenerating allocation for the chosen helpers only. A
+    helper left out has a zero target, so the total and the residual maximum
+    over all survivors are the chosen ones'."""
+    plan = repair_requirement(req.point, req.params)
+    chosen = np.flatnonzero(result.mu)
+    full = result.allocation
+    alloc = replace(
+        full,
+        profiles=tuple(full.profiles[i] for i in chosen),
+        energies_j=full.energies_j[chosen],
+        delivered_bits=full.delivered_bits[chosen],
+        water_levels=full.water_levels[chosen],
+    )
+    helpers = tuple(req.helpers[i] for i in chosen)
+    return RepairResult(helpers, np.full(plan.helpers, plan.per_helper_files), alloc, plan.total_files)
+
+
 def repair_min_energy(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:
     """Cheapest helper set for regenerating repair.
 
     Each helper's energy to deliver beta files is its own waterfilling cost,
     and a set's cost is their sum, so the cheapest set is the D cheapest
-    feasible helpers (lowest index first on exact ties).
+    feasible helpers: :func:`~georelay.uplink_opt.oa_solve` on one beta-block
+    per helper, whose tie policy puts the higher index first.
     """
-    plan = repair_requirement(req.point, req.params)
-    pool = req.helpers
-    if len(pool) < plan.helpers:
-        raise InfeasibleError(
-            f"{len(pool)} candidate helpers cannot supply {plan.helpers} required"
-        )
-    target = plan.per_helper_files * req.params.file_bits
-    channels = {h: req.channel(h, horizon_s) for h in pool}
-    costs = []
-    for h, ch in channels.items():
-        try:
-            sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, req.p_max_w)
-        except InfeasibleError:
-            continue
-        costs.append((sol.energy_j, h))
-    if len(costs) < plan.helpers:
-        raise InfeasibleError("no helper subset can deliver the repair traffic at P_max")
-    subset = tuple(sorted(h for _, h in sorted(costs)[: plan.helpers]))
-    alloc = allocate_for_targets([channels[h] for h in subset], [target] * plan.helpers, req.p_max_w)
-    return RepairResult(
-        helpers=subset,
-        files_per_helper=np.full(plan.helpers, plan.per_helper_files),
-        allocation=alloc,
-        total_files=plan.total_files,
-    )
+    return _regen_result(req, oa_solve(_regen_problem(req, horizon_s)))
 
 
 def _mds_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAllocationProblem:
@@ -122,22 +122,11 @@ def mds_repair_baseline(req: RepairRequest, horizon_s: float | None = None) -> R
 def repair_min_time(req: RepairRequest) -> TimeResult:
     """Minimize the regenerating-repair horizon under the energy budget.
 
-    The floor is the smallest horizon at which some full helper subset
-    delivers beta files each at full power.
+    The floor is the smallest horizon at which D helpers each deliver beta
+    files at full power.
     """
-    plan = repair_requirement(req.point, req.params)
-    target = plan.per_helper_files * req.params.file_bits
-
-    def reaches(horizon: float) -> bool:
-        channels = (req.channel(h, horizon) for h in req.helpers)
-        full = (max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w) for ch in channels)
-        return sum(bits >= target for bits in full) >= plan.helpers
-
-    unreachable = InfeasibleError("repair traffic unreachable within the horizon search bound")
-    t0 = floor_horizon(reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
-    return budget_horizon(
-        req, lambda horizon: repair_min_energy(req, horizon), lambda result: result.allocation.total_energy_j, t0, 1e-5
-    )
+    res = min_time_solve(req, lambda horizon: _regen_problem(req, horizon))
+    return replace(res, result=_regen_result(req, res.result))
 
 
 def mds_repair_min_time(req: RepairRequest) -> TimeResult:

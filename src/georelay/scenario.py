@@ -198,6 +198,8 @@ def resolve_config(user: dict) -> dict:
         )
     if stored < code["total_files"]:
         raise ConfigError(f"nodes * per_node_files = {stored} cannot hold total_files {code['total_files']}")
+    if code["repair_d"] >= code["nodes"]:
+        raise ConfigError(f"repair_d {code['repair_d']} needs more helpers than the {code['nodes'] - 1} survivors")
     # the dataclasses' own checks, before any solve meets them
     try:
         build_downlink_request(config)

@@ -12,11 +12,12 @@ Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
 :func:`oa_solve`: one breakpoint table per node, M + N waterfill energies
 priced on the tables in O(log n) each, a heap, and one waterfill per node at
 the final counts; the test suite checks it against an exact dynamic program
-over the per-node energy tables. Time
-minimization bisects the horizon against the floor-valued full-power
-file-count step function and then, under a binding budget, against the
-optimal energy (both through :mod:`georelay.horizon`, whose request and
-time result the uplink and the MDS repair share).
+over the per-node energy tables. Time minimization (:func:`min_time_solve`)
+bisects the horizon against the floor-valued full-power file-count step
+function and then, under a binding budget, against the optimal energy (both
+through :mod:`georelay.horizon`). The uplink, the MDS repair and the
+regenerating repair (D blocks of beta files, at most one per helper) are
+such problems and use both solves.
 
 The greedy is the only allocator. :func:`solve_nlpr` and
 :func:`solve_oa_master` are stubs that raise: the benchmark's tracer
@@ -110,17 +111,18 @@ class UplinkResult:
     state: OAState
 
 
-def deliverable_bits(problem: FileAllocationProblem) -> np.ndarray:
-    """Per-node bits at full power over the whole window."""
-    p = problem.p_max_w
-    return np.array([max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p) for ch in problem.channels])
+def _file_caps(problem: FileAllocationProblem, full_bits) -> np.ndarray:
+    """Per-node file caps from storage and each node's bits at full power."""
+    by_link = np.floor(np.asarray(full_bits) * (1.0 + 1e-12) / problem.file_bits).astype(int)
+    return np.minimum(np.array(problem.max_files_per_node), by_link)
 
 
 def integer_file_caps(problem: FileAllocationProblem) -> np.ndarray:
     """Per-node file caps implied by storage and full-power deliverability."""
-    bits = deliverable_bits(problem)
-    by_link = np.floor(bits * (1.0 + 1e-12) / problem.file_bits).astype(int)
-    return np.minimum(np.array(problem.max_files_per_node), by_link)
+    p = problem.p_max_w
+    return _file_caps(
+        problem, [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p) for ch in problem.channels]
+    )
 
 
 def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu, tables=None) -> AllocationResult:
@@ -143,7 +145,8 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     Each of the ``total_files`` files goes, one at a time, to the node whose
     next file costs the least extra energy; on an exact tie the higher node
     index goes first, which gives the lexicographically smallest optimal
-    counts. Each of the M + N prices is one
+    counts. The uplink, the MDS repair and the regenerating repair (one
+    beta-block per helper) all call it. Each of the M + N prices is one
     :meth:`~georelay.waterfill.BreakpointTable.energy` on the node's table;
     the reported powers and energies come from one
     :meth:`~georelay.waterfill.BreakpointTable.solve` per node at the final
@@ -151,13 +154,12 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     outer-approximation solver this replaced: the benchmark calls and traces
     ``oa_solve``.
     """
-    caps = integer_file_caps(problem)
+    tables = [BreakpointTable(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, problem.p_max_w) for ch in problem.channels]
+    caps = _file_caps(problem, [table.full_bits for table in tables])
     if int(caps.sum()) < problem.total_files:
         raise InfeasibleError(
             f"only {int(caps.sum())} files deliverable at P_max, need {problem.total_files}"
         )
-
-    tables = [BreakpointTable(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, problem.p_max_w) for ch in problem.channels]
 
     def energy(n: int, files: int) -> float:
         return tables[n].energy(files * problem.file_bits)

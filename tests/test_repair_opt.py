@@ -54,9 +54,12 @@ def _enumeration_oracle(req):
         except InfeasibleError:
             pass
     return min(
-        (sum(costs[h] for h in subset), subset)
-        for subset in itertools.combinations(req.helpers, req.params.repair_d)
-        if all(h in costs for h in subset)
+        (
+            (sum(costs[h] for h in subset), subset)
+            for subset in itertools.combinations(req.helpers, req.params.repair_d)
+            if all(h in costs for h in subset)
+        ),
+        default=None,
     )
 
 
@@ -93,6 +96,80 @@ def test_cheapest_helpers_skip_an_infeasible_helper(request_ref):
     links[res.helpers[0]] = dataclasses.replace(links[res.helpers[0]], attenuation_db=200.0)
     with pytest.raises(InfeasibleError):
         repair_min_energy(dataclasses.replace(req, links=tuple(links)))
+
+
+def _random_repair_request(base, rng, n_leos, d):
+    """A seeded N-LEO request on ``base``'s constants with D = d at MSR, where
+    a random number of the survivors (up to N - 1 - D) cannot deliver beta
+    files at P_max."""
+    phases = np.concatenate(([0.0], rng.uniform(0.01, 0.25, n_leos - 1)))
+    rng.shuffle(phases)
+    scenario = dataclasses.replace(
+        base.scenario,
+        leos_altitude_m=tuple(rng.uniform(500e3, 1300e3, n_leos)),
+        leos_velocity_mps=tuple(rng.uniform(7200.0, 7600.0, n_leos)),
+        leos_phase_offset_rad=tuple(phases),
+    )
+    links = [
+        dataclasses.replace(base.links[0], carrier_hz=29.5e9 + 0.375e9 * n, attenuation_db=rng.uniform(2.0, 10.0))
+        for n in range(n_leos)
+    ]
+    failed = int(rng.integers(n_leos))
+    survivors = [n for n in range(n_leos) if n != failed]
+    for n in rng.choice(survivors, size=int(rng.integers(n_leos - d)), replace=False):
+        links[n] = dataclasses.replace(links[n], attenuation_db=200.0)
+    k = int(rng.integers(1, d + 1))
+    beta = int(rng.integers(1, 4))
+    alpha = (d - k + 1) * beta
+    params = RegenParams(k * alpha, n_leos, k, d, alpha, beta, base.params.file_bits)
+    return dataclasses.replace(
+        base, scenario=scenario, links=tuple(links), params=params, point=OperatingPoint.MSR, failed_node=failed
+    )
+
+
+@pytest.mark.parametrize("n_leos", range(4, 9))
+def test_regenerating_repair_matches_enumeration_on_random_instances(request_ref, n_leos):
+    """The greedy's D cheapest feasible helpers are the cheapest D-subset, for
+    every D from 2 to N - 1, with some helpers unable to deliver beta files."""
+    rng = np.random.default_rng(n_leos)
+    weak_total = 0
+    for d in range(2, n_leos):
+        req = _random_repair_request(request_ref, rng, n_leos, d)
+        weak = {h for h in req.helpers if req.links[h].attenuation_db == 200.0}
+        best = _enumeration_oracle(req)
+        res = repair_min_energy(req)
+        assert res.allocation.total_energy_j == pytest.approx(best[0], rel=1e-12)
+        assert res.helpers == best[1]
+        assert not weak & set(res.helpers)
+        assert len(res.allocation.energies_j) == d == len(res.allocation.profiles)
+        weak_total += len(weak)
+    assert weak_total > 0
+
+
+def test_exact_tie_goes_to_the_higher_helper_index(request_ref):
+    """Two helpers on identical channels cost exactly the same; the greedy's
+    documented policy sends the tied block to the higher index."""
+    def twin(values):
+        return (values[0], values[0], *values[2:])
+
+    # LEO 1 flies LEO 0's orbit on LEO 0's link, so both see the failed LEO 4 alike
+    sc = request_ref.scenario
+    scenario = dataclasses.replace(
+        sc,
+        leos_altitude_m=twin(sc.leos_altitude_m),
+        leos_velocity_mps=twin(sc.leos_velocity_mps),
+        leos_phase_offset_rad=twin(sc.leos_phase_offset_rad),
+    )
+    params = RegenParams(30, 5, 3, 3, 10, 10, request_ref.params.file_bits)
+    req = dataclasses.replace(request_ref, scenario=scenario, links=twin(request_ref.links), params=params)
+    ch0, ch1 = req.channel(0), req.channel(1)
+    assert np.array_equal(ch0.weights_s, ch1.weights_s) and np.array_equal(ch0.gains_per_w, ch1.gains_per_w)
+    # helpers 2 and 3 are the cheapest; 0 and 1 tie exactly for the third block
+    energy, _ = _enumeration_oracle(req)
+    res = repair_min_energy(req)
+    assert res.helpers == (1, 2, 3)
+    assert res.allocation.total_energy_j == energy
+    assert repair_min_time(req).result.helpers == (1, 2, 3)
 
 
 def test_insufficient_helpers():

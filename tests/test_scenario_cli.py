@@ -100,8 +100,13 @@ def test_cli_schema_error_exit_code(tmp_path):
             "per_node_files 20 and per_helper_files 10 are not the msr point of total_files 30, "
             "reconstruct_k 3 and repair_d 4: alpha 10, beta 5",
         ),
+        (
+            {"total_files": 36, "repair_d": 5, "per_node_files": 12, "per_helper_files": 4},
+            ["code-check", "downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"],
+            "repair_d 5 needs more helpers than the 4 survivors",
+        ),
     ],
-    ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3", "off-point"],
+    ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3", "off-point", "d-5-of-5"],
 )
 def test_cli_inconsistent_code_block_is_a_config_error(tmp_path, capsys, code, commands, message):
     scenario = tmp_path / "code.json"
