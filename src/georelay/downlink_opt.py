@@ -20,7 +20,7 @@ from .errors import InfeasibleError
 from .geometry import geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
 from .link import PowerProfile
-from .waterfill import max_deliverable_bits, solve_cells
+from .waterfill import REL_BIT_TOL, max_deliverable_bits, solve_cells
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -90,7 +90,7 @@ def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResul
         if target == 0:
             powers = np.zeros(ch.n_cells)
         else:
-            if max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) < target * (1 - 1e-12):
+            if target > max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) * (1.0 + REL_BIT_TOL):
                 raise InfeasibleError(f"node {n}: target unreachable at P_max", index=n)
             lo, hi = 0.0, p_max
             for _ in range(200):

@@ -16,24 +16,24 @@ W w_i log2(x / h_i) and the energy as w_i (x - h_i). One sweep over the
 sorted breakpoints gives every w_i, and running sums of those two rises give
 the bits b_i and the energy e_i at every breakpoint, and so the interval
 that brackets the target. On that interval's split the level has a closed
-form,
+form (Palomar & Fonollosa, IEEE TSP 2005), with no tolerance loop: a rise
+above the bracket's foot h_i,
 
-    ln lam = (b ln2 / W - sum_int w_k ln(h_k / ln2)) / sum_int w_k,
+    x = h_i + dx,  dx = h_i (2^r - 1),  r = (b - b_foot) / (W w_i),
 
-with b the target less the saturated cells' bits; it is exact, with no
-tolerance loop (Palomar & Fonollosa, IEEE TSP 2005). When rounding puts the
-closed form outside its bracket, the level is the nearer bracket end.
+with b_foot the bits at the foot. dx is taken through expm1, which keeps its
+digits just above the foot, and is clamped to the bracket, [0, h_i+1 - h_i].
 
 The sort and the sweep depend on the channel and the power cap only, so they
 form one :class:`BreakpointTable` per channel.
 :meth:`BreakpointTable.energy` prices a target b on it in O(log n): a binary
-search for the bracket, then x = h_i 2^((b - b_i) / (W w_i)) clamped to the
-bracket and e_i + w_i (x - h_i). :meth:`BreakpointTable.solve` finds the
-same bracket and returns the powers (split, closed form, clamp and the
-under-delivery check). The file allocator prices every next file of a node
-with ``energy`` and solves each node once, at its final count;
-:func:`solve_cells` is the one-shot form, a table and one solve, with the
-same floats.
+search for the bracket, the rise with the table's b_i as b_foot, and
+e_i + w_i dx. :meth:`BreakpointTable.solve` finds the same bracket, sums
+b_foot on its split and returns the powers (h_i - 1/h_k) + dx, clipped to
+[0, P_max], with the under-delivery check. The file allocator prices every
+next file of a node with ``energy`` and solves each node once, at its final
+count; :func:`solve_cells` is the one-shot form, a table and one solve, with
+the same floats.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ REL_BIT_TOL = 1e-9
 
 
 def cell_bits(weights: np.ndarray, gains: np.ndarray, powers: np.ndarray, bandwidth_hz: float) -> float:
-    return float(np.dot(weights, bandwidth_hz * np.log2(1.0 + powers * gains)))
+    return float(np.dot(weights, np.log1p(powers * gains))) * (bandwidth_hz / LN2)
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,10 @@ class BreakpointTable:
 
     Holds the bits at full power and the stable-sorted breakpoint heights
     with, at each of them, the bits delivered, the energy spent and the
-    interior weight up to the next one.
-    :meth:`energy` prices a target in O(log n): a binary search for its
-    bracket and the level in closed form on it. :meth:`solve` finds the same
-    bracket and returns the powers. :func:`solve_cells` is a table and one
-    solve.
+    interior weight up to the next one. :meth:`energy` prices a target in
+    O(log n) and :meth:`solve` returns its powers; both find the bracket by
+    binary search and the level as one rise above its foot, in
+    :meth:`_rise`. :func:`solve_cells` is a table and one solve.
     """
 
     def __init__(self, weights, gains, bandwidth_hz, p_max):
@@ -129,25 +128,32 @@ class BreakpointTable:
         whose bits reach it, or the top one."""
         return min(int(self.bits.searchsorted(target_bits)), self.bits.size - 1) - 1
 
+    def _rise(self, i, target_bits, foot_bits) -> float:
+        """dx, the level's rise above the foot of bracket i that lifts
+        ``foot_bits`` to ``target_bits``, clamped to the bracket. A target at
+        or above the bits at its top sits at the top, so the rise divides by
+        a positive interior weight: bits[i] < target < bits[i + 1]."""
+        foot, top = float(self.heights[i]), float(self.heights[i + 1])
+        if target_bits >= self.bits[i + 1]:
+            return top - foot
+        rise = (target_bits - foot_bits) / (self.bandwidth_hz * self.w_int[i])
+        # 2^rise - 1 through expm1 keeps its digits just above the foot
+        return min(max(foot * math.expm1(rise * LN2), 0.0), top - foot)
+
     def energy(self, target_bits) -> float:
         """Least energy delivering ``target_bits``: ``solve(target_bits).energy_j``
-        to rounding, in O(log n). A zero, empty or undeliverable target goes
-        to :meth:`solve`, which raises what it raises."""
+        to rounding, in O(log n), with the table's bits as the foot's. A zero,
+        empty or undeliverable target goes to :meth:`solve`, which raises
+        what it raises."""
         if not 0.0 < target_bits <= self.full_bits * (1.0 + REL_BIT_TOL):
             return self.solve(target_bits).energy_j
         i = self._bracket(target_bits)
-        if target_bits >= self.bits[i + 1]:
-            # at the bracket's top, or above the top bracket within tolerance
-            return float(self.e_at[i + 1])
-        # bits[i] < target < bits[i + 1], so some cell is interior and the
-        # level is x = h 2^rise in [h, heights[i + 1]]; x - h through expm1
-        # keeps its digits just above h
-        h, w = self.heights[i], self.w_int[i]
-        rise = (target_bits - self.bits[i]) / (self.bandwidth_hz * w)
-        return float(self.e_at[i] + w * h * math.expm1(rise * LN2))
+        return float(self.e_at[i] + self.w_int[i] * self._rise(i, target_bits, self.bits[i]))
 
     def solve(self, target_bits) -> CellSolution:
-        """Least-energy powers delivering ``target_bits`` on this channel."""
+        """Least-energy powers delivering ``target_bits`` on this channel: the
+        bracket's split, the bits at its foot summed on that split, and the
+        rise of :meth:`_rise` on every interior cell."""
         weights, gains, bandwidth_hz, p_max = self.weights, self.gains, self.bandwidth_hz, self.p_max
         n = weights.size
         if target_bits < 0:
@@ -166,44 +172,28 @@ class BreakpointTable:
                 max_bits=best,
             )
 
-        inv_gain, heights = 1.0 / gains, self.heights
-        top = self._bracket(target_bits) + 1
-        h_lo, h_hi = heights[top - 1], heights[top]
-
-        # the split on the open interval just below h_hi, then the level in
-        # closed form on it
-        zero = inv_gain >= h_hi
-        sat = inv_gain + p_max < h_hi
+        # the split on the open interval above the bracket's foot: no mark
+        # lies inside it, so a cell turning on at the foot is interior, at
+        # power 0 there
+        i = self._bracket(target_bits)
+        inv_gain, foot, top = 1.0 / gains, float(self.heights[i]), float(self.heights[i + 1])
+        zero = inv_gain >= top
+        sat = inv_gain + p_max < top
         interior = ~zero & ~sat
-        level = None
-        rhs = target_bits - float(np.dot(weights[sat], bandwidth_hz * np.log2(1.0 + p_max * gains[sat])))
-        if np.any(interior) and rhs > 0.0:
-            w_int = float(np.sum(weights[interior]))
-            ln_level = (
-                rhs * LN2 / bandwidth_hz
-                - float(np.dot(weights[interior], np.log(gains[interior] / LN2)))
-            ) / w_int
-            level = math.exp(ln_level)
-            raw = level / LN2 - inv_gain
-        if level is None or not (np.array_equal(raw <= 0.0, zero) and np.array_equal(raw >= p_max, sat)):
-            # rounding put the closed form outside its bracket: the level sits
-            # at the bracket end nearer to it. Without a closed form the
-            # saturated cells alone meet the target, from the lower end on.
-            near_lo = level is None or abs(level / LN2 - h_lo) < abs(level / LN2 - h_hi)
-            level = LN2 * (h_lo if near_lo else h_hi)
-            raw = level / LN2 - inv_gain
-        powers = np.clip(raw, 0.0, p_max)
-        powers[zero] = 0.0
-        powers[sat] = p_max
+        # an interior power is raw = x - 1/h_k, summed as (foot - 1/h_k) + dx:
+        # a cell turning on at the foot gets dx itself, with all its digits
+        raw = foot - inv_gain
+        powers = np.where(sat, p_max, 0.0)
+        np.minimum(raw, p_max, out=powers, where=interior)
+        dx = self._rise(i, target_bits, cell_bits(weights, gains, powers, bandwidth_hz))
+        np.minimum(np.add(raw, dx, out=raw), p_max, out=powers, where=interior)
+        level = LN2 * (foot + dx)
 
         delivered = cell_bits(weights, gains, powers, bandwidth_hz)
         if delivered < target_bits * (1.0 - 1e-9):
             raise InternalError("waterfilling under-delivered its bit target")
         energy = float(np.dot(weights, powers))
-        if np.any(interior):
-            resid = float(np.max(np.abs(level / LN2 - inv_gain[interior] - powers[interior])))
-        else:
-            resid = 0.0
+        resid = float(np.max(np.abs(raw - powers), where=interior, initial=0.0))
         return CellSolution(powers, level, zero, sat, delivered, energy, 1, resid)
 
 

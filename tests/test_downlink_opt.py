@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from georelay.downlink_opt import (
+    allocate_for_targets,
     constant_power_baseline,
+    constant_power_for_targets,
     min_energy_downlink,
     min_time_downlink,
 )
 from georelay.errors import InfeasibleError
+from georelay.link import NodeChannel
 from georelay.scenario import build_downlink_request
+from georelay.waterfill import REL_BIT_TOL, max_deliverable_bits
 
 
 @pytest.fixture()
@@ -98,6 +102,17 @@ def test_baseline_equals_waterfilling_on_flat_channel(default_config):
     opt = min_energy_downlink(req)
     base = constant_power_baseline(req)
     assert opt.total_energy_j == pytest.approx(base.total_energy_j, rel=1e-6)
+
+
+def test_baseline_accepts_what_waterfilling_accepts():
+    """A target a hair above the full-power bits, within the waterfill's bit
+    tolerance, is feasible for both: every cell at P_max."""
+    ch = NodeChannel(0.0, 3.0, 1.0, np.ones(3), np.array([1e-3, 2e-3, 4e-3]), 1e6)
+    target = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 10.0) * (1.0 + 0.5 * REL_BIT_TOL)
+    assert allocate_for_targets([ch], [target], 10.0).total_energy_j == pytest.approx(30.0, rel=1e-12)
+    assert constant_power_for_targets([ch], [target], 10.0).total_energy_j == pytest.approx(30.0, rel=1e-12)
+    with pytest.raises(InfeasibleError):
+        constant_power_for_targets([ch], [target * (1.0 + REL_BIT_TOL)], 10.0)
 
 
 def test_infeasibility_names_leos(request_ref):

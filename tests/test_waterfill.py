@@ -5,7 +5,14 @@ import pytest
 
 from georelay.errors import InfeasibleError
 from georelay.link import LinkParams, aggregate_gain, build_channel
-from georelay.waterfill import REL_BIT_TOL, BreakpointTable, CellSolution, max_deliverable_bits, solve_cells
+from georelay.waterfill import (
+    REL_BIT_TOL,
+    BreakpointTable,
+    CellSolution,
+    cell_bits,
+    max_deliverable_bits,
+    solve_cells,
+)
 from oracles import projected_gradient_min_energy, random_cell_problem
 
 LN2 = math.log(2.0)
@@ -329,9 +336,8 @@ def test_energy_on_brackets_with_no_interior_cell():
 
 def test_energy_of_a_tiny_target():
     """Far below the second breakpoint only the best cell k is on, and its
-    energy is w_k (2^(t / (W w_k)) - 1) / h_k. The closed form is the
-    reference here, not ``solve``: its powers x - 1/h_k lose digits to
-    cancellation this close to the foot of the bracket."""
+    energy is w_k (2^(t / (W w_k)) - 1) / h_k, for the price and the
+    powers alike."""
     rng = np.random.default_rng(23)
     w, h, W, _, p_max = random_cell_problem(rng, 20, 40)
     table = BreakpointTable(w, h, W, p_max)
@@ -340,6 +346,34 @@ def test_energy_of_a_tiny_target():
         target = share * table.bits[1]
         exact = w[k] * math.expm1(target * LN2 / (W * w[k])) / h[k]
         assert table.energy(target) == pytest.approx(exact, rel=1e-12, abs=0.0), share
+        assert table.solve(target).energy_j == pytest.approx(exact, rel=1e-12, abs=0.0), share
+
+
+def test_solve_on_tiny_shares_of_full_power():
+    """Targets down to 1e-12 of the full-power bits: the powers rise from the
+    bracket's foot, so none loses its digits to cancellation, the bits they
+    deliver reach the target and their energy is the price."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        w, h, W, _, p_max = random_cell_problem(rng, 1, 60)
+        table = BreakpointTable(w, h, W, p_max)
+        for share in (1e-4, 1e-6, 1e-8, 1e-9, 1e-12):
+            target = share * table.full_bits
+            sol = table.solve(target)
+            assert sol.energy_j == pytest.approx(table.energy(target), rel=1e-12, abs=0.0), share
+            assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
+
+
+def test_cell_bits_at_tiny_snr():
+    """At an SNR x far below 1, log2(1 + x) keeps only the digits of x that
+    survive 1 + x; the bits must follow the series x - x^2/2 + x^3/3."""
+    w = np.array([0.5, 1.0, 2.0])
+    h = np.array([1e-3, 2e-3, 4e-3])
+    W = 1e6
+    for snr in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        x = snr * h / h[0]
+        series = W * float(np.dot(w, x - x**2 / 2 + x**3 / 3)) / LN2
+        assert cell_bits(w, h, x / h, W) == pytest.approx(series, rel=1e-12, abs=0.0), snr
 
 
 def test_energy_refuses_what_solve_refuses():
