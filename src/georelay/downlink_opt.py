@@ -142,7 +142,7 @@ def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
 
     lo = max(0.0, req.entry_s(n) - req.t_start_s)
     unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
-    return floor_horizon(reaches, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
+    return floor_horizon(req, reaches, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
 
 
 def min_time_downlink(req: DownlinkRequest) -> tuple[TimeResult, np.ndarray]:

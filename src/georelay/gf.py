@@ -3,7 +3,13 @@
 Two field families are supported: GF(2^8) under the AES reduction polynomial
 x^8 + x^4 + x^3 + x + 1 (0x11B, log tables built on the primitive element
 0x03), and prime fields GF(p) under modular arithmetic. Elements are stored
-as int64 arrays; all operations are elementwise unless noted.
+as int64 arrays; all operations are elementwise unless noted. GF(2^8)
+multiplies by one fancy index into a 256 x 256 uint8 product table (64 KiB)
+built from the exp/log tables, and its matrix product xor-reduces the table
+entries of every (a_ik, b_kj) pair over k. A prime field's matrix product is
+``(a @ b) % p``, exact in int64 while the inner dimension times (p - 1)^2
+stays below 2^63: at least 2^23 terms for p <= 2^20, where a code needs
+N alpha <= p. Elimination clears a pivot's column with one whole-matrix step.
 """
 
 from __future__ import annotations
@@ -51,15 +57,10 @@ class GaloisField:
 
     def matmul(self, a, b):
         """Matrix product over the field."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for k in range(a.shape[1]):
-            out = self.add(out, self.mul(a[:, k : k + 1], b[k : k + 1, :]))
-        return out
+        raise NotImplementedError
 
     def _eliminate(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Row-reduce in place (copy); returns reduced matrix and pivot columns."""
+        """Row-reduce a copy; returns the reduced matrix and the pivot columns."""
         m = np.array(m, dtype=np.int64)
         rows, cols = m.shape
         pivots: list[int] = []
@@ -67,17 +68,16 @@ class GaloisField:
         for c in range(cols):
             if r == rows:
                 break
-            hits = np.flatnonzero(m[r:, c]) + r
+            hits = np.flatnonzero(m[r:, c])
             if hits.size == 0:
                 continue
-            p = int(hits[0])
+            p = int(hits[0]) + r
             if p != r:
                 m[[r, p]] = m[[p, r]]
             m[r] = self.mul(m[r], self.inv(m[r, c]))
-            others = np.flatnonzero(m[:, c])
-            others = others[others != r]
-            if others.size:
-                m[others] = self.sub(m[others], self.mul(m[others, c : c + 1], m[r : r + 1, :]))
+            factors = m[:, c].copy()
+            factors[r] = 0
+            m = self.sub(m, self.mul(factors[:, None], m[r][None, :]))
             pivots.append(c)
             r += 1
         return m, pivots
@@ -134,6 +134,13 @@ class PrimeField(GaloisField):
         out = np.array([pow(int(v), self.order - 2, self.order) for v in flat], dtype=np.int64)
         return out.reshape(a.shape) if a.shape else np.int64(out[0])
 
+    def matmul(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.shape[1] > (2**63 - 1) // (self.order - 1) ** 2:
+            raise ValueError(f"inner dimension {a.shape[1]} would overflow int64 sums mod {self.order}")
+        return (a @ b) % self.order
+
 
 class GF256(GaloisField):
     def __init__(self):
@@ -148,6 +155,12 @@ class GF256(GaloisField):
         exp[255:510] = exp[0:255]
         self._exp = exp
         self._log = log
+        # table[a, b] = a * b; log sums stay below 510, so int16 indexes hold them
+        log16 = log.astype(np.int16)
+        table = exp.astype(np.uint8)[log16[:, None] + log16[None, :]]
+        table[0, :] = 0
+        table[:, 0] = 0
+        self._table = table
 
     @staticmethod
     def _scalar_mul(a: int, b: int) -> int:
@@ -168,20 +181,20 @@ class GF256(GaloisField):
         return self.add(a, b)
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if np.any(nz):
-            av, bv = np.broadcast_arrays(a, b)
-            out[nz] = self._exp[self._log[av[nz]] + self._log[bv[nz]]]
-        return out
+        return self._table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)].astype(np.int64)
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no inverse")
         return self._exp[255 - self._log[a]]
+
+    def matmul(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.shape[1] != b.shape[0]:
+            raise ValueError("inner dimensions disagree")
+        return np.bitwise_xor.reduce(self._table[a[:, :, None], b[None]], axis=1).astype(np.int64)
 
 
 _GF256_SINGLETON: GF256 | None = None

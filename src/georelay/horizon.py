@@ -16,13 +16,14 @@ horizon that needs more cells than that channel holds builds a new one.
 Each stage minimizes energy at a given horizon, and each minimizes the
 horizon under its budget the same way. The floor T0 is the least horizon at
 which the stage can deliver its traffic at full power; that predicate is
-monotone in the horizon, so T0 is found by growing a bracket and bisecting
-(:func:`floor_horizon`). Beyond T0 the stage's optimal energy decreases in
-the horizon, so a binding energy budget is met by bisecting between T0 and
-``upper_factor * T0``, held at ``MAX_CELLS`` grid steps (:func:`budget_horizon`),
-and every stage reports a :class:`TimeResult`. The uplink, the MDS repair
-and the regenerating repair run both searches through one file-allocation
-wrapper, :func:`georelay.uplink_opt.min_time_solve`; the downlink calls them
+monotone in the horizon, so T0 is found by growing a bracket, held at
+``MAX_CELLS`` grid steps, and bisecting (:func:`floor_horizon`). Beyond T0
+the stage's optimal energy decreases in the horizon, so a binding energy
+budget is met by bisecting between T0 and ``upper_factor * T0``, held at the
+same bound (:func:`budget_horizon`), and every stage reports a
+:class:`TimeResult`. The uplink, the MDS repair and the regenerating repair
+run both searches through one file-allocation wrapper,
+:func:`georelay.uplink_opt.min_time_solve`; the downlink calls them
 directly.
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
@@ -41,8 +42,6 @@ from .errors import InfeasibleError, InternalError
 from .geometry import ConstellationScenario, coverage_entry_time
 from .link import LinkParams, NodeChannel, aggregate_gain, build_channel, grid_cell_count
 
-# bracket doublings before the traffic counts as unreachable in any horizon
-_BRACKET_GROW_LIMIT = 60
 _MAX_BISECTIONS = 200
 # grid cells one channel may hold: the reference scenario's largest channel,
 # a 4 x 600 s budget search at a 0.1 s step, has about 24,000
@@ -142,20 +141,21 @@ class TimeResult:
     energy_at_t0_j: float
 
 
-def floor_horizon(reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
+def floor_horizon(req, reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
     """Least horizon above ``lo`` at which the monotone ``reaches`` holds, from above.
 
-    The bracket end ``hi`` moves to ``lo + 2 (hi - lo)`` until ``reaches(hi)``;
-    after ``_BRACKET_GROW_LIMIT`` such steps the exception ``unreachable`` is
-    raised. Bisection stops once ``hi - lo <= abs_tol + rel_tol * max(hi, 1)``
-    and returns ``hi``, where ``reaches`` holds.
+    The bracket end ``hi`` moves to ``lo + 2 (hi - lo)`` until ``reaches(hi)``,
+    held at ``MAX_CELLS * req.grid_step_s`` as in :func:`budget_horizon`; if
+    ``reaches`` fails there, the exception ``unreachable`` is raised.
+    Bisection stops once ``hi - lo <= abs_tol + rel_tol * max(hi, 1)`` and
+    returns ``hi``, where ``reaches`` holds.
     """
-    grown = 0
+    bound = MAX_CELLS * req.grid_step_s
+    hi = min(hi, bound)
     while not reaches(hi):
-        hi = lo + 2.0 * (hi - lo)
-        grown += 1
-        if grown > _BRACKET_GROW_LIMIT:
+        if hi >= bound:
             raise unreachable
+        hi = min(lo + 2.0 * (hi - lo), bound)
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
             break

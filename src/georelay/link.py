@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .waterfill import cell_bits
+
 LIGHT_SPEED_MPS = 299792458.0
 
 # weights below this fraction of a step are round-off, not a real cell
@@ -117,7 +119,8 @@ class NodeChannel:
     """One node's discretized channel over its transmission window.
 
     ``gains_per_w`` holds L / d^2(t_k) per cell, so SNR = P_k * gains_per_w[k],
-    and :meth:`bits` integrates the Shannon rate W * log2(1 + SNR) over the cells.
+    and :meth:`bits` integrates the Shannon rate W * log2(1 + SNR) over the cells,
+    through ``log1p`` so that a small SNR keeps its digits.
     """
 
     t_start_s: float
@@ -134,12 +137,7 @@ class NodeChannel:
     def bits(self, powers_w) -> float:
         if self.n_cells == 0:
             return 0.0
-        return float(
-            np.dot(
-                self.weights_s,
-                self.bandwidth_hz * np.log2(1.0 + np.asarray(powers_w) * self.gains_per_w),
-            )
-        )
+        return cell_bits(self.weights_s, self.gains_per_w, np.asarray(powers_w), self.bandwidth_hz)
 
     def energy(self, powers_w) -> float:
         if self.n_cells == 0:

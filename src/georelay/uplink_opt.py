@@ -203,7 +203,7 @@ def min_time_solve(req: StageRequest, problem_fn) -> TimeResult:
         return int(integer_file_caps(problem).sum()) >= problem.total_files
 
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
-    t0 = floor_horizon(reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
+    t0 = floor_horizon(req, reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
     return budget_horizon(
         req, lambda horizon: oa_solve(problem_fn(horizon)), lambda result: result.allocation.total_energy_j, t0, 1e-5
     )

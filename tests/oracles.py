@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's solution paths: the energy oracle is
 a first-order primal method (augmented Lagrangian with projected FISTA on
-the box), the combinatorial oracles are plain enumeration, and the file
+the box), the combinatorial oracles are plain enumeration, the file
 allocation oracle is a dynamic program over per-node waterfilling tables
-rather than the library's greedy.
+rather than the library's greedy, and the finite-field oracles are scalar
+Python loops: the GF(2^8) product is the bit-serial shift-and-add, not a
+table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from georelay.errors import InfeasibleError
+from georelay.gf import GF256
 from georelay.uplink_opt import integer_file_caps
 from georelay.waterfill import solve_cells
 
@@ -164,3 +167,67 @@ def dp_solve(problem) -> DpResult:
 def dp_oracle(req) -> DpResult:
     """:func:`dp_solve` on an uplink request's allocation problem."""
     return dp_solve(req.problem())
+
+
+def scalar_field(order):
+    """(add, sub, mul, inv) on Python ints for GF(256) or a prime field."""
+    if order == 256:
+
+        def inv(a):
+            # a^254 = a^-1 in GF(2^8)
+            out = 1
+            for _ in range(254):
+                out = GF256._scalar_mul(out, a)
+            return out
+
+        return (lambda a, b: a ^ b), (lambda a, b: a ^ b), GF256._scalar_mul, inv
+    p = order
+    return (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p), (lambda a, b: a * b % p), (lambda a: pow(a, p - 2, p))
+
+
+def scalar_matmul(order, a, b):
+    """Matrix product of two 2-D arrays by the triple loop over Python ints."""
+    add, _, mul, _ = scalar_field(order)
+    (rows, inner), cols = np.shape(a), np.shape(b)[1]
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            acc = 0
+            for k in range(inner):
+                acc = add(acc, mul(a[i][k], b[k][j]))
+            out[i][j] = acc
+    return out
+
+
+def gauss_jordan(order, m):
+    """Reduced row echelon form of a list-of-rows matrix, and its pivot columns."""
+    _, sub, mul, inv = scalar_field(order)
+    m = [[int(v) for v in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        scale = inv(m[r][c])
+        m[r] = [mul(v, scale) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [sub(v, mul(f, w)) for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def solve_oracle(order, a, b):
+    """("unique", x), ("inconsistent", None) or ("not unique", None) for a x = b."""
+    n = len(a[0])
+    rref, pivots = gauss_jordan(order, [list(row) + [int(v)] for row, v in zip(a, b)])
+    if n in pivots:
+        return "inconsistent", None
+    if len(pivots) < n:
+        return "not unique", None
+    return "unique", [rref[r][n] for r in range(n)]

@@ -3,6 +3,10 @@ import pytest
 
 from georelay.errors import SingularSystemError
 from georelay.gf import GF256, PrimeField, galois_field
+from oracles import gauss_jordan, scalar_matmul, solve_oracle
+
+# the largest prime below MAX_PRIME_ORDER = 2^20
+LARGEST_PRIME = 1048573
 
 
 def test_aes_pinned_products():
@@ -97,3 +101,82 @@ def test_matmul_matches_scalar_reference():
 def test_prime_field_order_guard():
     with pytest.raises(ValueError):
         PrimeField(1048583)  # prime, but beyond the int64-safe limit
+
+
+def test_product_table_equals_scalar_mul_on_all_pairs():
+    f = GF256()
+    assert f._table.dtype == np.uint8 and f._table.shape == (256, 256)
+    want = np.array([[GF256._scalar_mul(a, b) for b in range(256)] for a in range(256)])
+    assert np.array_equal(f._table, want)
+    a = np.arange(256)
+    got = f.mul(a[:, None], a[None, :])
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [256, 257, LARGEST_PRIME])
+def test_matmul_matches_triple_loop(order):
+    f = galois_field(order)
+    rng = np.random.default_rng(order)
+    shapes = [(1, 1, 1), (4, 3, 2), (7, 9, 1), (30, 15, 1), (5, 12, 6), (3, 0, 2)]
+    for rows, inner, cols in shapes:
+        a = rng.integers(0, order, size=(rows, inner))
+        b = rng.integers(0, order, size=(inner, cols))
+        got = f.matmul(a, b)
+        assert got.dtype == np.int64 and got.shape == (rows, cols)
+        assert got.tolist() == scalar_matmul(order, a, b)
+    # the largest element over a long inner dimension: (p-1)^2 sums stay exact
+    top = np.full((2, 3000), order - 1)
+    got = f.matmul(top, top.T)
+    assert got.tolist() == scalar_matmul(order, top, top.T)
+
+
+def test_prime_matmul_is_exact_up_to_the_int64_bound():
+    p = LARGEST_PRIME
+    f = galois_field(p)
+    inner = (2**63 - 1) // (p - 1) ** 2
+    assert inner >= 2**23
+    # zero-stride views: no memory for the long inner dimension
+    a = np.broadcast_to(np.int64(p - 1), (1, inner))
+    b = np.broadcast_to(np.int64(p - 1), (inner, 1))
+    assert int(f.matmul(a, b)[0, 0]) == inner * (p - 1) ** 2 % p
+    a = np.broadcast_to(np.int64(p - 1), (1, inner + 1))
+    b = np.broadcast_to(np.int64(p - 1), (inner + 1, 1))
+    with pytest.raises(ValueError, match="overflow"):
+        f.matmul(a, b)
+
+
+def _systems(order, seed, count):
+    """Random, rank-deficient and inconsistent systems (a, b)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        a = rng.integers(0, order, size=(rows, cols))
+        if i % 3 == 1:
+            # rank at most r: a product through an r-wide middle
+            r = int(rng.integers(0, min(rows, cols)))
+            a = np.array(scalar_matmul(order, rng.integers(0, order, size=(rows, r)), rng.integers(0, order, size=(r, cols))))
+        if i % 2:
+            b = rng.integers(0, order, size=rows)
+        else:
+            x = rng.integers(0, order, size=(cols, 1))
+            b = np.array(scalar_matmul(order, a, x)).reshape(-1)
+        yield a, b
+
+
+@pytest.mark.parametrize("order", [256, 257])
+def test_rank_and_solve_match_gauss_jordan_oracle(order):
+    f = galois_field(order)
+    outcomes = set()
+    for a, b in _systems(order, 11 + order, 300):
+        rref, pivots = gauss_jordan(order, a.tolist())
+        assert f.rank(a) == len(pivots)
+        reduced, got_pivots = f._eliminate(a)
+        assert got_pivots == pivots and reduced.tolist() == rref
+        status, x = solve_oracle(order, a.tolist(), b.tolist())
+        outcomes.add(status)
+        if status == "unique":
+            assert f.solve(a, b).tolist() == x
+        else:
+            with pytest.raises(SingularSystemError, match=status):
+                f.solve(a, b)
+    assert outcomes == {"unique", "inconsistent", "not unique"}

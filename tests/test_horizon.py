@@ -7,13 +7,17 @@ from georelay import horizon, link
 from georelay.cli import main
 from georelay.downlink_opt import min_time_downlink
 from georelay.errors import InfeasibleError, InternalError
-from georelay.horizon import _BRACKET_GROW_LIMIT, MAX_CELLS, budget_horizon, floor_horizon
+from georelay.horizon import MAX_CELLS, budget_horizon, floor_horizon
 from georelay.repair_opt import repair_min_time
 from georelay.scenario import build_downlink_request, build_repair_request, build_uplink_request, resolve_config
 from georelay.uplink_opt import min_time_uplink
 
 
-def test_floor_raises_unreachable_after_the_grow_limit():
+def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch):
+    """The bracket doubles up to MAX_CELLS grid steps, no further; a floor
+    at that bound is still found."""
+    monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
+    req = SimpleNamespace(grid_step_s=0.5)
     calls = []
 
     def never(horizon):
@@ -22,10 +26,16 @@ def test_floor_raises_unreachable_after_the_grow_limit():
 
     unreachable = InfeasibleError("unreachable")
     with pytest.raises(InfeasibleError) as exc:
-        floor_horizon(never, 0.0, 1.0, 1e-6, 0.0, unreachable)
+        floor_horizon(req, never, 0.0, 1.0, 1e-6, 0.0, unreachable)
     assert exc.value is unreachable
-    assert len(calls) == _BRACKET_GROW_LIMIT + 1
-    assert calls[-1] == 2.0**_BRACKET_GROW_LIMIT
+    assert calls == [2.0**k for k in range(11)] + [1500.0]
+    t0 = floor_horizon(req, lambda horizon: horizon >= 1500.0, 0.0, 1.0, 1e-6, 0.0, unreachable)
+    assert 1500.0 - 1e-6 <= t0 <= 1500.0
+    # a search that starts past the bound tries the bound alone
+    calls.clear()
+    with pytest.raises(InfeasibleError):
+        floor_horizon(req, never, 1600.0, 1600.5, 0.0, 1e-12, unreachable)
+    assert calls == [1500.0]
 
 
 @pytest.mark.parametrize(
@@ -40,7 +50,7 @@ def test_floor_brackets_the_threshold_within_tolerance(threshold, lo, hi, abs_to
     def reaches(horizon):
         return horizon >= threshold
 
-    t0 = floor_horizon(reaches, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
+    t0 = floor_horizon(SimpleNamespace(grid_step_s=1.0), reaches, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
     tol = abs_tol + rel_tol * max(t0, 1.0)
     assert reaches(t0)
     assert not reaches(t0 - tol)

@@ -78,8 +78,10 @@ def test_rate_values():
 def test_rate_snr_round_trip():
     p = make_params()
     gain = aggregate_gain(p)
-    for power, d in ((3.0, 1e7), (40.0, 3.7e7), (0.5, 2e6)):
-        closed = p.bandwidth_hz * math.log2(1.0 + power * gain / d**2)
+    # the last power gives an SNR of 1e-14, where 1 + SNR keeps about two digits
+    tiny = 1e-14 * 1e7**2 / gain
+    for power, d in ((3.0, 1e7), (40.0, 3.7e7), (0.5, 2e6), (tiny, 1e7)):
+        closed = p.bandwidth_hz * math.log1p(power * gain / d**2) / math.log(2.0)
         assert constant_channel(p, d).bits(np.full(1, power)) == pytest.approx(closed, rel=1e-12)
 
 
@@ -114,7 +116,7 @@ def test_delivered_bits_constant_channel_closed_form():
     power = 25.0
     span = 240.0
     ch = constant_channel(p, d, span_s=span)
-    expected = span * p.bandwidth_hz * math.log2(1.0 + power * aggregate_gain(p) / d**2)
+    expected = span * p.bandwidth_hz * math.log1p(power * aggregate_gain(p) / d**2) / math.log(2.0)
     got = ch.bits(np.full(240, power))
     assert got == pytest.approx(expected, rel=1e-12)
 

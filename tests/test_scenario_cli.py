@@ -152,24 +152,34 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+_UNREACHABLE_BITS = {"code": {"file_bits": 1e16}}
+
+
 @pytest.mark.parametrize(
-    "args, code, message",
+    "args, user, code, message",
     [
-        (["downlink-energy", "--dt", "1e-7"], 2, "scenario invalid: horizon 600 s needs more than 1000000 grid cells"),
-        (["uplink-time", "--pmax", "1e-6"], 3, "infeasible: a 1.04838e+06 s window needs more than 1000000 grid cells"),
-        (["downlink-time", "--pmax", "1e-6"], 3, "infeasible: a 1.04858e+06 s window needs more than 1000000 grid cells"),
+        (["downlink-energy", "--dt", "1e-7"], {}, 2, "scenario invalid: horizon 600 s needs more than 1000000 grid cells"),
+        (["uplink-time", "--pmax", "1e-6"], {}, 3, "infeasible: file total unreachable within the horizon search bound"),
+        (["downlink-time", "--pmax", "1e-6"], {}, 3, "infeasible: LEO 0: bit target unreachable in any horizon"),
+        (["uplink-time"], _UNREACHABLE_BITS, 3, "infeasible: file total unreachable within the horizon search bound"),
+        (["downlink-time"], _UNREACHABLE_BITS, 3, "infeasible: LEO 0: bit target unreachable in any horizon"),
     ],
-    ids=["grid-step", "uplink-floor", "downlink-floor"],
+    ids=["grid-step", "uplink-floor", "downlink-floor", "uplink-file-bits", "downlink-file-bits"],
 )
-def test_cli_grid_cell_bound(tmp_path, args, code, message):
+def test_cli_grid_cell_bound(tmp_path, args, user, code, message):
     """A grid that would hold more than MAX_CELLS cells per channel ends in exit 2 or 3.
 
-    The call runs in a process capped at 2 GiB of address space: without the
-    bound these calls ask for 67 M to 4 G cells, so a regression fails the
-    test rather than exhausting the host's memory.
+    A floor search stops at MAX_CELLS grid steps with its stage's own
+    unreachable message. The call runs in a process capped at 2 GiB of
+    address space: without the bound these calls ask for 67 M to 4 G cells,
+    so a regression fails the test rather than exhausting the host's memory.
     """
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    out.mkdir()
     proc = subprocess.run(
-        [sys.executable, "-m", "georelay.cli", *args, "--out", str(tmp_path)],
+        [sys.executable, "-m", "georelay.cli", *args, "--scenario", str(scenario), "--out", str(out)],
         capture_output=True,
         text=True,
         preexec_fn=_cap_address_space,
@@ -177,7 +187,7 @@ def test_cli_grid_cell_bound(tmp_path, args, code, message):
     )
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
-    assert not list(tmp_path.iterdir())
+    assert not list(out.iterdir())
 
 
 def test_cli_infeasible_exit_code(tmp_path):
