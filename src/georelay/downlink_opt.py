@@ -3,8 +3,8 @@
 The energy problem decouples into independent per-LEO waterfilling solves
 because the bit constraints share no variables. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
-optimum T0, and a binding energy budget is handled by bisecting the horizon
-against the optimal-energy curve, which decreases in the horizon. The
+optimum T0, and a binding energy budget is handled by an ITP search of the
+horizon against the optimal-energy curve, which decreases in the horizon. The
 request, both searches and the time result are the shared ones in
 :mod:`georelay.horizon`; the per-LEO floors are this stage's one extra output.
 """
@@ -137,8 +137,7 @@ def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
         return 0.0
 
     def reaches(horizon):
-        ch = req.channel(n, horizon)
-        return max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w) >= target
+        return req.bits_ceiling(n, horizon) >= target and req.full_bits(n, horizon) >= target
 
     lo = max(0.0, req.entry_s(n) - req.t_start_s)
     unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
@@ -149,7 +148,7 @@ def min_time_downlink(req: DownlinkRequest) -> tuple[TimeResult, np.ndarray]:
     """Minimize the transmission horizon subject to the total-energy budget.
 
     With a slack budget the answer is T0 = max_n T_n0 (every LEO at full power
-    meets its target within T0); otherwise the horizon is bisected until the
+    meets its target within T0); otherwise the horizon is searched until the
     optimal energy matches the budget within ``req.energy_rel_tol``. The
     per-LEO floors T_n0 come back next to the time result.
     """

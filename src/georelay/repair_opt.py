@@ -50,6 +50,10 @@ class RepairRequest(StageRequest):
     def distance(self, n: int, t):
         return inter_leos_distance(self.scenario, n, self.failed_node, t)
 
+    def radii(self, n: int) -> tuple[float, float]:
+        radius = self.scenario.leos_radius_m
+        return radius[n], radius[self.failed_node]
+
 
 @dataclass(frozen=True)
 class RepairResult:
@@ -125,10 +129,10 @@ def repair_min_time(req: RepairRequest) -> TimeResult:
     The floor is the smallest horizon at which D helpers each deliver beta
     files at full power.
     """
-    res = min_time_solve(req, lambda horizon: _regen_problem(req, horizon))
+    res = min_time_solve(req, lambda horizon: _regen_problem(req, horizon), req.helpers)
     return replace(res, result=_regen_result(req, res.result))
 
 
 def mds_repair_min_time(req: RepairRequest) -> TimeResult:
     """MDS-baseline horizon minimization over the surviving nodes."""
-    return min_time_solve(req, lambda horizon: _mds_problem(req, horizon))
+    return min_time_solve(req, lambda horizon: _mds_problem(req, horizon), req.helpers)

@@ -14,10 +14,10 @@ priced on the tables in O(log n) each, a heap, and one waterfill per node at
 the final counts; the test suite checks it against an exact dynamic program
 over the per-node energy tables. Time minimization (:func:`min_time_solve`)
 bisects the horizon against the floor-valued full-power file-count step
-function and then, under a binding budget, against the optimal energy (both
-through :mod:`georelay.horizon`). The uplink, the MDS repair and the
-regenerating repair (D blocks of beta files, at most one per helper) are
-such problems and use both solves.
+function and then, under a binding budget, runs an ITP search against the
+optimal energy (both through :mod:`georelay.horizon`). The uplink, the MDS
+repair and the regenerating repair (D blocks of beta files, at most one per
+helper) are such problems and use both solves.
 
 The greedy is the only allocator. :func:`solve_nlpr` and
 :func:`solve_oa_master` are stubs that raise: the benchmark's tracer
@@ -112,9 +112,10 @@ class UplinkResult:
 
 
 def _file_caps(problem: FileAllocationProblem, full_bits) -> np.ndarray:
-    """Per-node file caps from storage and each node's bits at full power."""
-    by_link = np.floor(np.asarray(full_bits) * (1.0 + 1e-12) / problem.file_bits).astype(int)
-    return np.minimum(np.array(problem.max_files_per_node), by_link)
+    """Per-node file caps from storage and each node's bits at full power
+    (an infinite bound leaves the storage cap)."""
+    by_link = np.floor(np.asarray(full_bits) * (1.0 + 1e-12) / problem.file_bits)
+    return np.minimum(np.array(problem.max_files_per_node), by_link).astype(int)
 
 
 def integer_file_caps(problem: FileAllocationProblem) -> np.ndarray:
@@ -188,19 +189,28 @@ def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
     return oa_solve(req.problem())
 
 
-def min_time_solve(req: StageRequest, problem_fn) -> TimeResult:
+def min_time_solve(req: StageRequest, problem_fn, nodes) -> TimeResult:
     """Horizon minimization for any ``horizon -> FileAllocationProblem`` builder.
 
     The unconstrained floor T0 is the smallest horizon whose full-power
-    integer file counts cover the problem's file total; a binding budget is
-    handled by bisecting the horizon against the optimal energy, decreasing
-    in T. ``req`` (an uplink or repair request) supplies the budget, the
-    grid step and the search settings.
+    integer file counts cover the problem's file total, with ``nodes`` (the
+    request's node of each problem channel) giving each node's
+    :meth:`~georelay.horizon.StageRequest.full_bits` and no channel cut. The
+    storage caps and the file size do not depend on the horizon, so they are
+    read once, from the problem at horizon 0, which has no cells. A binding
+    budget is handled by an ITP search of the horizon against the optimal
+    energy, decreasing in T. ``req`` (an uplink or repair request) supplies
+    the budget, the grid step and the search settings.
     """
+    spec = problem_fn(0.0)
+
+    def covers(bits) -> bool:
+        return int(_file_caps(spec, bits).sum()) >= spec.total_files
 
     def reaches(horizon: float) -> bool:
-        problem = problem_fn(horizon)
-        return int(integer_file_caps(problem).sum()) >= problem.total_files
+        return covers([req.bits_ceiling(n, horizon) for n in nodes]) and covers(
+            [req.full_bits(n, horizon) for n in nodes]
+        )
 
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
     t0 = floor_horizon(req, reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
@@ -211,7 +221,7 @@ def min_time_solve(req: StageRequest, problem_fn) -> TimeResult:
 
 def min_time_uplink(req: UplinkRequest) -> TimeResult:
     """Minimize the uplink horizon subject to the network energy budget."""
-    return min_time_solve(req, req.problem)
+    return min_time_solve(req, req.problem, range(req.scenario.n_leos))
 
 
 def solve_nlpr(*args, **kwargs):

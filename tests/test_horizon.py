@@ -1,16 +1,20 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from georelay import horizon, link
+from georelay import downlink_opt, horizon, link, uplink_opt
 from georelay.cli import main
 from georelay.downlink_opt import min_time_downlink
 from georelay.errors import InfeasibleError, InternalError
-from georelay.horizon import MAX_CELLS, budget_horizon, floor_horizon
-from georelay.repair_opt import repair_min_time
+from georelay.geometry import rotation_angle
+from georelay.horizon import MAX_CELLS, StageRequest, budget_horizon, floor_horizon
+from georelay.repair_opt import mds_repair_min_time, repair_min_time
 from georelay.scenario import build_downlink_request, build_repair_request, build_uplink_request, resolve_config
 from georelay.uplink_opt import min_time_uplink
+from georelay.waterfill import max_deliverable_bits
 
 
 def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch):
@@ -217,3 +221,242 @@ def test_cell_check_passes_at_the_bound_despite_rounding(monkeypatch, default_co
     assert req.channel(0, bound).n_cells == 3000
     with pytest.raises(InfeasibleError, match="more than 3000 grid cells"):
         req.channel(0, bound + dt)
+
+
+def _counted(solve):
+    calls = []
+
+    def counted(horizon):
+        calls.append(horizon)
+        return solve(horizon)
+
+    return counted, calls
+
+
+def _bisection_steps(req, t0, rel_tol):
+    """Solves bisection takes inside the budget bracket of ``budget_horizon``."""
+    hi = min(req.upper_factor * t0, MAX_CELLS * req.grid_step_s)
+    return math.ceil(math.log2((hi - t0) / (rel_tol * max(t0, 1.0))))
+
+
+def _staircase(horizon):
+    # 2 J down per whole second past 10 s: flat between the steps
+    return {"energy": 100.0 - 2.0 * math.floor(horizon - 10.0)}
+
+
+def _flat_in_places(horizon):
+    # 1000 / T, held at 1000 / 15 from 15 s to 22 s, then 1000 / (T - 7)
+    return {"energy": 1000.0 / (min(horizon, 15.0) + max(horizon - 22.0, 0.0))}
+
+
+def _least_flat_horizon(e_max):
+    g = 1000.0 / e_max
+    return g if g <= 15.0 else g + 7.0
+
+
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-7])
+@pytest.mark.parametrize(
+    "solve, budgets, least",
+    [
+        (_solve, np.linspace(25.5, 99.5, 23), lambda e_max: 1000.0 / e_max),
+        (_staircase, [98.0, 90.0, 64.0, 50.0, 42.0], lambda e_max: 10.0 + (100.0 - e_max) / 2.0),
+        (_flat_in_places, np.linspace(30.5, 99.5, 23), _least_flat_horizon),
+    ],
+    ids=["smooth", "staircase", "flat-in-places"],
+)
+def test_itp_takes_at_most_one_solve_more_than_bisection(solve, budgets, least, rel_tol):
+    """ITP keeps bisection's worst case within one solve on smooth, stepped
+    and partly flat energy curves, and returns the feasible end of a bracket
+    no wider than the stop width."""
+    t0 = 10.0
+    tol = rel_tol * t0
+    for e_max in budgets:
+        req = _req(float(e_max))
+        counted, calls = _counted(solve)
+        res = budget_horizon(req, counted, _energy, t0, rel_tol)
+        assert len(calls) - 2 <= _bisection_steps(req, t0, rel_tol) + 1, e_max
+        assert res.budget_bound and _energy(res.result) <= e_max
+        assert res.result == solve(res.duration_s)
+        want = least(float(e_max))
+        assert want - 1e-12 * want <= res.duration_s <= want + tol, e_max
+
+
+def test_itp_beats_bisection_on_the_smooth_curve():
+    for e_max in np.linspace(25.5, 99.5, 23):
+        counted, calls = _counted(_solve)
+        budget_horizon(_req(float(e_max)), counted, _energy, 10.0, 1e-7)
+        assert len(calls) - 2 <= 8 < _bisection_steps(_req(e_max), 10.0, 1e-7)
+
+
+def test_itp_on_a_missed_step_still_stops_within_the_bound():
+    # a budget between two steps is missed (InternalError), after no more
+    # solves than bisection + 1
+    counted, calls = _counted(_staircase)
+    with pytest.raises(InternalError, match="missed the energy budget"):
+        budget_horizon(_req(51.0), counted, _energy, 10.0, 1e-5)
+    assert len(calls) - 2 <= _bisection_steps(_req(51.0), 10.0, 1e-5) + 1
+
+
+_REFERENCE_BUDGET_CALLS = (
+    ["downlink-time", "--emax", "21500", "--dt", "0.1"],
+    ["uplink-time", "--emax", "190000", "--dt", "0.5"],
+    ["repair", "--emax", "3000", "--dt", "1"],
+)
+
+
+def test_reference_budget_calls_take_fewer_solves(monkeypatch, tmp_path):
+    """The budget-bound CLI calls at the benchmark's grid steps: no search
+    takes more than bisection + 1 solves, the downlink at dt 0.1 takes at
+    most 12 (bisection: 27), and all together take fewer than bisection."""
+    searches = []  # (command, solves, bisection's solves)
+
+    def counting(req, solve, energy, t0, rel_tol):
+        counted, calls = _counted(solve)
+        try:
+            return budget_horizon(req, counted, energy, t0, rel_tol)
+        finally:
+            searches.append((command, len(calls), 2 + _bisection_steps(req, t0, rel_tol)))
+
+    monkeypatch.setattr(downlink_opt, "budget_horizon", counting)
+    monkeypatch.setattr(uplink_opt, "budget_horizon", counting)
+    for args in _REFERENCE_BUDGET_CALLS:
+        command = args[0]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+    assert [c for c, _, _ in searches] == ["downlink-time", "uplink-time", "repair", "repair"]
+    for command, solves, bisection in searches:
+        assert solves <= bisection + 1, command
+    assert searches[0][1] <= 12 < searches[0][2]
+    assert sum(s for _, s, _ in searches) < sum(b for _, _, b in searches)
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=["downlink", "uplink", "repair"])
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+def test_full_bits_equals_the_full_power_bits_of_the_cut(monkeypatch, default_config, build, dt):
+    """full_bits(n, T) is max_deliverable_bits of channel(n, T) within 1e-14
+    relative: random horizons, empty and one-cell windows, windows of whole
+    grid steps, and a horizon past the longest channel, which rebuilds it."""
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return link.build_channel(*args)
+
+    monkeypatch.setattr(horizon, "build_channel", counted)
+    req = dataclasses.replace(build(default_config), grid_step_s=dt, t_start_s=133.0)
+    nodes = getattr(req, "helpers", range(req.scenario.n_leos))
+    rng = np.random.default_rng(11)
+    seen_cells = set()
+
+    def check(n, h):
+        ch = req.channel(n, h)
+        want = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w)
+        got = req.full_bits(n, h)
+        assert abs(got - want) <= 1e-14 * want, (n, h, ch.n_cells)
+        seen_cells.add(ch.n_cells)
+
+    for n in nodes:
+        opens = req.window(n, 0.0)[0] - req.t_start_s  # the horizon at which node n's window opens
+        horizons = [0.0, opens + dt / 3, opens + dt, opens + 37 * dt, opens + 250 * dt]
+        horizons += [opens + 37.4 * dt] + list(rng.uniform(0.0, opens + 400 * dt, 12))
+        for h in horizons:
+            check(n, h)
+    assert {0, 1, 37, 250} <= seen_cells
+    # past the longest channel: each node's channel and prefix are rebuilt
+    before = len(builds)
+    for n in nodes:
+        prefix = req._full_prefix[n]
+        check(n, req.window(n, 0.0)[0] - req.t_start_s + 1000.5 * dt)
+        assert req._full_prefix[n] is not prefix and req._longest[n].n_cells == 1001
+        check(n, req.window(n, 0.0)[0] - req.t_start_s + 600 * dt)
+    assert len(builds) == before + len(nodes)
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=["downlink", "uplink", "repair"])
+def test_bits_ceiling_bounds_the_full_power_bits(default_config, build):
+    req = dataclasses.replace(build(default_config), grid_step_s=0.5)
+    nodes = getattr(req, "helpers", range(req.scenario.n_leos))
+    for h in [0.0, 0.3, 1.0, 7.0, 50.0, 333.3, 2000.0]:
+        for n in nodes:
+            full = req.full_bits(n, h)
+            ceiling = req.bits_ceiling(n, h)
+            assert full <= ceiling < math.inf
+            assert ceiling == 0.0 or full > 1e-3 * ceiling
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_bits_ceiling_holds_at_the_least_distance(default_config, n):
+    """One 1 ms cell centred where LEO n passes under GEO 2, at the link's
+    least distance: the ceiling still bounds the bits, within 1e-6."""
+    req = build_uplink_request(default_config)
+    scenario = req.scenario
+    rate = scenario.leos_velocity_mps[n] / scenario.leos_radius_m[n]
+    aligned = (math.pi - float(rotation_angle(scenario, n, 0.0))) / rate
+    dt = 1e-3
+    req = dataclasses.replace(req, t_start_s=aligned - dt / 2, grid_step_s=dt)
+    assert req.distance(n, np.array([aligned]))[0] == pytest.approx(scenario.geos_radius_m - scenario.leos_radius_m[n])
+    full = req.full_bits(n, dt)
+    assert full <= req.bits_ceiling(n, dt) <= full * (1.0 + 1e-6)
+
+
+def test_bits_ceiling_is_infinite_between_leos_of_one_radius(default_config):
+    req = build_repair_request(default_config)
+    same = dataclasses.replace(req.scenario, leos_altitude_m=(500.0e3,) * req.scenario.n_leos)
+    req = dataclasses.replace(req, scenario=same)
+    assert all(req.bits_ceiling(n, 10.0) == math.inf for n in req.helpers)
+    # no bound, so the floor search runs on the full-power bits alone
+    assert repair_min_time(req).floor_s > 0 and mds_repair_min_time(req).floor_s > 0
+
+
+def test_floor_searches_cut_no_channel(monkeypatch):
+    cuts = []
+    floors = []
+    channel = StageRequest.channel
+
+    def counted_channel(self, n, horizon_s=None):
+        cuts.append((n, horizon_s))
+        return channel(self, n, horizon_s)
+
+    def counted_floor(*args):
+        before = len(cuts)
+        try:
+            return floor_horizon(*args)
+        finally:
+            floors.append(len(cuts) - before)
+
+    monkeypatch.setattr(StageRequest, "channel", counted_channel)
+    monkeypatch.setattr(downlink_opt, "floor_horizon", counted_floor)
+    monkeypatch.setattr(uplink_opt, "floor_horizon", counted_floor)
+    for dt in (1.0, 0.1):
+        config = resolve_config({"solver": {"grid_step_s": dt}})
+        min_time_downlink(build_downlink_request(config))
+        min_time_uplink(build_uplink_request(config))
+        repair = build_repair_request(config)
+        repair_min_time(repair)
+        mds_repair_min_time(repair)
+    assert len(floors) == 2 * (5 + 3) and cuts
+    assert floors == [0] * len(floors)
+
+
+@pytest.mark.parametrize(
+    "user", [{"code": {"file_bits": 1e16}}, {"downlink": {"p_max_w": 1e-6}, "uplink": {"p_max_w": 1e-6}}]
+)
+def test_unreachable_floor_builds_no_channel_past_the_request(monkeypatch, user):
+    """A target that no horizon within MAX_CELLS grid steps can reach is
+    refused by the closed-form ceiling, before any channel longer than the
+    request's own horizon is built."""
+    cells = []
+
+    def counted(*args):
+        ch = link.build_channel(*args)
+        cells.append(ch.n_cells)
+        return ch
+
+    monkeypatch.setattr(horizon, "build_channel", counted)
+    config = resolve_config(user)
+    down, up = build_downlink_request(config), build_uplink_request(config)
+    with pytest.raises(InfeasibleError, match="LEO 0: bit target unreachable in any horizon"):
+        min_time_downlink(down)
+    with pytest.raises(InfeasibleError, match="file total unreachable within the horizon search bound"):
+        min_time_uplink(up)
+    own = max(down.horizon_s / down.grid_step_s, up.horizon_s / up.grid_step_s)
+    assert max(cells, default=0) <= own
