@@ -19,22 +19,32 @@ A floor search asks a node only for its full-power bits, which
 longest channel and the recomputed last cell, with no cut. Before that it
 asks :meth:`StageRequest.bits_ceiling`, a closed-form bound from the link's
 least distance, so a target no horizon within ``MAX_CELLS`` grid steps can
-reach is refused before any long channel is built.
+reach is refused before any long channel is built. Its dual,
+:meth:`StageRequest.energy_per_bit`, bounds the energy of every bit from
+below, so :func:`refuse_budget_below_floor` refuses a budget no horizon can
+meet before any channel is built at all.
 
 Each stage minimizes energy at a given horizon, and each minimizes the
 horizon under its budget the same way. The floor T0 is the least horizon at
-which the stage can deliver its traffic at full power; that predicate is
-monotone in the horizon, so T0 is found by growing a bracket, held at
-``MAX_CELLS`` grid steps, and bisecting (:func:`floor_horizon`). Beyond T0
-the stage's optimal energy decreases in the horizon, so a binding energy
-budget is met by an ITP search (interpolate, truncate, project; Oliveira &
-Takahashi, ACM TOMS 47(1), 2020) between T0 and ``upper_factor * T0``, held
-at the same bound (:func:`budget_horizon`). It converges superlinearly where
-the energy is smooth and never takes more than one solve beyond bisection.
-Every stage reports a :class:`TimeResult`. The uplink, the MDS repair and
-the regenerating repair run both searches through one file-allocation
-wrapper, :func:`georelay.uplink_opt.min_time_solve`; the downlink calls them
-directly.
+which the stage can deliver its traffic at full power. A node reaches an
+amount of bits at one threshold horizon, :meth:`StageRequest.reach_horizon`:
+a bracket grown until the full-power bits reach it, held at ``MAX_CELLS``
+grid steps, the cell that holds the threshold read off the prefix with one
+``searchsorted``, and an Illinois-type secant inside that cell, where the
+bits are smooth in the horizon. The downlink's T0 is the largest of its
+LEOs' thresholds for their traffic; the uplink's and the repairs' is the
+F-th least threshold of k files on node n, k up to its storage cap, with F
+the file total (:func:`floor_horizon`).
+
+Beyond T0 the stage's optimal energy decreases in the horizon, so a binding
+energy budget is met by an ITP search (interpolate, truncate, project;
+Oliveira & Takahashi, ACM TOMS 47(1), 2020) between T0 and
+``upper_factor * T0``, held at the same bound (:func:`budget_horizon`). It
+converges superlinearly where the energy is smooth and never takes more than
+one solve beyond bisection. Every stage reports a :class:`TimeResult`. The
+uplink, the MDS repair and the regenerating repair run both searches through
+one file-allocation wrapper, :func:`georelay.uplink_opt.min_time_solve`;
+the downlink calls them directly.
 
 The stages pass their own tolerances (downlink 1e-12 relative on the floor
 and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair
@@ -187,24 +197,115 @@ class StageRequest:
         last = weight * np.log1p(self.p_max_w * gain[0])
         return float(prefix[cells - 1] + last) * (self.links[n].bandwidth_hz / LN2)
 
+    def _gain_ceiling(self, n: int) -> float:
+        """An upper bound on node n's gain L / d^2: no distance on the link
+        falls below d_min = |r1 - r2| of its :meth:`radii`. The radicand
+        gives up 1e-12 (r1^2 + r2^2) for the rounding of the distance near
+        alignment; equal radii give no bound (infinity)."""
+        r1, r2 = self.radii(n)
+        d2_min = (r1 - r2) ** 2 - 1e-12 * (r1 * r1 + r2 * r2)
+        return aggregate_gain(self.links[n]) / d2_min if d2_min > 0.0 else math.inf
+
     def bits_ceiling(self, n: int, horizon_s: float | None = None) -> float:
         """An upper bound on :meth:`full_bits`, with no channel built.
 
-        No distance on a link falls below d_min = |r1 - r2| of its
-        :meth:`radii`, so the full-power bits are at most
-        W T log2(1 + p_max L / d_min^2) over a window of length T. The
-        radicand gives up 1e-12 (r1^2 + r2^2) for the rounding of the
-        distance near alignment, and the length 1e-9 for the sum of the cell
-        weights; equal radii give no bound (infinity).
+        The full-power bits are at most W T log2(1 + p_max h_max) over a
+        window of length T, with h_max the gain ceiling; the length gives up
+        1e-9 for the sum of the cell weights.
         """
         start, end = self.window(n, horizon_s)
-        r1, r2 = self.radii(n)
-        d2_min = (r1 - r2) ** 2 - 1e-12 * (r1 * r1 + r2 * r2)
-        if d2_min <= 0.0:
+        gain = self._gain_ceiling(n)
+        if gain == math.inf:
             return math.inf
-        link = self.links[n]
-        snr = self.p_max_w * aggregate_gain(link) / d2_min
-        return link.bandwidth_hz * (end - start) * (1.0 + 1e-9) * math.log1p(snr) / LN2
+        snr = self.p_max_w * gain
+        return self.links[n].bandwidth_hz * (end - start) * (1.0 + 1e-9) * math.log1p(snr) / LN2
+
+    def energy_per_bit(self, n: int) -> float:
+        """A lower bound on the energy of one bit over node n's link, at any
+        power and horizon: ln 2 / (W h_max), the dual of :meth:`bits_ceiling`,
+        as log1p(x) <= x bounds every cell's bits by W w P h_max / ln 2."""
+        return LN2 / (self.links[n].bandwidth_hz * self._gain_ceiling(n))
+
+    def _reach_cells(self, n: int, bits):
+        """For each amount in ``bits``, the cell count c at which node n's
+        full-power prefix first reaches it, and the horizon at which the
+        node's window opens: the amount's threshold lies in the horizons
+        (opens + (c - 1) dt, opens + c dt], up to rounding at the ends."""
+        prefix = self._full_prefix[n]
+        target = np.asarray(bits) / (self.links[n].bandwidth_hz / LN2)
+        cells = np.minimum(np.searchsorted(prefix, target), prefix.size - 1)
+        return cells, self.window(n, 0.0)[0] - self.t_start_s
+
+    def reach_horizon(self, n: int, bits: float, lo, hi, abs_tol, rel_tol, unreachable) -> float:
+        """Least horizon above ``lo`` at which node n's :meth:`full_bits` reach ``bits``.
+
+        The bracket end ``hi`` grows as in :func:`floor_horizon`, each end
+        tried on :meth:`bits_ceiling` first, and ``unreachable`` is raised
+        if the bits fall short at ``MAX_CELLS`` grid steps. The cell that
+        holds the threshold is one ``searchsorted`` on the full-power prefix.
+        Inside it the bits are smooth in the horizon, and a bracketed
+        Illinois-type secant, with Anderson and Bjorck's weight on a kept end
+        (BIT 13, 1973), starts from the prefix's values at the cell's ends.
+        Once its steps shrink so fast that the estimate t is within a tenth
+        of h of the threshold, with h = 0.45 of the stop width
+        ``abs_tol + rel_tol * max(t, 1)``, the final bracket [t - h, t + h]
+        is checked at both ends and its upper end returned. That end lies
+        about h above the threshold, so the allocator's float64 full-power
+        bits, which can fall 1e-15 relative below the prefix's, reach there
+        too. A bracket the secant does not close is bisected to the stop
+        width.
+        """
+        if bits <= 0.0:
+            return lo
+
+        def short(horizon: float) -> float:
+            return self.full_bits(n, horizon) - bits
+
+        hi = _grow(self, lambda t: self.bits_ceiling(n, t) >= bits and short(t) >= 0.0, lo, hi, unreachable)
+        step = self.grid_step_s
+        prefix = self._full_prefix[n]
+        scale = self.links[n].bandwidth_hz / LN2
+        (c,), opens = self._reach_cells(n, [bits])
+        # the secant's ends (a, fa) short and (b, fb) reaching, first the cell's
+        a, fa = opens + (c - 1) * step, (prefix[c - 1] - bits / scale) * scale
+        b, fb = opens + c * step, (prefix[c] - bits / scale) * scale
+        # the last point tried, the step to it, and which end it moved
+        last, moved, side = None, b - a, 0
+        for _ in range(_MAX_STEPS):
+            t = (a * fb - b * fa) / (fb - fa)
+            if not lo <= t <= hi:
+                t = 0.5 * (lo + hi)
+            h = 0.45 * (abs_tol + rel_tol * max(t, 1.0))
+            if last is not None:
+                # steps shrinking by q leave t about q * |t - last| off the root
+                if hi - lo <= h or (t - last) ** 2 <= 0.1 * h * moved:
+                    break
+                moved = abs(t - last)
+            last, f = t, short(t)
+            if f >= 0.0:
+                if side > 0:
+                    fa *= 1.0 - f / fb if fb > f else 0.5
+                hi, b, fb, side = t, t, f, 1
+            else:
+                if side < 0:
+                    fb *= 1.0 - f / fa if fa < f else 0.5
+                lo, a, fa, side = t, t, f, -1
+        up = min(t + h, MAX_CELLS * step)
+        if short(up) >= 0.0:
+            if t - h <= lo or short(t - h) < 0.0:
+                return up
+            hi = t - h
+        else:
+            lo = up
+        for _ in range(_MAX_STEPS):
+            if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
+                break
+            mid = 0.5 * (lo + hi)
+            if short(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 @dataclass(frozen=True)
@@ -219,30 +320,89 @@ class TimeResult:
     energy_at_t0_j: float
 
 
-def floor_horizon(req, reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
-    """Least horizon above ``lo`` at which the monotone ``reaches`` holds, from above.
-
-    The bracket end ``hi`` moves to ``lo + 2 (hi - lo)`` until ``reaches(hi)``,
-    held at ``MAX_CELLS * req.grid_step_s`` as in :func:`budget_horizon`; if
-    ``reaches`` fails there, the exception ``unreachable`` is raised.
-    Bisection stops once ``hi - lo <= abs_tol + rel_tol * max(hi, 1)`` and
-    returns ``hi``, where ``reaches`` holds.
-    """
+def _grow(req, reaches, lo, hi, unreachable) -> float:
+    """The first of hi, lo + 2 (hi - lo), ... at which ``reaches`` holds,
+    held at ``MAX_CELLS * req.grid_step_s`` as in :func:`budget_horizon`;
+    ``unreachable`` is raised if it fails there."""
     bound = MAX_CELLS * req.grid_step_s
     hi = min(hi, bound)
     while not reaches(hi):
         if hi >= bound:
             raise unreachable
         hi = min(lo + 2.0 * (hi - lo), bound)
-    for _ in range(_MAX_STEPS):
-        if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
     return hi
+
+
+def floor_horizon(req, nodes, unit_bits, caps, count, lo, hi, abs_tol, rel_tol, unreachable) -> float:
+    """Least horizon above ``lo`` at which ``count`` amounts reach their nodes at full power.
+
+    Node ``nodes[i]`` holds the amounts k * ``unit_bits``, k = 1 ..
+    ``caps[i]``, and each amount has its threshold horizon
+    (:meth:`StageRequest.reach_horizon`); the floor is the count-th least of
+    them. The bracket end ``hi`` grows as in :meth:`~StageRequest.reach_horizon`
+    until ``count`` amounts reach, on the ceilings first. Every amount that
+    reaches there is placed in its cell with one ``searchsorted`` per node.
+    The count-th threshold lies between the count-th least cell start and
+    the count-th least cell end, so the amounts whose cell ends below that
+    start are counted, those whose cell starts above that end are dropped,
+    and only the rest are refined. The floor is returned within the stop
+    width ``abs_tol + rel_tol * max(T0, 1)`` above the count-th threshold.
+    A threshold can lie a rounding error past its cell's end, where the
+    refinement's bracket grows past it and the count is off by no more.
+    """
+    if count <= 0:
+        return lo
+    amounts = [unit_bits * np.arange(1, cap + 1) for cap in caps]
+    reached = []
+
+    def covers(horizon: float) -> bool:
+        ceilings = [np.searchsorted(a, req.bits_ceiling(n, horizon), "right") for n, a in zip(nodes, amounts)]
+        if sum(ceilings) < count:
+            return False
+        reached[:] = [np.searchsorted(a, req.full_bits(n, horizon), "right") for n, a in zip(nodes, amounts)]
+        return sum(reached) >= count
+
+    hi = _grow(req, covers, lo, hi, unreachable)
+    step = req.grid_step_s
+    owners, bits, starts, ends = [], [], [], []
+    for n, a, m in zip(nodes, amounts, reached):
+        if m:
+            cells, opens = req._reach_cells(n, a[:m])
+            owners += [n] * int(m)
+            bits.append(a[:m])
+            starts.append(opens + (cells - 1) * step)
+            ends.append(opens + cells * step)
+    bits, starts, ends = np.concatenate(bits), np.concatenate(starts), np.concatenate(ends)
+    first = np.partition(starts, count - 1)[count - 1]
+    last = np.partition(ends, count - 1)[count - 1]
+    below = int(np.count_nonzero(ends <= first))
+    refined = sorted(
+        req.reach_horizon(owners[i], bits[i], max(starts[i], lo), min(ends[i], hi), abs_tol, rel_tol, unreachable)
+        for i in np.flatnonzero((ends > first) & (starts < last))
+    )
+    return refined[count - below - 1]
+
+
+def refuse_budget_below_floor(req, nodes, unit_bits, caps, count) -> None:
+    """Refuse ``req.e_max_j`` below the energy of ``count`` amounts of
+    ``unit_bits``, at most ``caps[i]`` on node ``nodes[i]``, at any horizon.
+
+    That energy is at least the sum of the ``count`` cheapest amounts under
+    :meth:`StageRequest.energy_per_bit`, less 1e-9 for rounding, and no
+    channel is built. Traffic whose ceilings at ``MAX_CELLS`` grid steps do
+    not cover the count is left to the floor search, which refuses it as
+    unreachable, also with no channel built.
+    """
+    if req.e_max_j is None or count <= 0:
+        return
+    bound = MAX_CELLS * req.grid_step_s
+    ceilings = np.array([req.bits_ceiling(n, bound) for n in nodes])
+    if np.minimum(caps, np.floor(ceilings / unit_bits)).sum() < count:
+        return
+    costs = np.repeat([unit_bits * req.energy_per_bit(n) for n in nodes], caps)
+    floor = float(np.sum(np.sort(costs)[:count])) * (1.0 - 1e-9)
+    if req.e_max_j < floor:
+        raise InfeasibleError(f"budget {req.e_max_j:.6g} J below the energy floor {floor:.6g} J of any horizon")
 
 
 def budget_horizon(req, solve, energy, t0, rel_tol) -> TimeResult:

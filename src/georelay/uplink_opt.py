@@ -13,11 +13,12 @@ Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
 priced on the tables in O(log n) each, a heap, and one waterfill per node at
 the final counts; the test suite checks it against an exact dynamic program
 over the per-node energy tables. Time minimization (:func:`min_time_solve`)
-bisects the horizon against the floor-valued full-power file-count step
-function and then, under a binding budget, runs an ITP search against the
-optimal energy (both through :mod:`georelay.horizon`). The uplink, the MDS
-repair and the regenerating repair (D blocks of beta files, at most one per
-helper) are such problems and use both solves.
+takes the floor T0 where the full-power file counts first cover the file
+total, read off each node's full-power prefix as the F-th least of its
+per-file thresholds, and then, under a binding budget, runs an ITP search
+against the optimal energy (both through :mod:`georelay.horizon`). The
+uplink, the MDS repair and the regenerating repair (D blocks of beta files,
+at most one per helper) are such problems and use both solves.
 
 The greedy is the only allocator. :func:`solve_nlpr` and
 :func:`solve_oa_master` are stubs that raise: the benchmark's tracer
@@ -35,7 +36,7 @@ import numpy as np
 from .downlink_opt import AllocationResult, allocate_for_targets
 from .errors import InfeasibleError
 from .geometry import Geos, geos_distance
-from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon
+from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon, refuse_budget_below_floor
 from .link import NodeChannel
 from .waterfill import BreakpointTable, max_deliverable_bits
 
@@ -111,10 +112,14 @@ class UplinkResult:
     state: OAState
 
 
+# relative slack on a node's full-power bits before its file count is floored
+_CAP_SLACK = 1.0 + 1e-12
+
+
 def _file_caps(problem: FileAllocationProblem, full_bits) -> np.ndarray:
     """Per-node file caps from storage and each node's bits at full power
     (an infinite bound leaves the storage cap)."""
-    by_link = np.floor(np.asarray(full_bits) * (1.0 + 1e-12) / problem.file_bits)
+    by_link = np.floor(np.asarray(full_bits) * _CAP_SLACK / problem.file_bits)
     return np.minimum(np.array(problem.max_files_per_node), by_link).astype(int)
 
 
@@ -193,27 +198,26 @@ def min_time_solve(req: StageRequest, problem_fn, nodes) -> TimeResult:
     """Horizon minimization for any ``horizon -> FileAllocationProblem`` builder.
 
     The unconstrained floor T0 is the smallest horizon whose full-power
-    integer file counts cover the problem's file total, with ``nodes`` (the
+    integer file counts cover the problem's file total F: the F-th least
+    horizon at which node n reaches k u / (1 + 1e-12) bits, the slack of
+    the allocator's caps, for k up to its storage cap
+    (:func:`~georelay.horizon.floor_horizon`), with ``nodes`` (the
     request's node of each problem channel) giving each node's
     :meth:`~georelay.horizon.StageRequest.full_bits` and no channel cut. The
     storage caps and the file size do not depend on the horizon, so they are
-    read once, from the problem at horizon 0, which has no cells. A binding
-    budget is handled by an ITP search of the horizon against the optimal
-    energy, decreasing in T. ``req`` (an uplink or repair request) supplies
-    the budget, the grid step and the search settings.
+    read once, from the problem at horizon 0, which has no cells; a budget
+    below the closed-form energy of the F cheapest files is refused there,
+    before any channel is built. A binding budget is handled by an ITP
+    search of the horizon against the optimal energy, decreasing in T.
+    ``req`` (an uplink or repair request) supplies the budget, the grid step
+    and the search settings.
     """
     spec = problem_fn(0.0)
-
-    def covers(bits) -> bool:
-        return int(_file_caps(spec, bits).sum()) >= spec.total_files
-
-    def reaches(horizon: float) -> bool:
-        return covers([req.bits_ceiling(n, horizon) for n in nodes]) and covers(
-            [req.full_bits(n, horizon) for n in nodes]
-        )
-
+    caps = spec.max_files_per_node
+    refuse_budget_below_floor(req, nodes, spec.file_bits, caps, spec.total_files)
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
-    t0 = floor_horizon(req, reaches, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
+    unit = spec.file_bits / _CAP_SLACK
+    t0 = floor_horizon(req, nodes, unit, caps, spec.total_files, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
     return budget_horizon(
         req, lambda horizon: oa_solve(problem_fn(horizon)), lambda result: result.allocation.total_energy_j, t0, 1e-5
     )

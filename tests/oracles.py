@@ -4,9 +4,10 @@ These deliberately avoid the library's solution paths: the energy oracle is
 a first-order primal method (augmented Lagrangian with projected FISTA on
 the box), the combinatorial oracles are plain enumeration, the file
 allocation oracle is a dynamic program over per-node waterfilling tables
-rather than the library's greedy, and the finite-field oracles are scalar
-Python loops: the GF(2^8) product is the bit-serial shift-and-add, not a
-table.
+rather than the library's greedy, the finite-field oracles are scalar
+Python loops (the GF(2^8) product is the bit-serial shift-and-add, not a
+table), and the floor oracle bisects the horizon on the full-power
+predicate instead of reading thresholds off the prefix.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from georelay import horizon
 from georelay.errors import InfeasibleError
 from georelay.gf import GF256
-from georelay.uplink_opt import integer_file_caps
+from georelay.uplink_opt import _file_caps, integer_file_caps
 from georelay.waterfill import solve_cells
 
 LN2 = math.log(2.0)
@@ -231,3 +233,40 @@ def solve_oracle(order, a, b):
     if len(pivots) < n:
         return "not unique", None
     return "unique", [rref[r][n] for r in range(n)]
+
+
+def bisect_floor(req, reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:
+    """Least horizon above ``lo`` at which the monotone ``reaches`` holds, from above.
+
+    The bracket end ``hi`` moves to ``lo + 2 (hi - lo)`` until ``reaches(hi)``,
+    held at ``MAX_CELLS * req.grid_step_s``; if ``reaches`` fails there, the
+    exception ``unreachable`` is raised. Bisection stops once
+    ``hi - lo <= abs_tol + rel_tol * max(hi, 1)`` and returns ``hi``, where
+    ``reaches`` holds.
+    """
+    bound = horizon.MAX_CELLS * req.grid_step_s
+    hi = min(hi, bound)
+    while not reaches(hi):
+        if hi >= bound:
+            raise unreachable
+        hi = min(lo + 2.0 * (hi - lo), bound)
+    for _ in range(200):
+        if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def floor_oracle(req, nodes, problem):
+    """An allocation floor T0 to 1e-6 s by :func:`bisect_floor` on the
+    full-power file counts of ``problem`` (storage caps, file size and
+    total), as the uplink and the repairs count them."""
+
+    def covers(t):
+        return int(_file_caps(problem, [req.full_bits(n, t) for n in nodes]).sum()) >= problem.total_files
+
+    return bisect_floor(req, covers, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, InfeasibleError("unreachable"))

@@ -7,38 +7,63 @@ import pytest
 
 from georelay import downlink_opt, horizon, link, uplink_opt
 from georelay.cli import main
-from georelay.downlink_opt import min_time_downlink
+from georelay.downlink_opt import min_energy_downlink, min_time_downlink
 from georelay.errors import InfeasibleError, InternalError
 from georelay.geometry import rotation_angle
-from georelay.horizon import MAX_CELLS, StageRequest, budget_horizon, floor_horizon
-from georelay.repair_opt import mds_repair_min_time, repair_min_time
+from georelay.horizon import MAX_CELLS, StageRequest, budget_horizon, floor_horizon, refuse_budget_below_floor
+from georelay.repair_opt import _mds_problem, _regen_problem, mds_repair_min_time, repair_min_time
 from georelay.scenario import build_downlink_request, build_repair_request, build_uplink_request, resolve_config
-from georelay.uplink_opt import min_time_uplink
+from georelay.uplink_opt import UplinkRequest, min_time_uplink, oa_solve
 from georelay.waterfill import max_deliverable_bits
+from oracles import bisect_floor, floor_oracle
+from test_repair_opt import _random_repair_request
 
 
-def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch):
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _FlatRequest(StageRequest):
+    """Links at one constant distance from ``t_start_s`` on: a node's
+    full-power bits rise by the same amount every second, so the threshold
+    of ``bits`` is ``bits`` over that rate."""
+
+    def entry_s(self, n):
+        return self.t_start_s
+
+    def distance(self, n, t):
+        return np.full(np.shape(t), 4.0e7)
+
+
+def _flat_request(default_config, dt):
+    down = build_downlink_request(default_config)
+    return _FlatRequest(
+        scenario=down.scenario, links=down.links, t_start_s=0.0, horizon_s=10.0, p_max_w=down.p_max_w, grid_step_s=dt
+    )
+
+
+def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch, default_config):
     """The bracket doubles up to MAX_CELLS grid steps, no further; a floor
     at that bound is still found."""
     monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
-    req = SimpleNamespace(grid_step_s=0.5)
+    req = _flat_request(default_config, 0.5)
     calls = []
+    ceiling = _FlatRequest.bits_ceiling
 
-    def never(horizon):
-        calls.append(horizon)
-        return False
+    def recorded(self, n, horizon_s=None):
+        calls.append(horizon_s)
+        return ceiling(self, n, horizon_s)
 
+    monkeypatch.setattr(_FlatRequest, "bits_ceiling", recorded)
+    never = 2.0 * ceiling(req, 0, 1500.0)
     unreachable = InfeasibleError("unreachable")
     with pytest.raises(InfeasibleError) as exc:
-        floor_horizon(req, never, 0.0, 1.0, 1e-6, 0.0, unreachable)
+        req.reach_horizon(0, never, 0.0, 1.0, 1e-6, 0.0, unreachable)
     assert exc.value is unreachable
     assert calls == [2.0**k for k in range(11)] + [1500.0]
-    t0 = floor_horizon(req, lambda horizon: horizon >= 1500.0, 0.0, 1.0, 1e-6, 0.0, unreachable)
+    t0 = req.reach_horizon(0, req.full_bits(0, 1500.0), 0.0, 1.0, 1e-6, 0.0, unreachable)
     assert 1500.0 - 1e-6 <= t0 <= 1500.0
     # a search that starts past the bound tries the bound alone
     calls.clear()
     with pytest.raises(InfeasibleError):
-        floor_horizon(req, never, 1600.0, 1600.5, 0.0, 1e-12, unreachable)
+        req.reach_horizon(0, never, 1600.0, 1600.5, 0.0, 1e-12, unreachable)
     assert calls == [1500.0]
 
 
@@ -50,14 +75,18 @@ def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch):
         (512.25, 130.0, 130.5, 0.0, 1e-12),  # downlink form, offset by a coverage entry
     ],
 )
-def test_floor_brackets_the_threshold_within_tolerance(threshold, lo, hi, abs_tol, rel_tol):
-    def reaches(horizon):
-        return horizon >= threshold
+def test_floor_brackets_the_threshold_within_tolerance(default_config, threshold, lo, hi, abs_tol, rel_tol):
+    req = _flat_request(default_config, 1.0)
+    bits = threshold * req.full_bits(0, 1.0)
 
-    t0 = floor_horizon(SimpleNamespace(grid_step_s=1.0), reaches, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
+    def reaches(horizon):
+        return req.full_bits(0, horizon) >= bits
+
+    t0 = req.reach_horizon(0, bits, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
     tol = abs_tol + rel_tol * max(t0, 1.0)
     assert reaches(t0)
     assert not reaches(t0 - tol)
+    assert t0 == pytest.approx(threshold, rel=1e-12, abs=tol)
 
 
 def _solve(horizon):
@@ -460,3 +489,258 @@ def test_unreachable_floor_builds_no_channel_past_the_request(monkeypatch, user)
         min_time_uplink(up)
     own = max(down.horizon_s / down.grid_step_s, up.horizon_s / up.grid_step_s)
     assert max(cells, default=0) <= own
+
+
+def test_threshold_below_the_float_resolution_ends_in_a_bounded_bisection(monkeypatch, default_config):
+    """A stop width under one ulp of the horizon cannot be closed around
+    the secant's estimate; the bisection that takes over stops after its
+    step bound, at a horizon where the bits reach, within a few ulps of the
+    threshold."""
+    req = _flat_request(default_config, 1.0)
+    bits = 3.7 * req.full_bits(0, 1.0)
+    calls = []
+    full_bits = _FlatRequest.full_bits
+
+    def counted(self, n, horizon_s=None):
+        calls.append(horizon_s)
+        return full_bits(self, n, horizon_s)
+
+    monkeypatch.setattr(_FlatRequest, "full_bits", counted)
+    t0 = req.reach_horizon(0, bits, 0.0, 1.0, 0.0, 1e-17, InfeasibleError("unreachable"))
+    assert full_bits(req, 0, t0) >= bits > full_bits(req, 0, t0 - 4 * math.ulp(t0))
+    assert t0 == pytest.approx(3.7, rel=1e-14)
+    assert len(calls) <= 3 + 2 * horizon._MAX_STEPS
+
+
+_DOWNLINK_FORM = (0.0, 1e-12)  # (abs_tol, rel_tol) of the downlink floor
+_UPLINK_FORM = (1e-6, 0.0)  # and of the uplink and repair floors
+
+
+def _oracle_threshold(req, n, bits, lo, abs_tol, rel_tol, unreachable):
+    def reaches(horizon):
+        return req.bits_ceiling(n, horizon) >= bits and req.full_bits(n, horizon) >= bits
+
+    return bisect_floor(req, reaches, lo, lo + req.grid_step_s, abs_tol, rel_tol, unreachable)
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=["downlink", "uplink", "repair"])
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("form", [_DOWNLINK_FORM, _UPLINK_FORM], ids=["rel", "abs"])
+def test_threshold_matches_the_bisection_oracle(default_config, build, dt, form):
+    """reach_horizon against bisection of the full-power predicate: random
+    targets, targets on a full-cell prefix value and just past one, and a
+    zero target. Both land within the stop width above the threshold, and
+    the predicate holds at the returned horizon and fails one width below."""
+    abs_tol, rel_tol = form
+    req = dataclasses.replace(build(default_config), grid_step_s=dt, t_start_s=133.0)
+    nodes = getattr(req, "helpers", range(req.scenario.n_leos))
+    rng = np.random.default_rng(int(10 * dt))
+    unreachable = InfeasibleError("unreachable")
+    for n in nodes:
+        lo = req.window(n, 0.0)[0] - req.t_start_s
+        full = req.full_bits(n, lo + 300.0)
+        scale = req.links[n].bandwidth_hz / math.log(2.0)
+        prefix = req._full_prefix[n]
+        on_cell = [prefix[c] * scale for c in rng.integers(1, int(300.0 / dt), 3)]
+        targets = list(rng.uniform(0.0, full, 6)) + on_cell + [b * (1.0 + 1e-12) for b in on_cell]
+        for bits in targets:
+            got = req.reach_horizon(n, bits, lo, lo + dt, abs_tol, rel_tol, unreachable)
+            want = _oracle_threshold(req, n, bits, lo, abs_tol, rel_tol, unreachable)
+            tol = abs_tol + rel_tol * max(want, 1.0)
+            assert abs(got - want) <= tol, (n, bits)
+            assert req.full_bits(n, got) >= bits > req.full_bits(n, got - tol)
+        assert req.reach_horizon(n, 0.0, lo, lo + dt, abs_tol, rel_tol, unreachable) == lo
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+def test_threshold_unreachable_on_the_ceiling_and_at_the_cell_bound(monkeypatch, default_config, dt):
+    """Past the ceiling at the bound, the stage's error is raised with no
+    channel built; between the full-power bits at the bound and the
+    ceiling, it is raised once the bits at the bound fall short."""
+    monkeypatch.setattr(horizon, "MAX_CELLS", 3000)
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return link.build_channel(*args)
+
+    monkeypatch.setattr(horizon, "build_channel", counted)
+    req = dataclasses.replace(build_downlink_request(default_config), grid_step_s=dt, horizon_s=100.0)
+    bound = 3000 * dt
+    unreachable = InfeasibleError("LEO 4 unreachable")
+    with pytest.raises(InfeasibleError) as exc:
+        req.reach_horizon(4, 1.01 * req.bits_ceiling(4, bound), 0.0, dt, 0.0, 1e-12, unreachable)
+    assert exc.value is unreachable and not builds
+    short = 0.5 * (req.full_bits(4, bound) + req.bits_ceiling(4, bound))
+    with pytest.raises(InfeasibleError) as exc:
+        req.reach_horizon(4, short, 0.0, dt, 0.0, 1e-12, unreachable)
+    assert exc.value is unreachable
+    with pytest.raises(InfeasibleError):
+        _oracle_threshold(req, 4, short, 0.0, 0.0, 1e-12, unreachable)
+
+
+def _random_uplink_request(repair):
+    """An uplink request on a random repair request's constellation, links and code."""
+    p = repair.params
+    return UplinkRequest(
+        scenario=repair.scenario,
+        links=repair.links,
+        t_start_s=repair.t_start_s,
+        horizon_s=600.0,
+        p_max_w=repair.p_max_w,
+        grid_step_s=repair.grid_step_s,
+        total_files=p.n_files,
+        files_per_leos=p.per_node_files,
+        file_bits=p.file_bits,
+    )
+
+
+@pytest.mark.parametrize("n_leos", range(4, 9))
+def test_allocation_floors_match_the_oracle_on_random_instances(default_config, n_leos):
+    """Uplink, MDS and regenerating T0 against bisection of the full-power
+    file counts, on the random instances of the repair tests, where some
+    helpers cannot deliver a file. The allocator then finds the file total
+    deliverable at T0."""
+    base = build_repair_request(default_config)
+    rng = np.random.default_rng(n_leos)
+    for d in range(2, n_leos):
+        repair = dataclasses.replace(_random_repair_request(base, rng, n_leos, d), e_max_j=None)
+        uplink = dataclasses.replace(_random_uplink_request(repair), e_max_j=None)
+        cases = [
+            (mds_repair_min_time, repair, repair.helpers, _mds_problem(repair, 0.0)),
+            (repair_min_time, repair, repair.helpers, _regen_problem(repair, 0.0)),
+            (min_time_uplink, uplink, range(n_leos), uplink.problem(0.0)),
+        ]
+        for solve, req, nodes, problem in cases:
+            try:
+                want = floor_oracle(req, nodes, problem)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve(req)
+                continue
+            got = solve(req)
+            assert abs(got.floor_s - want) <= 1e-6, (solve.__name__, d)
+
+
+def test_each_threshold_takes_few_full_power_evaluations(monkeypatch):
+    """Beyond bracket growth, no threshold of the reference time solves at
+    dt 1, 0.5 and 0.1 takes more than 10 full-power evaluations."""
+    counts = []
+    state = {"growing": False, "calls": 0}
+    full_bits, grow = StageRequest.full_bits, horizon._grow
+
+    def counted_full_bits(self, n, horizon_s=None):
+        state["calls"] += not state["growing"]
+        return full_bits(self, n, horizon_s)
+
+    def flagged_grow(*args):
+        state["growing"] = True
+        try:
+            return grow(*args)
+        finally:
+            state["growing"] = False
+
+    reach = StageRequest.reach_horizon
+
+    def counted_reach(self, *args):
+        state["calls"] = 0
+        try:
+            return reach(self, *args)
+        finally:
+            counts.append(state["calls"])
+
+    monkeypatch.setattr(StageRequest, "full_bits", counted_full_bits)
+    monkeypatch.setattr(horizon, "_grow", flagged_grow)
+    monkeypatch.setattr(StageRequest, "reach_horizon", counted_reach)
+    for dt in (1.0, 0.5, 0.1):
+        config = resolve_config({"solver": {"grid_step_s": dt}})
+        min_time_downlink(dataclasses.replace(build_downlink_request(config), e_max_j=None))
+        min_time_uplink(dataclasses.replace(build_uplink_request(config), e_max_j=None))
+        repair = dataclasses.replace(build_repair_request(config), e_max_j=None)
+        repair_min_time(repair)
+        mds_repair_min_time(repair)
+    assert len(counts) >= 3 * (5 + 3)
+    assert max(counts) <= 10, counts
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+def test_floor_on_an_exact_full_power_value_leaves_the_files_deliverable(default_config, dt):
+    """A file whose bits, less the caps' slack, equal LEO 4's full-power bits
+    at a horizon T* (a whole cell or a random point, before any other LEO
+    enters coverage): the floor lands within the stop width of T*, and the
+    allocator, whose float64 full-power bits can fall 1e-15 relative below
+    the prefix's, still finds the file deliverable there."""
+    base = dataclasses.replace(build_uplink_request(default_config), grid_step_s=dt, e_max_j=None)
+    opens = base.window(3, 0.0)[0] - base.t_start_s
+    rng = np.random.default_rng(3)
+    stars = [dt * k for k in rng.integers(1, int(opens / dt), 8)] + list(rng.uniform(dt, opens, 8))
+    for star in stars:
+        bits = base.full_bits(4, star)
+        req = dataclasses.replace(base, total_files=1, files_per_leos=1, file_bits=bits * (1.0 + 1e-12))
+        res = min_time_uplink(req)
+        assert abs(res.floor_s - star) <= 1e-6, star
+        assert list(res.result.mu) == [0, 0, 0, 0, 1]
+        assert list(oa_solve(req.problem(res.floor_s)).mu) == [0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("command", ["downlink-time", "uplink-time", "repair"])
+def test_budget_below_the_closed_form_floor_builds_no_channel(monkeypatch, tmp_path, capsys, command):
+    """With the search bound at 10^6 cells, a 1 J budget is refused from the
+    closed-form energy floor, before any channel is built."""
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return link.build_channel(*args)
+
+    monkeypatch.setattr(horizon, "build_channel", counted)
+    scenario = tmp_path / "factor.json"
+    scenario.write_text('{"solver": {"time_upper_factor": 1e6}}')
+    assert main([command, "--emax", "1", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: budget 1 J below the energy floor") and err.endswith("J of any horizon\n")
+    assert not builds
+
+
+def _energy_floor(req, nodes, unit, caps, count):
+    """The closed-form energy floor from first principles: each bit costs at
+    least ln 2 (r1 - r2)^2 / (W L) on a link between orbits r1 and r2, and
+    the count cheapest amounts are placed, at most caps[i] on node i."""
+    costs = []
+    for n, cap in zip(nodes, caps):
+        r1, r2 = req.radii(n)
+        per_bit = math.log(2.0) * (r1 - r2) ** 2 / (req.links[n].bandwidth_hz * link.aggregate_gain(req.links[n]))
+        costs += [unit * per_bit] * cap
+    return sum(sorted(costs)[:count])
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+def test_closed_form_energy_floor_lies_below_every_stage_energy(default_config, dt):
+    """The refusal's floor is the closed form of every stage within 1e-6,
+    with the uplink's and the MDS files placed under their storage caps,
+    and each stage's least energy at four times its floor T0 lies above it,
+    so no budget a stage can meet is refused."""
+    config = resolve_config({"solver": {"grid_step_s": dt}})
+    down = dataclasses.replace(build_downlink_request(config), e_max_j=None)
+    up = dataclasses.replace(build_uplink_request(config), e_max_j=None)
+    repair = dataclasses.replace(build_repair_request(config), e_max_j=None)
+    n = down.scenario.n_leos
+    target = down.files_per_leos * down.file_bits
+    t0 = min_time_downlink(down)[0].floor_s
+    stages = [
+        (down, range(n), target, [1] * n, n, min_energy_downlink(down, 4.0 * t0).total_energy_j),
+        (up, range(n), up.file_bits, [up.files_per_leos] * n, up.total_files,
+         oa_solve(up.problem(4.0 * min_time_uplink(up).floor_s)).allocation.total_energy_j),
+    ]
+    for problem_fn, solve in ((_mds_problem, mds_repair_min_time), (_regen_problem, repair_min_time)):
+        spec = problem_fn(repair, 0.0)
+        t0 = solve(repair).floor_s
+        energy = oa_solve(problem_fn(repair, 4.0 * t0)).allocation.total_energy_j
+        stages.append((repair, repair.helpers, spec.file_bits, spec.max_files_per_node, spec.total_files, energy))
+    for req, nodes, unit, caps, count, energy in stages:
+        floor = _energy_floor(req, nodes, unit, caps, count)
+        assert floor < energy
+        for e_max in (energy, floor * (1.0 + 1e-6)):
+            refuse_budget_below_floor(dataclasses.replace(req, e_max_j=e_max), nodes, unit, caps, count)
+        with pytest.raises(InfeasibleError, match="of any horizon"):
+            refuse_budget_below_floor(dataclasses.replace(req, e_max_j=floor * (1.0 - 1e-6)), nodes, unit, caps, count)
