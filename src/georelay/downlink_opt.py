@@ -3,8 +3,8 @@
 The energy problem decouples into independent per-LEO waterfilling solves
 because the bit constraints share no variables. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
-optimum T0, and a binding energy budget is handled by an ITP search of the
-horizon against the optimal-energy curve, which decreases in the horizon. The
+optimum T0, and a binding energy budget is handled by a Newton search of the
+horizon on the optimal-energy curve, which decreases in the horizon. The
 request, both searches and the time result are the shared ones in
 :mod:`georelay.horizon`; the per-LEO floors are this stage's one extra output.
 """
@@ -20,7 +20,7 @@ from .errors import InfeasibleError
 from .geometry import geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon, refuse_budget_below_floor
 from .link import PowerProfile
-from .waterfill import REL_BIT_TOL, max_deliverable_bits, solve_cells
+from .waterfill import LN2, REL_BIT_TOL, max_deliverable_bits, solve_cells
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -83,28 +83,42 @@ def allocate_for_targets(channels, targets_bits, p_max, tables=None) -> Allocati
     )
 
 
+def _least_constant_power(ch, target, p_max) -> tuple[float, float]:
+    """The least constant power on ``ch`` whose bits reach ``target`` > 0,
+    or ``p_max`` if none below it does, to within 1e-15 p_max, and its bits.
+
+    bits(P) = W / ln 2 sum_k w_k ln(1 + P h_k) is concave and increasing,
+    so Newton's steps, P + (target - bits) / bits' with bits' = W / ln 2
+    sum_k w_k h_k / (1 + P h_k), stay below the root and climb to it from
+    P = 0, where bits = 0 needs no evaluation. A step shorter than the
+    tolerance becomes one closing step of the tolerance, which reaches.
+    """
+    tol = 1e-15 * p_max
+    scale = ch.bandwidth_hz / LN2
+    power, bits = 0.0, 0.0
+    for _ in range(200):
+        slope = scale * np.dot(ch.weights_s, ch.gains_per_w / (1.0 + power * ch.gains_per_w))
+        power = min(power + max((target - bits) / slope, tol), p_max)
+        bits = ch.bits(np.full(ch.n_cells, power))
+        if bits >= target or power == p_max:
+            break
+    return power, bits
+
+
 def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResult:
-    """Per-node constant power chosen by bisection to hit each bit target exactly."""
+    """Per-node constant power: the least that meets each bit target
+    (:func:`_least_constant_power`)."""
     profiles, energies, bits, levels = [], [], [], []
     for n, (ch, target) in enumerate(zip(channels, targets_bits)):
-        if target == 0:
-            powers = np.zeros(ch.n_cells)
-        else:
+        power, delivered = 0.0, 0.0
+        if target != 0:
             if target > max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) * (1.0 + REL_BIT_TOL):
                 raise InfeasibleError(f"node {n}: target unreachable at P_max", index=n)
-            lo, hi = 0.0, p_max
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if ch.bits(np.full(ch.n_cells, mid)) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= 1e-15 * p_max:
-                    break
-            powers = np.full(ch.n_cells, hi)
+            power, delivered = _least_constant_power(ch, target, p_max)
+        powers = np.full(ch.n_cells, power)
         profiles.append(ch.profile(powers))
         energies.append(ch.energy(powers))
-        bits.append(ch.bits(powers))
+        bits.append(delivered)
         levels.append(math.nan)
     return AllocationResult(
         profiles=tuple(profiles),
@@ -156,6 +170,11 @@ def min_time_downlink(req: DownlinkRequest) -> tuple[TimeResult, np.ndarray]:
     t_n0 = np.array([_min_duration_full_power(req, n) for n in range(n_leos)])
     t0 = float(np.max(t_n0)) if n_leos else 0.0
     res = budget_horizon(
-        req, lambda horizon: min_energy_downlink(req, horizon_s=horizon), lambda alloc: alloc.total_energy_j, t0, 1e-7
+        req,
+        lambda horizon: min_energy_downlink(req, horizon_s=horizon),
+        lambda alloc: alloc.total_energy_j,
+        lambda horizon, alloc: req.energy_slope(range(n_leos), horizon, alloc),
+        t0,
+        1e-7,
     )
     return res, t_n0

@@ -37,11 +37,14 @@ F-th least threshold of k files on node n, k up to its storage cap, with F
 the file total (:func:`floor_horizon`).
 
 Beyond T0 the stage's optimal energy decreases in the horizon, so a binding
-energy budget is met by an ITP search (interpolate, truncate, project;
-Oliveira & Takahashi, ACM TOMS 47(1), 2020) between T0 and
-``upper_factor * T0``, held at the same bound (:func:`budget_horizon`). It
-converges superlinearly where the energy is smooth and never takes more than
-one solve beyond bisection. Every stage reports a :class:`TimeResult`. The
+energy budget is met by a search between T0 and ``upper_factor * T0``, held
+at the same bound (:func:`budget_horizon`). Every solve also gives the
+energy's slope in the horizon, by the envelope theorem from the last cell
+of each node alone (:meth:`StageRequest.energy_slope`), and the search takes
+safeguarded Newton steps on the log of the energy with it. It converges
+superlinearly where the energy is smooth, and bisects for good after a few
+Newton steps that fail to halve its bracket. Every stage reports a
+:class:`TimeResult`. The
 uplink, the MDS repair and the regenerating repair run both searches through
 one file-allocation wrapper, :func:`georelay.uplink_opt.min_time_solve`;
 the downlink calls them directly.
@@ -65,9 +68,11 @@ from .link import LinkParams, NodeChannel, aggregate_gain, build_channel, grid_c
 from .waterfill import LN2
 
 _MAX_STEPS = 200
-# the ITP projection radius is held this hair inside its exact value, so that
-# rounding cannot leave the last bracket just wider than the stop width
-_ITP_REACH = 1.0 - 1e-6
+# Newton steps of the budget search that leave its bracket wider than half,
+# after which it bisects for good
+_NEWTON_MISSES = 8
+# half the time step of the central difference that gives a distance's rate
+_RATE_STEP_S = 1e-2
 # grid cells one channel may hold: the reference scenario's largest channel,
 # a 4 x 600 s budget search at a 0.1 s step, has about 24,000
 MAX_CELLS = 10**6
@@ -196,6 +201,38 @@ class StageRequest:
             prefix = self._full_prefix[n] = np.concatenate(([0.0], sums))
         last = weight * np.log1p(self.p_max_w * gain[0])
         return float(prefix[cells - 1] + last) * (self.links[n].bandwidth_hz / LN2)
+
+    def energy_slope(self, nodes, horizon_s: float, alloc) -> float:
+        """dE*/dT at ``horizon_s`` of ``alloc``, a minimum-energy allocation
+        there whose i-th profile and water level are node ``nodes[i]``'s.
+
+        A longer horizon only lengthens each node's last cell K, of weight
+        w_K, gain h_K and power P_K, at rate 1, and moves its midpoint at
+        rate 1/2. By the envelope theorem (Boyd & Vandenberghe 2004, 5.6)
+        the node adds the horizon derivative of its Lagrangian at the
+        optimum,
+
+            P_K - x ln(1 + P_K h_K) - x w_K P_K h_K' / (1 + P_K h_K),
+
+        with x = water_level / ln 2 and h_K' = -h_K d'(t_mid) / d(t_mid),
+        d' a central difference of :meth:`distance`. A node with no bits or
+        an empty window has P_K = 0 and adds 0. At a grid boundary the last
+        cell is the full one (:meth:`_cut`), so the slope is the left one;
+        for a file allocation it is the slope at its counts, so it is
+        one-sided where the optimal counts change.
+        """
+        slope = 0.0
+        for n, profile, level in zip(nodes, alloc.profiles, alloc.water_levels):
+            powers = profile.values_w
+            if powers.size == 0 or powers[-1] == 0.0:
+                continue
+            start, _, cells, _, weight, gain = self._cut(n, horizon_s)
+            mid = start + self.grid_step_s * (cells - 1) + weight / 2.0
+            d = self.distance(n, np.array([mid - _RATE_STEP_S, mid, mid + _RATE_STEP_S]))
+            gain_rate = -gain[0] * (d[2] - d[0]) / (2.0 * _RATE_STEP_S * d[1])
+            p, snr, x = float(powers[-1]), float(powers[-1] * gain[0]), level / LN2
+            slope += p - x * math.log1p(snr) - x * weight * p * gain_rate / (1.0 + snr)
+        return slope
 
     def _gain_ceiling(self, n: int) -> float:
         """An upper bound on node n's gain L / d^2: no distance on the link
@@ -405,65 +442,75 @@ def refuse_budget_below_floor(req, nodes, unit_bits, caps, count) -> None:
         raise InfeasibleError(f"budget {req.e_max_j:.6g} J below the energy floor {floor:.6g} J of any horizon")
 
 
-def budget_horizon(req, solve, energy, t0, rel_tol) -> TimeResult:
+def budget_horizon(req, solve, energy, slope, t0, rel_tol) -> TimeResult:
     """Shortest horizon from ``t0`` whose minimum-energy solve fits ``req.e_max_j``.
 
-    ``solve(T)`` is the stage's minimum-energy solve at horizon T and
-    ``energy(result)`` its total energy. A missing or slack budget keeps T0
-    and its solve; otherwise the horizon is searched by ITP on
-    (T0, min(``req.upper_factor * T0``, ``MAX_CELLS * req.grid_step_s``)]
-    until the bracket is narrower than ``rel_tol * max(T0, 1)``, and the
-    energy at the returned feasible end must match the budget within
-    ``req.energy_rel_tol``. The cell bound holds the upper end because no
-    node's window is longer than the horizon, so every search channel fits.
+    ``solve(T)`` is the stage's minimum-energy solve at horizon T,
+    ``energy(result)`` its total energy E and ``slope(T, result)`` the slope
+    dE/dT (:meth:`StageRequest.energy_slope`), which the search asks for
+    only where it steps from. A missing or slack budget keeps T0 and its
+    solve. Otherwise the search keeps a bracket (lo, hi]: lo the
+    longest horizon solved over the budget, from T0, and hi the shortest
+    solved within it, or until then the search bound min(``req.upper_factor
+    * T0``, ``MAX_CELLS * req.grid_step_s``). It stops once the bracket is
+    no wider than tol = ``rel_tol * max(T0, 1)`` and returns hi, whose
+    energy must match the budget within ``req.energy_rel_tol``. The cell
+    bound holds the upper end because no node's window is longer than the
+    horizon, so every search channel fits.
 
-    Each ITP step takes the regula falsi point of log(E / e_max) at the
-    bracket's ends, which is closer to linear in T than E on the stages'
-    convex energy curves (E > e_max > 0 at T0 means traffic, so E > 0 at
-    every T), moves it toward the midpoint by kappa1 * width^2 (kappa1 = 0.2
-    over the first width, kappa2 = 2) and projects it into the midpoint's
-    neighbourhood of radius tol * 2^(n_max - j - 1) - width / 2 at step j,
-    with n_max one more (n0 = 1) than bisection's step count; so no search
-    takes more than one solve beyond bisection.
+    Each step is a safeguarded Newton step on f = log(E / e_max), which is
+    closer to linear in T than E on the stages' energy curves (E > e_max > 0
+    at T0 means traffic, so E > 0 at every T):
+
+    - from lo to lo - f E / E', if E'(lo) < 0 and that point lies below hi;
+      a step shorter than tol becomes one closing solve at lo + tol;
+    - to the search bound, solved only here, if the point reaches it before
+      any horizon within the budget was found; a budget over the energy
+      there is infeasible;
+    - otherwise to the bracket's midpoint.
+
+    Where E is convex, Newton stays on lo's side and converges
+    superlinearly, so the bracket shrinks at the closing solve. A Newton
+    step that leaves the bracket wider than half is a miss; after
+    ``_NEWTON_MISSES`` misses the search bisects for good. Every other step
+    halves the bracket, so no search takes more than
+    ceil(log2((bound - T0) / tol)) + ``_NEWTON_MISSES`` solves besides the
+    two at T0 and at the bound.
     """
     e_max = req.e_max_j
-    result0 = solve(t0)
-    e0 = energy(result0)
+    result = solve(t0)
+    e0 = energy(result)
     if e_max is None or e_max >= e0:
-        return TimeResult(t0, result0, False, t0, e0)
+        return TimeResult(t0, result, False, t0, e0)
     if e_max <= 0:
         raise InfeasibleError("energy budget must be positive")
-    hi = max(t0, min(req.upper_factor * t0, MAX_CELLS * req.grid_step_s))
-    result = solve(hi)
-    if energy(result) > e_max:
-        raise InfeasibleError(
-            f"budget {e_max:.6g} J below the energy floor "
-            f"{energy(result):.6g} J at the search bound {hi:.6g} s"
-        )
+    bound = max(t0, min(req.upper_factor * t0, MAX_CELLS * req.grid_step_s))
     tol = rel_tol * max(t0, 1.0)
-    lo, best = t0, (hi, result)
-    # log(E / e_max): positive at lo, not at hi
-    f_lo, f_hi = math.log(e0 / e_max), math.log(energy(result) / e_max)
-    width = hi - lo
-    n_max = math.ceil(math.log2(width / tol)) + 1 if width > tol else 0
-    for j in range(_MAX_STEPS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        radius = _ITP_REACH * tol * 2.0 ** (n_max - j - 1) - 0.5 * (hi - lo)
-        delta = 0.2 / width * (hi - lo) ** 2
-        falsi = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
-        sigma = math.copysign(1.0, mid - falsi)
-        t = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
-        t = t if abs(t - mid) <= radius else mid - sigma * radius
-        result = solve(t)
-        f = math.log(energy(result) / e_max)
-        if f > 0:
-            lo, f_lo = t, f
+    lo, e_lo, d_lo, hi, best, misses = t0, e0, slope(t0, result), bound, None, 0
+    for _ in range(_MAX_STEPS):
+        newton = lo - math.log(e_lo / e_max) * e_lo / d_lo if d_lo < 0.0 else math.inf
+        stepped = misses < _NEWTON_MISSES and (newton < hi or best is None)
+        if hi <= lo + tol:
+            if best is not None:
+                break
+            t, stepped = hi, False
+        elif stepped:
+            t = min(max(newton, lo + tol), hi)
         else:
-            hi, f_hi = t, f
-            best = (t, result)
-    duration, result = best
-    if abs(energy(result) - e_max) > req.energy_rel_tol * e_max:
+            t = 0.5 * (lo + hi)
+        width = hi - lo
+        result = solve(t)
+        e = energy(result)
+        if e <= e_max:
+            hi, best = t, (result, e)
+        elif t < bound:
+            lo, e_lo, d_lo = t, e, slope(t, result)
+        else:
+            raise InfeasibleError(
+                f"budget {e_max:.6g} J below the energy floor {e:.6g} J at the search bound {t:.6g} s"
+            )
+        if stepped and hi - lo > 0.5 * width:
+            misses += 1
+    if best is None or abs(best[1] - e_max) > req.energy_rel_tol * e_max:
         raise InternalError("horizon search missed the energy budget")
-    return TimeResult(duration, result, True, t0, e0)
+    return TimeResult(hi, best[0], True, t0, e0)

@@ -15,10 +15,10 @@ the final counts; the test suite checks it against an exact dynamic program
 over the per-node energy tables. Time minimization (:func:`min_time_solve`)
 takes the floor T0 where the full-power file counts first cover the file
 total, read off each node's full-power prefix as the F-th least of its
-per-file thresholds, and then, under a binding budget, runs an ITP search
-against the optimal energy (both through :mod:`georelay.horizon`). The
-uplink, the MDS repair and the regenerating repair (D blocks of beta files,
-at most one per helper) are such problems and use both solves.
+per-file thresholds, and then, under a binding budget, runs a Newton search
+on the optimal energy and its slope (both through :mod:`georelay.horizon`).
+The uplink, the MDS repair and the regenerating repair (D blocks of beta
+files, at most one per helper) are such problems and use both solves.
 
 The greedy is the only allocator. :func:`solve_nlpr` and
 :func:`solve_oa_master` are stubs that raise: the benchmark's tracer
@@ -207,8 +207,9 @@ def min_time_solve(req: StageRequest, problem_fn, nodes) -> TimeResult:
     storage caps and the file size do not depend on the horizon, so they are
     read once, from the problem at horizon 0, which has no cells; a budget
     below the closed-form energy of the F cheapest files is refused there,
-    before any channel is built. A binding budget is handled by an ITP
-    search of the horizon against the optimal energy, decreasing in T.
+    before any channel is built. A binding budget is handled by a Newton
+    search of the horizon on the optimal energy, decreasing in T, and its
+    slope at the optimal counts.
     ``req`` (an uplink or repair request) supplies the budget, the grid step
     and the search settings.
     """
@@ -219,7 +220,12 @@ def min_time_solve(req: StageRequest, problem_fn, nodes) -> TimeResult:
     unit = spec.file_bits / _CAP_SLACK
     t0 = floor_horizon(req, nodes, unit, caps, spec.total_files, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
     return budget_horizon(
-        req, lambda horizon: oa_solve(problem_fn(horizon)), lambda result: result.allocation.total_energy_j, t0, 1e-5
+        req,
+        lambda horizon: oa_solve(problem_fn(horizon)),
+        lambda result: result.allocation.total_energy_j,
+        lambda horizon, result: req.energy_slope(nodes, horizon, result.allocation),
+        t0,
+        1e-5,
     )
 
 

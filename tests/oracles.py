@@ -6,8 +6,9 @@ the box), the combinatorial oracles are plain enumeration, the file
 allocation oracle is a dynamic program over per-node waterfilling tables
 rather than the library's greedy, the finite-field oracles are scalar
 Python loops (the GF(2^8) product is the bit-serial shift-and-add, not a
-table), and the floor oracle bisects the horizon on the full-power
-predicate instead of reading thresholds off the prefix.
+table), the floor oracle bisects the horizon on the full-power
+predicate instead of reading thresholds off the prefix, and the
+constant-power oracle bisects the power instead of taking Newton steps.
 """
 
 from __future__ import annotations
@@ -270,3 +271,19 @@ def floor_oracle(req, nodes, problem):
         return int(_file_caps(problem, [req.full_bits(n, t) for n in nodes]).sum()) >= problem.total_files
 
     return bisect_floor(req, covers, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, InfeasibleError("unreachable"))
+
+
+def constant_power_oracle(ch, target, p_max) -> float:
+    """The least constant power on channel ``ch`` whose bits reach
+    ``target`` > 0, by bisection on [0, ``p_max``] to 1e-15 ``p_max``;
+    ``p_max`` if no lower power reaches it."""
+    lo, hi = 0.0, p_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ch.bits(np.full(ch.n_cells, mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * p_max:
+            break
+    return hi

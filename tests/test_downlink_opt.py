@@ -14,6 +14,7 @@ from georelay.errors import InfeasibleError
 from georelay.link import NodeChannel
 from georelay.scenario import build_downlink_request
 from georelay.waterfill import REL_BIT_TOL, max_deliverable_bits
+from oracles import constant_power_oracle
 
 
 @pytest.fixture()
@@ -113,6 +114,50 @@ def test_baseline_accepts_what_waterfilling_accepts():
     assert constant_power_for_targets([ch], [target], 10.0).total_energy_j == pytest.approx(30.0, rel=1e-12)
     with pytest.raises(InfeasibleError):
         constant_power_for_targets([ch], [target * (1.0 + REL_BIT_TOL)], 10.0)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
+def test_constant_power_matches_the_bisection_oracle(request_ref, dt):
+    """Newton's least constant power against bisection's, both to 1e-15
+    P_max: random targets, the full-power bits within the waterfill's
+    tolerance, where both give P_max, and a target of one bit."""
+    req = dataclasses.replace(request_ref, grid_step_s=dt)
+    rng = np.random.default_rng(int(10 * dt))
+    p_max = req.p_max_w
+    for n in range(req.scenario.n_leos):
+        ch = req.channel(n)
+        full = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max)
+        for target in [*(full * rng.uniform(0.0, 1.0, 6)), full, full * (1.0 + REL_BIT_TOL), 1.0]:
+            got = constant_power_for_targets([ch], [target], p_max)
+            power = float(got.profiles[0].values_w[0])
+            want = constant_power_oracle(ch, target, p_max)
+            assert abs(power - want) <= 2e-15 * p_max, (n, target)
+            energy = ch.energy(np.full(ch.n_cells, want))
+            assert got.total_energy_j == pytest.approx(energy, rel=1.5e-14, abs=2e-15 * p_max * ch.weights_s.sum())
+            assert power == p_max or got.delivered_bits[0] >= target
+        assert constant_power_for_targets([ch], [full * (1.0 + REL_BIT_TOL)], p_max).profiles[0].values_w[0] == p_max
+
+
+def test_constant_power_takes_few_bits_evaluations(monkeypatch, request_ref):
+    """No more than 10 full-channel bits evaluations per LEO, the reported
+    bits included, at grid steps 1, 0.5 and 0.1 s and three start times
+    (bisection to 1e-15 P_max takes about 50)."""
+    calls = []
+    bits = NodeChannel.bits
+
+    def counted(self, powers):
+        calls.append(self)
+        return bits(self, powers)
+
+    monkeypatch.setattr(NodeChannel, "bits", counted)
+    for dt in (1.0, 0.5, 0.1):
+        for ts in (0.0, 50.0, 100.0):
+            req = dataclasses.replace(request_ref, grid_step_s=dt, t_start_s=ts)
+            for n in range(req.scenario.n_leos):
+                ch = req.channel(n)
+                calls.clear()
+                constant_power_for_targets([ch], [req.files_per_leos * req.file_bits], req.p_max_w)
+                assert 1 <= len(calls) <= 10, (dt, ts, n)
 
 
 def test_infeasibility_names_leos(request_ref):
