@@ -144,30 +144,24 @@ def constant_power_baseline(req: DownlinkRequest) -> AllocationResult:
     return constant_power_for_targets(channels, [target] * len(channels), req.p_max_w)
 
 
-def _min_duration_full_power(req: DownlinkRequest, n: int) -> float:
-    """Smallest horizon T with the full-power window delivering the bit
-    target: LEO n's threshold for it, from its coverage entry on."""
-    target = req.files_per_leos * req.file_bits
-    if target == 0:
-        return 0.0
-    lo = max(0.0, req.entry_s(n) - req.t_start_s)
-    unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
-    return floor_horizon(req, (n,), target, (1,), 1, lo, lo + req.grid_step_s, 0.0, 1e-12, unreachable)
-
-
 def min_time_downlink(req: DownlinkRequest) -> tuple[TimeResult, np.ndarray]:
     """Minimize the transmission horizon subject to the total-energy budget.
 
-    With a slack budget the answer is T0 = max_n T_n0 (every LEO at full power
-    meets its target within T0); otherwise the horizon is searched until the
-    optimal energy matches the budget within ``req.energy_rel_tol``. The
-    per-LEO floors T_n0 come back next to the time result. A budget below
-    every LEO's closed-form energy floor is refused before any channel is
-    built.
+    With a slack budget the answer is T0 = max_n T_n0, where T_n0 is the
+    least horizon at which LEO n at full power meets its target, from its
+    coverage entry on; otherwise the horizon is searched until the shortest
+    one within the budget is bracketed to 1e-7 max(T0, 1 s). The per-LEO
+    floors T_n0 come back next to the time result. A budget below every
+    LEO's closed-form energy floor is refused before any channel is built.
     """
     n_leos = req.scenario.n_leos
-    refuse_budget_below_floor(req, range(n_leos), req.files_per_leos * req.file_bits, [1] * n_leos, n_leos)
-    t_n0 = np.array([_min_duration_full_power(req, n) for n in range(n_leos)])
+    target = req.files_per_leos * req.file_bits
+    refuse_budget_below_floor(req, range(n_leos), target, [1] * n_leos, n_leos)
+    floors = []
+    for n in range(n_leos):
+        unreachable = InfeasibleError(f"LEO {n}: bit target unreachable in any horizon", index=n)
+        floors.append(floor_horizon(req, (n,), target, (1,), 1, 0.0, 1e-12, unreachable))
+    t_n0 = np.array(floors)
     t0 = float(np.max(t_n0)) if n_leos else 0.0
     res = budget_horizon(
         req,

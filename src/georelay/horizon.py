@@ -26,15 +26,15 @@ meet before any channel is built at all.
 
 Each stage minimizes energy at a given horizon, and each minimizes the
 horizon under its budget the same way. The floor T0 is the least horizon at
-which the stage can deliver its traffic at full power. A node reaches an
-amount of bits at one threshold horizon, :meth:`StageRequest.reach_horizon`:
-a bracket grown until the full-power bits reach it, held at ``MAX_CELLS``
-grid steps, the cell that holds the threshold read off the prefix with one
-``searchsorted``, and an Illinois-type secant inside that cell, where the
-bits are smooth in the horizon. The downlink's T0 is the largest of its
-LEOs' thresholds for their traffic; the uplink's and the repairs' is the
-F-th least threshold of k files on node n, k up to its storage cap, with F
-the file total (:func:`floor_horizon`).
+which the stage can deliver its traffic at full power, and
+:func:`floor_horizon` is its one search. A node reaches each amount of bits
+at one threshold horizon, and T0 is the F-th least threshold of the amounts
+k u on node n, k up to its cap: for the uplink and the repairs u is a file
+and F the file total; the downlink asks each LEO for one amount, its
+traffic, and takes the largest floor. The search grows one bracket until F
+amounts reach, reads each threshold's cell off the full-power prefix, and
+refines only the thresholds whose cells can hold the F-th, with a secant
+inside the cell, where the bits are smooth in the horizon.
 
 Beyond T0 the stage's optimal energy decreases in the horizon, so a binding
 energy budget is met by a search between T0 and ``upper_factor * T0``, held
@@ -49,9 +49,11 @@ uplink, the MDS repair and the regenerating repair run both searches through
 one file-allocation wrapper, :func:`georelay.uplink_opt.min_time_solve`;
 the downlink calls them directly.
 
-The stages pass their own tolerances (downlink 1e-12 relative on the floor
-and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one common pair
-would move the downlink-time outputs or add uplink allocation solves.
+Both searches stop on a horizon width, never on an energy or bit
+tolerance. The stages pass their own widths (downlink 1e-12 relative on the
+floor and 1e-7 on the budget, uplink and repair 1e-6 s and 1e-5): one
+common pair would move the downlink-time outputs or add uplink allocation
+solves.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class StageRequest:
     :meth:`entry_s`; :meth:`distance` is the stage's link length and
     :meth:`radii` the orbit radii of its ends.
     ``upper_factor`` bounds the budget search at that multiple of T0, which
-    stops once the energy is within ``energy_rel_tol`` of the budget, and
+    stops once its horizon bracket is no wider than its stop width, and
     never passes ``MAX_CELLS`` grid steps. No channel holds more than
     ``MAX_CELLS`` grid cells: a request whose own horizon needs more is
     refused, and a search horizon that needs more makes the search
@@ -103,7 +105,6 @@ class StageRequest:
     e_max_j: float | None = None
     grid_step_s: float = 1.0
     upper_factor: float = 4.0
-    energy_rel_tol: float = 1e-3
     # node -> the channel over its longest window built so far
     _longest: dict[int, NodeChannel] = field(default_factory=dict, init=False, repr=False, compare=False)
     # node -> prefix sums of w * log1p(p_max * h) over that channel's cells
@@ -136,10 +137,14 @@ class StageRequest:
 
     def _cut(self, n: int, horizon_s: float | None):
         """Node n's window at ``horizon_s``, its cell count and, for a
-        nonempty window, its longest channel and last cell's weight and gain.
+        nonempty window, its longest channel and last cell's weight, gain
+        and gain rate.
 
         The longest channel is rebuilt, and its full-power prefix dropped,
-        when it holds fewer cells than the window.
+        when it holds fewer cells than the window. One distance evaluation,
+        at the last cell's midpoint t and at t -/+ ``_RATE_STEP_S``, gives
+        the gain h = L / d(t)^2 and its rate h' = -h d'(t) / d(t), d' the
+        central difference.
         """
         start, end = self.window(n, horizon_s)
         step = self.grid_step_s
@@ -149,7 +154,7 @@ class StageRequest:
                 f"a {end - start:.6g} s window needs more than {MAX_CELLS} grid cells of {step:g} s"
             )
         if cells == 0:
-            return start, end, 0, None, 0.0, None
+            return start, end, 0, None, 0.0, None, None
         link = self.links[n]
         longest = self._longest.get(n)
         if longest is None or longest.n_cells < cells:
@@ -157,8 +162,9 @@ class StageRequest:
             self._full_prefix.pop(n, None)
         weight = (end - start) - step * (cells - 1)
         mid = start + step * (cells - 1) + weight / 2.0
-        d = np.asarray(self.distance(n, np.array([mid])), dtype=float)
-        return start, end, cells, longest, weight, aggregate_gain(link) / (d * d)
+        d = np.asarray(self.distance(n, mid + np.array([-_RATE_STEP_S, 0.0, _RATE_STEP_S])), dtype=float)
+        gain = aggregate_gain(link) / (d[1] * d[1])
+        return start, end, cells, longest, weight, gain, -gain * (d[2] - d[0]) / (2.0 * _RATE_STEP_S * d[1])
 
     def channel(self, n: int, horizon_s: float | None = None) -> NodeChannel:
         """Node n's channel at ``horizon_s``, cut from its longest one built.
@@ -169,7 +175,7 @@ class StageRequest:
         expressions. Only a horizon that needs more cells than the longest
         channel holds builds a new one.
         """
-        start, end, cells, longest, weight, gain = self._cut(n, horizon_s)
+        start, end, cells, longest, weight, gain, _ = self._cut(n, horizon_s)
         bandwidth = self.links[n].bandwidth_hz
         if cells == 0:
             return NodeChannel(start, start, self.grid_step_s, np.zeros(0), np.zeros(0), bandwidth)
@@ -178,7 +184,7 @@ class StageRequest:
         weights[:-1] = longest.weights_s[: cells - 1]
         gains[:-1] = longest.gains_per_w[: cells - 1]
         weights[-1] = weight
-        gains[-1:] = gain
+        gains[-1] = gain
         return NodeChannel(start, end, self.grid_step_s, weights, gains, bandwidth)
 
     def full_bits(self, n: int, horizon_s: float | None = None) -> float:
@@ -191,7 +197,7 @@ class StageRequest:
         on x86-64), so its rounding stays far below the float64 dot
         product's.
         """
-        _, _, cells, longest, weight, gain = self._cut(n, horizon_s)
+        _, _, cells, longest, weight, gain, _ = self._cut(n, horizon_s)
         if cells == 0:
             return 0.0
         prefix = self._full_prefix.get(n)
@@ -199,7 +205,7 @@ class StageRequest:
             terms = longest.weights_s * np.log1p(self.p_max_w * longest.gains_per_w)
             sums = np.cumsum(terms, dtype=np.longdouble).astype(float)
             prefix = self._full_prefix[n] = np.concatenate(([0.0], sums))
-        last = weight * np.log1p(self.p_max_w * gain[0])
+        last = weight * np.log1p(self.p_max_w * gain)
         return float(prefix[cells - 1] + last) * (self.links[n].bandwidth_hz / LN2)
 
     def energy_slope(self, nodes, horizon_s: float, alloc) -> float:
@@ -214,23 +220,19 @@ class StageRequest:
 
             P_K - x ln(1 + P_K h_K) - x w_K P_K h_K' / (1 + P_K h_K),
 
-        with x = water_level / ln 2 and h_K' = -h_K d'(t_mid) / d(t_mid),
-        d' a central difference of :meth:`distance`. A node with no bits or
-        an empty window has P_K = 0 and adds 0. At a grid boundary the last
-        cell is the full one (:meth:`_cut`), so the slope is the left one;
-        for a file allocation it is the slope at its counts, so it is
-        one-sided where the optimal counts change.
+        with x = water_level / ln 2 and h_K' the gain rate of :meth:`_cut`.
+        A node with no bits or an empty window has P_K = 0 and adds 0. At a
+        grid boundary the last cell is the full one (:meth:`_cut`), so the
+        slope is the left one; for a file allocation it is the slope at its
+        counts, so it is one-sided where the optimal counts change.
         """
         slope = 0.0
         for n, profile, level in zip(nodes, alloc.profiles, alloc.water_levels):
             powers = profile.values_w
             if powers.size == 0 or powers[-1] == 0.0:
                 continue
-            start, _, cells, _, weight, gain = self._cut(n, horizon_s)
-            mid = start + self.grid_step_s * (cells - 1) + weight / 2.0
-            d = self.distance(n, np.array([mid - _RATE_STEP_S, mid, mid + _RATE_STEP_S]))
-            gain_rate = -gain[0] * (d[2] - d[0]) / (2.0 * _RATE_STEP_S * d[1])
-            p, snr, x = float(powers[-1]), float(powers[-1] * gain[0]), level / LN2
+            _, _, _, _, weight, gain, gain_rate = self._cut(n, horizon_s)
+            p, snr, x = float(powers[-1]), float(powers[-1] * gain), level / LN2
             slope += p - x * math.log1p(snr) - x * weight * p * gain_rate / (1.0 + snr)
         return slope
 
@@ -263,87 +265,6 @@ class StageRequest:
         as log1p(x) <= x bounds every cell's bits by W w P h_max / ln 2."""
         return LN2 / (self.links[n].bandwidth_hz * self._gain_ceiling(n))
 
-    def _reach_cells(self, n: int, bits):
-        """For each amount in ``bits``, the cell count c at which node n's
-        full-power prefix first reaches it, and the horizon at which the
-        node's window opens: the amount's threshold lies in the horizons
-        (opens + (c - 1) dt, opens + c dt], up to rounding at the ends."""
-        prefix = self._full_prefix[n]
-        target = np.asarray(bits) / (self.links[n].bandwidth_hz / LN2)
-        cells = np.minimum(np.searchsorted(prefix, target), prefix.size - 1)
-        return cells, self.window(n, 0.0)[0] - self.t_start_s
-
-    def reach_horizon(self, n: int, bits: float, lo, hi, abs_tol, rel_tol, unreachable) -> float:
-        """Least horizon above ``lo`` at which node n's :meth:`full_bits` reach ``bits``.
-
-        The bracket end ``hi`` grows as in :func:`floor_horizon`, each end
-        tried on :meth:`bits_ceiling` first, and ``unreachable`` is raised
-        if the bits fall short at ``MAX_CELLS`` grid steps. The cell that
-        holds the threshold is one ``searchsorted`` on the full-power prefix.
-        Inside it the bits are smooth in the horizon, and a bracketed
-        Illinois-type secant, with Anderson and Bjorck's weight on a kept end
-        (BIT 13, 1973), starts from the prefix's values at the cell's ends.
-        Once its steps shrink so fast that the estimate t is within a tenth
-        of h of the threshold, with h = 0.45 of the stop width
-        ``abs_tol + rel_tol * max(t, 1)``, the final bracket [t - h, t + h]
-        is checked at both ends and its upper end returned. That end lies
-        about h above the threshold, so the allocator's float64 full-power
-        bits, which can fall 1e-15 relative below the prefix's, reach there
-        too. A bracket the secant does not close is bisected to the stop
-        width.
-        """
-        if bits <= 0.0:
-            return lo
-
-        def short(horizon: float) -> float:
-            return self.full_bits(n, horizon) - bits
-
-        hi = _grow(self, lambda t: self.bits_ceiling(n, t) >= bits and short(t) >= 0.0, lo, hi, unreachable)
-        step = self.grid_step_s
-        prefix = self._full_prefix[n]
-        scale = self.links[n].bandwidth_hz / LN2
-        (c,), opens = self._reach_cells(n, [bits])
-        # the secant's ends (a, fa) short and (b, fb) reaching, first the cell's
-        a, fa = opens + (c - 1) * step, (prefix[c - 1] - bits / scale) * scale
-        b, fb = opens + c * step, (prefix[c] - bits / scale) * scale
-        # the last point tried, the step to it, and which end it moved
-        last, moved, side = None, b - a, 0
-        for _ in range(_MAX_STEPS):
-            t = (a * fb - b * fa) / (fb - fa)
-            if not lo <= t <= hi:
-                t = 0.5 * (lo + hi)
-            h = 0.45 * (abs_tol + rel_tol * max(t, 1.0))
-            if last is not None:
-                # steps shrinking by q leave t about q * |t - last| off the root
-                if hi - lo <= h or (t - last) ** 2 <= 0.1 * h * moved:
-                    break
-                moved = abs(t - last)
-            last, f = t, short(t)
-            if f >= 0.0:
-                if side > 0:
-                    fa *= 1.0 - f / fb if fb > f else 0.5
-                hi, b, fb, side = t, t, f, 1
-            else:
-                if side < 0:
-                    fb *= 1.0 - f / fa if fa < f else 0.5
-                lo, a, fa, side = t, t, f, -1
-        up = min(t + h, MAX_CELLS * step)
-        if short(up) >= 0.0:
-            if t - h <= lo or short(t - h) < 0.0:
-                return up
-            hi = t - h
-        else:
-            lo = up
-        for _ in range(_MAX_STEPS):
-            if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
-                break
-            mid = 0.5 * (lo + hi)
-            if short(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
 
 @dataclass(frozen=True)
 class TimeResult:
@@ -357,38 +278,30 @@ class TimeResult:
     energy_at_t0_j: float
 
 
-def _grow(req, reaches, lo, hi, unreachable) -> float:
-    """The first of hi, lo + 2 (hi - lo), ... at which ``reaches`` holds,
-    held at ``MAX_CELLS * req.grid_step_s`` as in :func:`budget_horizon`;
-    ``unreachable`` is raised if it fails there."""
-    bound = MAX_CELLS * req.grid_step_s
-    hi = min(hi, bound)
-    while not reaches(hi):
-        if hi >= bound:
-            raise unreachable
-        hi = min(lo + 2.0 * (hi - lo), bound)
-    return hi
-
-
-def floor_horizon(req, nodes, unit_bits, caps, count, lo, hi, abs_tol, rel_tol, unreachable) -> float:
-    """Least horizon above ``lo`` at which ``count`` amounts reach their nodes at full power.
+def floor_horizon(req, nodes, unit_bits, caps, count, abs_tol, rel_tol, unreachable) -> float:
+    """Least horizon at which ``count`` amounts reach their nodes at full power.
 
     Node ``nodes[i]`` holds the amounts k * ``unit_bits``, k = 1 ..
-    ``caps[i]``, and each amount has its threshold horizon
-    (:meth:`StageRequest.reach_horizon`); the floor is the count-th least of
-    them. The bracket end ``hi`` grows as in :meth:`~StageRequest.reach_horizon`
-    until ``count`` amounts reach, on the ceilings first. Every amount that
-    reaches there is placed in its cell with one ``searchsorted`` per node.
-    The count-th threshold lies between the count-th least cell start and
-    the count-th least cell end, so the amounts whose cell ends below that
-    start are counted, those whose cell starts above that end are dropped,
-    and only the rest are refined. The floor is returned within the stop
-    width ``abs_tol + rel_tol * max(T0, 1)`` above the count-th threshold.
-    A threshold can lie a rounding error past its cell's end, where the
-    refinement's bracket grows past it and the count is off by no more.
+    ``caps[i]``, and each amount has its threshold horizon, the least at
+    which the node's :meth:`~StageRequest.full_bits` reach it; the floor is
+    the count-th least of them, and 0 for no traffic. The bracket starts at
+    the earliest window opening among ``nodes``, max(dt, 1 s) wide, and its
+    end doubles away from that opening until ``count`` amounts reach, on the
+    :meth:`~StageRequest.bits_ceiling` first, held at ``MAX_CELLS`` grid
+    steps; ``unreachable`` is raised if they fall short there. Every amount
+    that reaches at that end is placed in its prefix cell, the grid cell of
+    its node where the full-power prefix first reaches it, with one
+    ``searchsorted`` per node. The count-th threshold lies between the
+    count-th least cell start and the count-th least cell end, so the
+    amounts whose cell ends below that start are counted, those whose cell
+    starts above that end are dropped, and only the rest are refined
+    (:func:`_refine`). The floor is returned within the stop width
+    ``abs_tol + rel_tol * max(T0, 1)`` above the count-th threshold. A
+    threshold can lie a rounding error past its cell's end; its refinement
+    still finds it, below the bracket end, and the count is off by no more.
     """
-    if count <= 0:
-        return lo
+    if count <= 0 or unit_bits <= 0:
+        return 0.0
     amounts = [unit_bits * np.arange(1, cap + 1) for cap in caps]
     reached = []
 
@@ -399,25 +312,103 @@ def floor_horizon(req, nodes, unit_bits, caps, count, lo, hi, abs_tol, rel_tol, 
         reached[:] = [np.searchsorted(a, req.full_bits(n, horizon), "right") for n, a in zip(nodes, amounts)]
         return sum(reached) >= count
 
-    hi = _grow(req, covers, lo, hi, unreachable)
     step = req.grid_step_s
-    owners, bits, starts, ends = [], [], [], []
+    bound = MAX_CELLS * step
+    lo = min((req.window(n, 0.0)[0] - req.t_start_s for n in nodes), default=0.0)
+    hi = min(lo + max(step, 1.0), bound)
+    while not covers(hi):
+        if hi >= bound:
+            raise unreachable
+        hi = min(lo + 2.0 * (hi - lo), bound)
+    owners, bits, cells, starts, ends = [], [], [], [], []
     for n, a, m in zip(nodes, amounts, reached):
         if m:
-            cells, opens = req._reach_cells(n, a[:m])
+            prefix = req._full_prefix[n]
+            c = np.minimum(np.searchsorted(prefix, a[:m] / (req.links[n].bandwidth_hz / LN2)), prefix.size - 1)
+            opens = req.window(n, 0.0)[0] - req.t_start_s
             owners += [n] * int(m)
             bits.append(a[:m])
-            starts.append(opens + (cells - 1) * step)
-            ends.append(opens + cells * step)
-    bits, starts, ends = np.concatenate(bits), np.concatenate(starts), np.concatenate(ends)
+            cells.append(c)
+            starts.append(opens + (c - 1) * step)
+            ends.append(opens + c * step)
+    bits, cells, starts, ends = (np.concatenate(x) for x in (bits, cells, starts, ends))
     first = np.partition(starts, count - 1)[count - 1]
     last = np.partition(ends, count - 1)[count - 1]
     below = int(np.count_nonzero(ends <= first))
     refined = sorted(
-        req.reach_horizon(owners[i], bits[i], max(starts[i], lo), min(ends[i], hi), abs_tol, rel_tol, unreachable)
+        _refine(req, owners[i], bits[i], cells[i], hi, abs_tol, rel_tol)
         for i in np.flatnonzero((ends > first) & (starts < last))
     )
     return refined[count - below - 1]
+
+
+def _refine(req, n, bits, cell, hi, abs_tol, rel_tol) -> float:
+    """Node n's threshold for ``bits``, which its full-power prefix first
+    reaches in grid cell ``cell``, to the stop width above it; ``hi``, where
+    the bits reach, bounds the bracket from above.
+
+    Inside the cell the bits are smooth in the horizon, and a bracketed
+    Illinois-type secant, with Anderson and Bjorck's weight on a kept end
+    (BIT 13, 1973), starts from the prefix's values at the cell's ends. Its
+    bracket runs from the cell's start to ``hi``, so a threshold that lies
+    a rounding error past the cell's end stays inside it. Once the secant's
+    steps shrink so fast that the estimate t is within a tenth of h of the
+    threshold, with h = 0.45 of the stop width ``abs_tol + rel_tol *
+    max(t, 1)``, the final bracket [t - h, t + h] is checked at both ends
+    and its upper end returned. That end lies about h above the threshold,
+    so the allocator's float64 full-power bits, which can fall 1e-15
+    relative below the prefix's, reach there too. A bracket the secant does
+    not close is bisected to the stop width.
+    """
+
+    def short(horizon: float) -> float:
+        return req.full_bits(n, horizon) - bits
+
+    step = req.grid_step_s
+    prefix = req._full_prefix[n]
+    scale = req.links[n].bandwidth_hz / LN2
+    opens = req.window(n, 0.0)[0] - req.t_start_s
+    # the secant's ends (a, fa) short and (b, fb) reaching, first the cell's
+    lo = a = opens + (cell - 1) * step
+    b = opens + cell * step
+    fa, fb = (prefix[cell - 1] - bits / scale) * scale, (prefix[cell] - bits / scale) * scale
+    # the last point tried, the step to it, and which end it moved
+    last, moved, side = None, b - a, 0
+    for _ in range(_MAX_STEPS):
+        t = (a * fb - b * fa) / (fb - fa)
+        if not lo <= t <= hi:
+            t = 0.5 * (lo + hi)
+        h = 0.45 * (abs_tol + rel_tol * max(t, 1.0))
+        if last is not None:
+            # steps shrinking by q leave t about q * |t - last| off the root
+            if hi - lo <= h or (t - last) ** 2 <= 0.1 * h * moved:
+                break
+            moved = abs(t - last)
+        last, f = t, short(t)
+        if f >= 0.0:
+            if side > 0:
+                fa *= 1.0 - f / fb if fb > f else 0.5
+            hi, b, fb, side = t, t, f, 1
+        else:
+            if side < 0:
+                fb *= 1.0 - f / fa if fa < f else 0.5
+            lo, a, fa, side = t, t, f, -1
+    up = min(t + h, MAX_CELLS * step)
+    if short(up) >= 0.0:
+        if t - h <= lo or short(t - h) < 0.0:
+            return up
+        hi = t - h
+    else:
+        lo = up
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= abs_tol + rel_tol * max(hi, 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        if short(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def refuse_budget_below_floor(req, nodes, unit_bits, caps, count) -> None:
@@ -453,9 +444,11 @@ def budget_horizon(req, solve, energy, slope, t0, rel_tol) -> TimeResult:
     longest horizon solved over the budget, from T0, and hi the shortest
     solved within it, or until then the search bound min(``req.upper_factor
     * T0``, ``MAX_CELLS * req.grid_step_s``). It stops once the bracket is
-    no wider than tol = ``rel_tol * max(T0, 1)`` and returns hi, whose
-    energy must match the budget within ``req.energy_rel_tol``. The cell
-    bound holds the upper end because no node's window is longer than the
+    no wider than tol = ``rel_tol * max(T0, 1)`` and returns hi. Where E
+    drops in a step inside that last bracket, as the uplink's does when a
+    node's full-power file cap rises, hi's energy lies below the budget by
+    that step: the step's horizon is the answer, within tol. The cell bound
+    holds the upper end because no node's window is longer than the
     horizon, so every search channel fits.
 
     Each step is a safeguarded Newton step on f = log(E / e_max), which is
@@ -511,6 +504,6 @@ def budget_horizon(req, solve, energy, slope, t0, rel_tol) -> TimeResult:
             )
         if stepped and hi - lo > 0.5 * width:
             misses += 1
-    if best is None or abs(best[1] - e_max) > req.energy_rel_tol * e_max:
-        raise InternalError("horizon search missed the energy budget")
+    if best is None or hi > lo + tol:
+        raise InternalError("horizon search ended without closing its bracket")
     return TimeResult(hi, best[0], True, t0, e0)

@@ -18,8 +18,10 @@ beta are not its operating point's. Resolving also
 builds the three stage requests and the code point, so a scenario their own
 checks refuse (say, a LEO above the GEO altitude, repeated uplink carriers,
 K > D, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
-a configuration error before any solve. The ``solver`` block's tolerances
-reach the solvers only through the stage requests built here.
+a configuration error before any solve. The ``solver`` block's settings
+reach the solvers only through the stage requests built here, and
+``time_energy_rel_tol`` reaches none: the time searches stop on horizon
+widths of their own.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ _FIELDS: dict = {
     },
     "solver": {
         "grid_step_s": (1.0, _POSITIVE),
+        # read by no solver; kept for the scenario files that set it and for
+        # the benchmark, which checks budget-bound energies against it
         "time_energy_rel_tol": (1e-3, _POSITIVE),
         "time_upper_factor": (4.0, {"type": "number", "exclusiveMinimum": 1}),
         "seed": (1, {"type": "integer", "minimum": 0}),
@@ -284,7 +288,6 @@ def _stage_fields(config: dict, block: str, links: tuple[LinkParams, ...]) -> di
         "e_max_j": b["e_max_j"],
         "grid_step_s": solver["grid_step_s"],
         "upper_factor": solver["time_upper_factor"],
-        "energy_rel_tol": solver["time_energy_rel_tol"],
     }
 
 

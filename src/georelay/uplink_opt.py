@@ -218,7 +218,7 @@ def min_time_solve(req: StageRequest, problem_fn, nodes) -> TimeResult:
     refuse_budget_below_floor(req, nodes, spec.file_bits, caps, spec.total_files)
     unreachable = InfeasibleError("file total unreachable within the horizon search bound")
     unit = spec.file_bits / _CAP_SLACK
-    t0 = floor_horizon(req, nodes, unit, caps, spec.total_files, 0.0, max(req.grid_step_s, 1.0), 1e-6, 0.0, unreachable)
+    t0 = floor_horizon(req, nodes, unit, caps, spec.total_files, 1e-6, 0.0, unreachable)
     return budget_horizon(
         req,
         lambda horizon: oa_solve(problem_fn(horizon)),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 from types import SimpleNamespace
@@ -21,21 +22,29 @@ from test_repair_opt import _random_repair_request
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class _FlatRequest(StageRequest):
-    """Links at one constant distance from ``t_start_s`` on: a node's
-    full-power bits rise by the same amount every second, so the threshold
-    of ``bits`` is ``bits`` over that rate."""
+    """Links at one constant distance from ``opens_s`` past ``t_start_s``
+    on: a node's full-power bits rise by the same amount every second, so
+    the threshold of ``bits`` lies ``bits`` over that rate past the opening."""
+
+    opens_s: float = 0.0
 
     def entry_s(self, n):
-        return self.t_start_s
+        return self.t_start_s + self.opens_s
 
     def distance(self, n, t):
         return np.full(np.shape(t), 4.0e7)
 
 
-def _flat_request(default_config, dt):
+def _flat_request(default_config, dt, opens=0.0):
     down = build_downlink_request(default_config)
     return _FlatRequest(
-        scenario=down.scenario, links=down.links, t_start_s=0.0, horizon_s=10.0, p_max_w=down.p_max_w, grid_step_s=dt
+        scenario=down.scenario,
+        links=down.links,
+        t_start_s=0.0,
+        horizon_s=10.0,
+        p_max_w=down.p_max_w,
+        grid_step_s=dt,
+        opens_s=opens,
     )
 
 
@@ -55,34 +64,33 @@ def test_floor_raises_unreachable_at_the_cell_bound(monkeypatch, default_config)
     never = 2.0 * ceiling(req, 0, 1500.0)
     unreachable = InfeasibleError("unreachable")
     with pytest.raises(InfeasibleError) as exc:
-        req.reach_horizon(0, never, 0.0, 1.0, 1e-6, 0.0, unreachable)
+        floor_horizon(req, (0,), never, (1,), 1, 1e-6, 0.0, unreachable)
     assert exc.value is unreachable
     assert calls == [2.0**k for k in range(11)] + [1500.0]
-    t0 = req.reach_horizon(0, req.full_bits(0, 1500.0), 0.0, 1.0, 1e-6, 0.0, unreachable)
+    t0 = floor_horizon(req, (0,), req.full_bits(0, 1500.0), (1,), 1, 1e-6, 0.0, unreachable)
     assert 1500.0 - 1e-6 <= t0 <= 1500.0
-    # a search that starts past the bound tries the bound alone
-    calls.clear()
-    with pytest.raises(InfeasibleError):
-        req.reach_horizon(0, never, 1600.0, 1600.5, 0.0, 1e-12, unreachable)
-    assert calls == [1500.0]
 
 
 @pytest.mark.parametrize(
-    "threshold, lo, hi, abs_tol, rel_tol",
+    "threshold, opens, first_cell_end, abs_tol, rel_tol",
     [
         (3.7, 0.0, 1.0, 1e-6, 0.0),  # uplink/repair form, bracket grows from 1
         (0.4, 0.0, 1.0, 1e-6, 0.0),  # floor inside the first bracket
         (512.25, 130.0, 130.5, 0.0, 1e-12),  # downlink form, offset by a coverage entry
     ],
 )
-def test_floor_brackets_the_threshold_within_tolerance(default_config, threshold, lo, hi, abs_tol, rel_tol):
-    req = _flat_request(default_config, 1.0)
-    bits = threshold * req.full_bits(0, 1.0)
+def test_floor_brackets_the_threshold_within_tolerance(
+    default_config, threshold, opens, first_cell_end, abs_tol, rel_tol
+):
+    """A window opening at ``opens`` on a grid of ``first_cell_end - opens``:
+    the floor lands within the stop width above the threshold."""
+    req = _flat_request(default_config, first_cell_end - opens, opens)
+    bits = (threshold - opens) * req.full_bits(0, opens + 1.0)
 
     def reaches(horizon):
         return req.full_bits(0, horizon) >= bits
 
-    t0 = req.reach_horizon(0, bits, lo, hi, abs_tol, rel_tol, InfeasibleError("unreachable"))
+    t0 = floor_horizon(req, (0,), bits, (1,), 1, abs_tol, rel_tol, InfeasibleError("unreachable"))
     tol = abs_tol + rel_tol * max(t0, 1.0)
     assert reaches(t0)
     assert not reaches(t0 - tol)
@@ -104,7 +112,7 @@ def _slope(horizon, result):
 
 def _req(e_max):
     # the budget, search settings and grid step budget_horizon reads from a stage request
-    return SimpleNamespace(e_max_j=e_max, upper_factor=4.0, energy_rel_tol=1e-3, grid_step_s=1.0)
+    return SimpleNamespace(e_max_j=e_max, upper_factor=4.0, grid_step_s=1.0)
 
 
 def test_budget_slack_or_absent_keeps_the_floor():
@@ -128,12 +136,35 @@ def test_budget_below_the_floor_at_the_search_bound_is_infeasible():
         budget_horizon(_req(-1.0), _solve, _energy, _slope, 10.0, 1e-5)
 
 
-def test_budget_missed_by_a_step_in_the_energy_curve_is_an_internal_error():
-    def solve(horizon):
-        return {"energy": 100.0 if horizon < 20.0 else 10.0, "slope": 0.0}
+def test_uplink_budget_met_inside_a_step_of_the_energy_curve(tmp_path):
+    """At the reference scenario's 210 kJ, E* of the uplink drops past the
+    budget in one step, where LEO 3 can first deliver a 9th file and takes
+    one from LEO 2. The search returns that step's horizon: exit 0,
+    budget-bound, within the budget, and the solve one stop width shorter
+    exceeds it."""
+    assert main(["uplink-time", "--emax", "210000", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "uplink-time.csv", newline="") as f:
+        total = list(csv.DictReader(f))[-1]
+    assert total["budget_bound"] == "True" and float(total["energy_j"]) <= 210000.0
+    up = dataclasses.replace(build_uplink_request(resolve_config({})), e_max_j=210000.0)
+    res = min_time_uplink(up)
+    assert res.duration_s == float(total["duration_s"])
+    shorter = res.duration_s - 1e-5 * max(res.floor_s, 1.0)
+    assert oa_solve(up.problem(shorter)).allocation.total_energy_j > 210000.0
 
-    with pytest.raises(InternalError):
-        budget_horizon(_req(50.0), solve, _energy, _slope, 10.0, 1e-5)
+
+@pytest.mark.parametrize("ts", ["0", "143", "1e7"])
+@pytest.mark.parametrize(
+    "command, budgets",
+    [("uplink-time", (150000, 190000, 210000, 240000)), ("repair", (800, 1500, 3000, 6000, 12000))],
+    ids=["uplink", "repair"],
+)
+def test_budget_bound_time_solves_end_in_a_result_or_infeasible(tmp_path, command, budgets, ts):
+    """Time solves over a grid of start times and budgets, some inside a
+    step of the energy curve, each end in a result (exit 0) or a refusal as
+    infeasible (exit 3), never in an internal failure."""
+    for e_max in budgets:
+        assert main([command, "--ts", ts, "--emax", str(e_max), "--out", str(tmp_path)]) in (0, 3), e_max
 
 
 @pytest.mark.parametrize("field", ["p_max_w", "horizon_s", "grid_step_s"])
@@ -228,7 +259,7 @@ def test_budget_search_stops_at_the_cell_bound(monkeypatch, default_config):
         (rep, repair_min_time(rep).result.allocation.total_energy_j),
     ]
     for req, energy in solved:
-        assert abs(energy - req.e_max_j) <= req.energy_rel_tol * req.e_max_j
+        assert abs(energy - req.e_max_j) <= 1e-3 * req.e_max_j
 
 
 @pytest.mark.parametrize("command, emax", [("downlink-time", "21500"), ("uplink-time", "190000"), ("repair", "3000")])
@@ -298,11 +329,10 @@ def _least_flat_horizon(e_max):
     ],
     ids=["smooth", "staircase", "flat-in-places"],
 )
-def test_itp_takes_at_most_one_solve_more_than_bisection(solve, budgets, least, rel_tol):
-    """The budget search stays within one solve of bisection's on smooth,
-    stepped and partly flat energy curves, and returns the feasible end of
-    a bracket no wider than the stop width (the name is from the search's
-    earlier ITP form, whose worst case this was)."""
+def test_newton_takes_at_most_one_solve_more_than_bisection(solve, budgets, least, rel_tol):
+    """The Newton budget search stays within one solve of bisection's on
+    smooth, stepped and partly flat energy curves, and returns the feasible
+    end of a bracket no wider than the stop width."""
     t0 = 10.0
     tol = rel_tol * t0
     for e_max in budgets:
@@ -316,20 +346,41 @@ def test_itp_takes_at_most_one_solve_more_than_bisection(solve, budgets, least, 
         assert want - 1e-12 * want <= res.duration_s <= want + tol, e_max
 
 
-def test_itp_beats_bisection_on_the_smooth_curve():
+def test_newton_beats_bisection_on_the_smooth_curve():
+    """On 1000 / T the Newton steps meet every budget in at most 8 solves
+    besides T0 and the bound, where bisection takes more."""
     for e_max in np.linspace(25.5, 99.5, 23):
         counted, calls = _counted(_solve)
         budget_horizon(_req(float(e_max)), counted, _energy, _slope, 10.0, 1e-7)
         assert len(calls) - 2 <= 8 < _bisection_steps(_req(e_max), 10.0, 1e-7)
 
 
-def test_itp_on_a_missed_step_still_stops_within_the_bound():
-    # a budget between two steps is missed (InternalError), after no more
-    # solves than bisection + 1
-    counted, calls = _counted(_staircase)
-    with pytest.raises(InternalError, match="missed the energy budget"):
-        budget_horizon(_req(51.0), counted, _energy, _slope, 10.0, 1e-5)
-    assert len(calls) - 2 <= _bisection_steps(_req(51.0), 10.0, 1e-5) + 1
+def _one_step(horizon):
+    # 100 J before 20 s, 10 J from then on
+    return {"energy": 100.0 if horizon < 20.0 else 10.0, "slope": 0.0}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-7])
+@pytest.mark.parametrize(
+    "solve, e_max, step", [(_one_step, 50.0, 20.0), (_staircase, 51.0, 35.0)], ids=["one-step", "staircase"]
+)
+def test_budget_inside_a_step_returns_the_step_horizon(solve, e_max, step, rel_tol):
+    """A budget that the energy crosses in a step, not continuously, is met
+    at the step's horizon, within the stop width: budget-bound, below the
+    budget by the step, and after no more solves than bisection + 1."""
+    req, t0 = _req(e_max), 10.0
+    counted, calls = _counted(solve)
+    res = budget_horizon(req, counted, _energy, _slope, t0, rel_tol)
+    assert len(calls) - 2 <= _bisection_steps(req, t0, rel_tol) + 1
+    assert res.budget_bound and res.result == solve(res.duration_s) and res.result["energy"] < e_max
+    assert step <= res.duration_s <= step + rel_tol * t0
+
+
+def test_budget_search_that_ends_with_an_open_bracket_is_an_internal_error(monkeypatch):
+    """A search that runs out of steps before its bracket closes raises."""
+    monkeypatch.setattr(horizon, "_MAX_STEPS", 3)
+    with pytest.raises(InternalError, match="without closing its bracket"):
+        budget_horizon(_req(40.0), _solve, _energy, _slope, 10.0, 1e-7)
 
 
 def _crawl(horizon):
@@ -541,7 +592,7 @@ def test_threshold_below_the_float_resolution_ends_in_a_bounded_bisection(monkey
         return full_bits(self, n, horizon_s)
 
     monkeypatch.setattr(_FlatRequest, "full_bits", counted)
-    t0 = req.reach_horizon(0, bits, 0.0, 1.0, 0.0, 1e-17, InfeasibleError("unreachable"))
+    t0 = floor_horizon(req, (0,), bits, (1,), 1, 0.0, 1e-17, InfeasibleError("unreachable"))
     assert full_bits(req, 0, t0) >= bits > full_bits(req, 0, t0 - 4 * math.ulp(t0))
     assert t0 == pytest.approx(3.7, rel=1e-14)
     assert len(calls) <= 3 + 2 * horizon._MAX_STEPS
@@ -562,10 +613,11 @@ def _oracle_threshold(req, n, bits, lo, abs_tol, rel_tol, unreachable):
 @pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
 @pytest.mark.parametrize("form", [_DOWNLINK_FORM, _UPLINK_FORM], ids=["rel", "abs"])
 def test_threshold_matches_the_bisection_oracle(default_config, build, dt, form):
-    """reach_horizon against bisection of the full-power predicate: random
-    targets, targets on a full-cell prefix value and just past one, and a
-    zero target. Both land within the stop width above the threshold, and
-    the predicate holds at the returned horizon and fails one width below."""
+    """The single-amount floor against bisection of the full-power
+    predicate: random targets, targets on a full-cell prefix value and just
+    past one, and a zero target, which needs no horizon. Both land within
+    the stop width above the threshold, and the predicate holds at the
+    returned horizon and fails one width below."""
     abs_tol, rel_tol = form
     req = dataclasses.replace(build(default_config), grid_step_s=dt, t_start_s=133.0)
     nodes = getattr(req, "helpers", range(req.scenario.n_leos))
@@ -579,12 +631,41 @@ def test_threshold_matches_the_bisection_oracle(default_config, build, dt, form)
         on_cell = [prefix[c] * scale for c in rng.integers(1, int(300.0 / dt), 3)]
         targets = list(rng.uniform(0.0, full, 6)) + on_cell + [b * (1.0 + 1e-12) for b in on_cell]
         for bits in targets:
-            got = req.reach_horizon(n, bits, lo, lo + dt, abs_tol, rel_tol, unreachable)
+            got = floor_horizon(req, (n,), bits, (1,), 1, abs_tol, rel_tol, unreachable)
             want = _oracle_threshold(req, n, bits, lo, abs_tol, rel_tol, unreachable)
             tol = abs_tol + rel_tol * max(want, 1.0)
             assert abs(got - want) <= tol, (n, bits)
             assert req.full_bits(n, got) >= bits > req.full_bits(n, got - tol)
-        assert req.reach_horizon(n, 0.0, lo, lo + dt, abs_tol, rel_tol, unreachable) == lo
+        assert floor_horizon(req, (n,), 0.0, (1,), 1, abs_tol, rel_tol, unreachable) == 0.0
+
+
+@pytest.mark.parametrize("form", [_DOWNLINK_FORM, _UPLINK_FORM, (0.0, 1e-17)], ids=["rel", "abs", "sub-ulp"])
+def test_threshold_a_rounding_error_past_its_cell_is_reached(default_config, form):
+    """Targets on a full-cell prefix value whose full-power bits at the
+    cell's end fall a rounding error short: the prefix places the threshold
+    in that cell, but it lies past the cell's end. The floor still returns
+    a horizon past that end, within the stop width and a few ulps, where
+    the full-power bits reach the target; with a stop width below one ulp
+    that takes a bisection beyond the cell."""
+    abs_tol, rel_tol = form
+    req = build_downlink_request(default_config)
+    unreachable = InfeasibleError("unreachable")
+    cases = []
+    for n in range(req.scenario.n_leos):
+        opens = req.window(n, 0.0)[0] - req.t_start_s
+        req.full_bits(n, opens + 400.0)
+        prefix = req._full_prefix[n]
+        scale = req.links[n].bandwidth_hz / math.log(2.0)
+        for c in range(1, prefix.size):
+            bits = prefix[c] * scale
+            end = opens + c * req.grid_step_s
+            if np.searchsorted(prefix, bits / scale) == c and req.full_bits(n, end) < bits:
+                cases.append((n, bits, end))
+    assert len(cases) >= 20
+    for n, bits, end in cases[:: len(cases) // 20]:
+        got = floor_horizon(req, (n,), bits, (1,), 1, abs_tol, rel_tol, unreachable)
+        assert req.full_bits(n, got) >= bits, (n, end)
+        assert end < got <= end + abs_tol + rel_tol * max(end, 1.0) + 4 * math.ulp(end), (n, end)
 
 
 @pytest.mark.parametrize("dt", [1.0, 0.1])
@@ -604,11 +685,11 @@ def test_threshold_unreachable_on_the_ceiling_and_at_the_cell_bound(monkeypatch,
     bound = 3000 * dt
     unreachable = InfeasibleError("LEO 4 unreachable")
     with pytest.raises(InfeasibleError) as exc:
-        req.reach_horizon(4, 1.01 * req.bits_ceiling(4, bound), 0.0, dt, 0.0, 1e-12, unreachable)
+        floor_horizon(req, (4,), 1.01 * req.bits_ceiling(4, bound), (1,), 1, 0.0, 1e-12, unreachable)
     assert exc.value is unreachable and not builds
     short = 0.5 * (req.full_bits(4, bound) + req.bits_ceiling(4, bound))
     with pytest.raises(InfeasibleError) as exc:
-        req.reach_horizon(4, short, 0.0, dt, 0.0, 1e-12, unreachable)
+        floor_horizon(req, (4,), short, (1,), 1, 0.0, 1e-12, unreachable)
     assert exc.value is unreachable
     with pytest.raises(InfeasibleError):
         _oracle_threshold(req, 4, short, 0.0, 0.0, 1e-12, unreachable)
@@ -658,35 +739,31 @@ def test_allocation_floors_match_the_oracle_on_random_instances(default_config, 
 
 
 def test_each_threshold_takes_few_full_power_evaluations(monkeypatch):
-    """Beyond bracket growth, no threshold of the reference time solves at
-    dt 1, 0.5 and 0.1 takes more than 10 full-power evaluations."""
+    """No threshold refinement of the reference time solves at dt 1, 0.5
+    and 0.1 takes more than 10 full-power evaluations, and none asks for
+    the bits ceiling: the bracket growth has done that once for all."""
     counts = []
-    state = {"growing": False, "calls": 0}
-    full_bits, grow = StageRequest.full_bits, horizon._grow
+    state = {"calls": 0, "ceilings": 0}
+    full_bits, bits_ceiling, refine = StageRequest.full_bits, StageRequest.bits_ceiling, horizon._refine
 
     def counted_full_bits(self, n, horizon_s=None):
-        state["calls"] += not state["growing"]
+        state["calls"] += 1
         return full_bits(self, n, horizon_s)
 
-    def flagged_grow(*args):
-        state["growing"] = True
-        try:
-            return grow(*args)
-        finally:
-            state["growing"] = False
+    def counted_ceiling(self, n, horizon_s=None):
+        state["ceilings"] += 1
+        return bits_ceiling(self, n, horizon_s)
 
-    reach = StageRequest.reach_horizon
-
-    def counted_reach(self, *args):
-        state["calls"] = 0
+    def counted_refine(*args):
+        state["calls"] = state["ceilings"] = 0
         try:
-            return reach(self, *args)
+            return refine(*args)
         finally:
-            counts.append(state["calls"])
+            counts.append((state["calls"], state["ceilings"]))
 
     monkeypatch.setattr(StageRequest, "full_bits", counted_full_bits)
-    monkeypatch.setattr(horizon, "_grow", flagged_grow)
-    monkeypatch.setattr(StageRequest, "reach_horizon", counted_reach)
+    monkeypatch.setattr(StageRequest, "bits_ceiling", counted_ceiling)
+    monkeypatch.setattr(horizon, "_refine", counted_refine)
     for dt in (1.0, 0.5, 0.1):
         config = resolve_config({"solver": {"grid_step_s": dt}})
         min_time_downlink(dataclasses.replace(build_downlink_request(config), e_max_j=None))
@@ -695,7 +772,8 @@ def test_each_threshold_takes_few_full_power_evaluations(monkeypatch):
         repair_min_time(repair)
         mds_repair_min_time(repair)
     assert len(counts) >= 3 * (5 + 3)
-    assert max(counts) <= 10, counts
+    assert max(calls for calls, _ in counts) <= 10, counts
+    assert all(ceilings == 0 for _, ceilings in counts)
 
 
 @pytest.mark.parametrize("dt", [1.0, 0.1])
