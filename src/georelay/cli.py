@@ -93,7 +93,7 @@ def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
     _write(path, text.getvalue())
 
 
-# stage-block field each window flag sets; code-check's parser has none of them
+# stage-block field each window flag sets; code-check's parser has none of them, sweep's no --ts
 WINDOW_FLAGS = {"ts": "t_start_s", "horizon": "horizon_s", "emax": "e_max_j", "pmax": "p_max_w"}
 
 
@@ -354,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dt", type=float, help="override grid step [s]")
     common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--gnuplot", action="store_true", help="emit a gnuplot script next to the CSV")
-    # the stage blocks' window and budget; the code block has none
+    # the stage blocks' window and budget; the code block has none, and sweep sets the start itself
+    start = argparse.ArgumentParser(add_help=False)
+    start.add_argument("--ts", type=float, help="override transmission start time [s]")
     window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--ts", type=float, help="override transmission start time [s]")
     window.add_argument("--horizon", type=float, help="override transmission horizon T [s]")
     window.add_argument("--emax", type=float, help="override energy budget [J]")
     window.add_argument("--pmax", type=float, help="override per-beam power cap [W]")
@@ -367,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common] if name == "code-check" else [common, window])
-    sweep = sub.add_parser("sweep", parents=[common, window], description="sweep the start time --ts")
+        sub.add_parser(name, parents=[common] if name == "code-check" else [common, start, window])
+    sweep = sub.add_parser("sweep", parents=[common, window], description="sweep the start time from --from to --to")
     sweep.add_argument("--task", default="uplink-energy", choices=SWEEP_TASKS)
     sweep.add_argument("--from", dest="from", type=float, required=True)
     sweep.add_argument("--to", type=float, required=True)

@@ -12,9 +12,14 @@ to study other regimes.
 Each field is declared once, its default next to its schema entry;
 ``DEFAULT_CONFIG`` and ``SCHEMA`` are read off that table. ``leos`` and
 ``carriers_hz`` arrays replace the defaults wholesale; scalar fields merge
-individually. Unknown keys and non-finite numbers are rejected, and so is a
-code block the encoder or the repair plan cannot serve, or whose alpha and
-beta are not its operating point's. Resolving also
+individually. A scenario is checked against ``SCHEMA`` by ``_valid``, which
+reads the few keywords ``_FIELDS`` uses as jsonschema's Draft 2020-12
+validator reads them; only a refused scenario imports jsonschema, to word
+the refusal as ``jsonschema.validate`` would. As in that draft, an integral
+float such as 30.0 is an integer; it resolves to the int 30, so the
+solvers and the manifest see ints. Unknown keys and non-finite numbers are
+rejected, and so is a code block the encoder or the repair plan cannot
+serve, or whose alpha and beta are not its operating point's. Resolving also
 builds the three stage requests and the code point, so a scenario their own
 checks refuse (say, a LEO above the GEO altitude, repeated uplink carriers,
 K > D, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
@@ -27,15 +32,13 @@ widths of their own.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
-
-import jsonschema
+import numbers
 
 from .coding import OperatingPoint, RegenParams, msr_point, mbr_point, repair_requirement
 from .downlink_opt import DownlinkRequest
-from .errors import ConfigError
+from .errors import ConfigError, InternalError
 from .geometry import ConstellationScenario
 from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
@@ -166,16 +169,51 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return resolve_config(user)
 
 
-@functools.cache
-def _validator():
-    """The schema's validator, built on first use (``SCHEMA`` itself is checked by the tests)."""
-    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+def _is(value, kind: str) -> bool:
+    """jsonschema's type check: a bool is no number, and an integral float is an integer."""
+    if kind == "object":
+        return isinstance(value, dict)
+    if kind == "array":
+        return isinstance(value, list)
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return kind == "number" or isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _valid(value, schema: dict) -> bool:
+    """Whether ``value`` meets ``schema``, as jsonschema's Draft 2020-12 validator would find.
+
+    It reads ``type`` (one of the four kinds ``_is`` knows), ``enum``,
+    ``minimum``, ``exclusiveMinimum``, ``minItems``, ``items``,
+    ``properties``, ``required`` and ``additionalProperties: false``, each
+    only on the kind of value it constrains. A NaN passes every bound.
+    """
+    if "type" in schema and not _is(value, schema["type"]):
+        return False
+    if "enum" in schema and value not in schema["enum"]:
+        return False
+    if _is(value, "number"):
+        # an absent bound compares as NaN, which refuses nothing
+        return not (value < schema.get("minimum", math.nan) or value <= schema.get("exclusiveMinimum", math.nan))
+    if _is(value, "array"):
+        return len(value) >= schema.get("minItems", 0) and all(_valid(item, schema.get("items", {})) for item in value)
+    if _is(value, "object"):
+        properties = schema.get("properties", {})
+        return (
+            (schema.get("additionalProperties") is not False or value.keys() <= properties.keys())
+            and all(name in value for name in schema.get("required", ()))
+            and all(_valid(value[name], sub) for name, sub in properties.items() if name in value)
+        )
+    return True
 
 
 def resolve_config(user: dict) -> dict:
-    # the error jsonschema.validate would raise, without checking SCHEMA again
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(user))
-    if exc is not None:
+    if not _valid(user, SCHEMA):
+        import jsonschema  # only a refusal pays for the import, to raise the error jsonschema.validate picks
+
+        exc = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(SCHEMA)(SCHEMA).iter_errors(user))
+        if exc is None:
+            raise InternalError("the scenario check refused a scenario that jsonschema accepts")
         raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})")
     # NaN passes every schema bound (all its comparisons are false) and
     # infinity passes every lower bound
@@ -185,6 +223,11 @@ def resolve_config(user: dict) -> dict:
         raise ConfigError("scenario invalid: NaN or infinite number") from exc
     # the schema admits only known blocks of scalars and arrays, so fields merge one level down
     config = copy.deepcopy({block: {**fields, **user.get(block, {})} for block, fields in DEFAULT_CONFIG.items()})
+    # the schema takes an integral float as an integer; the solvers and the manifest get the int
+    for block, fields in _FIELDS.items():
+        for name, (_, schema) in fields.items():
+            if schema.get("type") == "integer":
+                config[block][name] = int(config[block][name])
     n_leos = len(config["constellation"]["leos"])
     if len(config["uplink"]["carriers_hz"]) != n_leos:
         raise ConfigError(

@@ -39,7 +39,7 @@ def test_type_errors_rejected():
 
 
 def test_schema_is_valid_and_errors_read_as_jsonschema_validate():
-    """The validator built once reports the error jsonschema.validate picks."""
+    """A refused scenario reports the error jsonschema.validate picks."""
     jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
     user = {
         "downlink": {"p_max_w": -3.0, "nope": 1},
@@ -374,6 +374,38 @@ def test_cli_code_check_refuses_window_flags(tmp_path, capsys, flag):
     assert f"georelay code-check: error: unrecognized arguments: {flag} 133" in err
 
 
+def test_cli_sweep_refuses_ts(tmp_path, capsys):
+    # sweep sets the start time itself, from --from to --to
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--task", "downlink-energy", "--from", "0", "--to", "10", "--step", "5", "--ts", "50", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("usage: georelay sweep ")
+    assert "georelay sweep: error: unrecognized arguments: --ts 50" in err
+
+
+def test_cli_integral_float_in_an_integer_field_reads_as_its_int(tmp_path):
+    """The schema takes 30.0 as an integer; every command then runs as on 30."""
+    integers = {
+        block: {name: DEFAULT_CONFIG[block][name] for name, field in fields["properties"].items() if field.get("type") == "integer"}
+        for block, fields in SCHEMA["properties"].items()
+    }
+    assert sum(map(len, integers.values())) == 9
+    scenarios = {"int": integers, "float": {block: {k: float(v) for k, v in f.items()} for block, f in integers.items()}}
+    for label, user in scenarios.items():
+        (tmp_path / f"{label}.json").write_text(json.dumps(user))
+    for command in ["code-check", "downlink-energy", "uplink-energy", "uplink-time", "repair"]:
+        for label in scenarios:
+            args = [command, "--scenario", str(tmp_path / f"{label}.json"), "--out", str(tmp_path / label)]
+            assert run_cli(args) == 0, (command, label)
+        csv_bytes, manifests = ([(tmp_path / label / f"{command}{suffix}").read_bytes() for label in scenarios] for suffix in (".csv", ".manifest.json"))
+        assert csv_bytes[0] == csv_bytes[1], command
+        assert manifests[0] == manifests[1], command
+        config = json.loads(manifests[1])["config"]
+        assert all(type(config[block][name]) is int for block, fields in integers.items() for name in fields), command
+
+
 def test_cli_gnuplot_emission(tmp_path):
     args = [
         "sweep", "--task", "downlink-energy", "--from", "0", "--to", "50", "--step", "50",
@@ -399,3 +431,23 @@ def test_cli_import_leaves_lp_solver_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_accept_path_leaves_jsonschema_unloaded(tmp_path):
+    """A valid scenario never imports jsonschema; a refused one still reads in its words."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"downlink": {"nope": 1}}')
+    code = (
+        "import sys\n"
+        "from georelay.cli import main\n"
+        "out, bad = sys.argv[1:]\n"
+        "print('rc', main(['downlink-energy', '--out', out]), 'jsonschema' in sys.modules)\n"
+        "print('rc', main(['downlink-energy', '--scenario', bad, '--out', out]), 'jsonschema' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(bad)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("rc ")] == ["rc 0 False", "rc 2 True"]
+    assert (
+        "configuration error: scenario invalid: Additional properties are not allowed ('nope' was unexpected) "
+        "(at ['downlink'])" in proc.stderr
+    )
