@@ -72,9 +72,7 @@ def _fmt(value) -> str:
 
 def _write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file renamed into place."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -387,6 +385,7 @@ def main(argv=None) -> int:
     sweep = args.command == "sweep"
     name = f"sweep-{args.task}" if sweep else args.command
     try:
+        os.makedirs(args.out, exist_ok=True)
         config = load_config(args.scenario, _flag_overrides(args, _block(args.task if sweep else name)))
         header, rows, *_ = run_sweep(config, args) if sweep else COMMANDS[name](config)
         stem = os.path.join(args.out, name)
@@ -410,6 +409,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the scenario file's read errors are ConfigErrors, so this is --out
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

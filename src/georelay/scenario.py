@@ -12,11 +12,10 @@ to study other regimes.
 Each field is declared once, its default next to its schema entry;
 ``DEFAULT_CONFIG`` and ``SCHEMA`` are read off that table. ``leos`` and
 ``carriers_hz`` arrays replace the defaults wholesale; scalar fields merge
-individually. A scenario is checked against ``SCHEMA`` by ``_valid``, which
-reads the few keywords ``_FIELDS`` uses as jsonschema's Draft 2020-12
-validator reads them; only a refused scenario imports jsonschema, to word
-the refusal as ``jsonschema.validate`` would. As in that draft, an integral
-float such as 30.0 is an integer; it resolves to the int 30, so the
+individually. ``_errors`` checks a scenario against ``SCHEMA`` for the few
+keywords ``_FIELDS`` uses and words a refusal as ``jsonschema.validate``
+(4.26, Draft 2020-12) would, without jsonschema. As in that draft, an
+integral float such as 30.0 is an integer; it resolves to the int 30, so the
 solvers and the manifest see ints. Unknown keys and non-finite numbers are
 rejected, and so is a code block the encoder or the repair plan cannot
 serve, or whose alpha and beta are not its operating point's. Resolving also
@@ -38,7 +37,7 @@ import numbers
 
 from .coding import OperatingPoint, RegenParams, msr_point, mbr_point, repair_requirement
 from .downlink_opt import DownlinkRequest
-from .errors import ConfigError, InternalError
+from .errors import ConfigError
 from .geometry import ConstellationScenario
 from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
@@ -155,13 +154,12 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     ``overrides`` ({block: {field: value}}, the command-line flags) replace
     the file's fields before validation, so they pass the same schema.
     """
-    if path is None:
-        user: dict = {}
-    else:
+    user: dict = {}
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON is a ValueError
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     for block, fields in (overrides or {}).items():
         if isinstance(user, dict) and isinstance(user.setdefault(block, {}), dict):
@@ -180,41 +178,47 @@ def _is(value, kind: str) -> bool:
     return kind == "number" or isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
-def _valid(value, schema: dict) -> bool:
-    """Whether ``value`` meets ``schema``, as jsonschema's Draft 2020-12 validator would find.
+def _errors(value, schema: dict, path: tuple = ()):
+    """``(path, message)`` for each way ``value`` fails ``schema``, in jsonschema 4.26's Draft 2020-12 order and words.
 
-    It reads ``type`` (one of the four kinds ``_is`` knows), ``enum``,
-    ``minimum``, ``exclusiveMinimum``, ``minItems``, ``items``,
-    ``properties``, ``required`` and ``additionalProperties: false``, each
-    only on the kind of value it constrains. A NaN passes every bound.
+    It reads the nine keywords ``_FIELDS`` uses, ``additionalProperties`` only as false, in each schema's
+    key order and each only on the kind of value it constrains. A NaN passes every bound.
     """
-    if "type" in schema and not _is(value, schema["type"]):
-        return False
-    if "enum" in schema and value not in schema["enum"]:
-        return False
-    if _is(value, "number"):
-        # an absent bound compares as NaN, which refuses nothing
-        return not (value < schema.get("minimum", math.nan) or value <= schema.get("exclusiveMinimum", math.nan))
-    if _is(value, "array"):
-        return len(value) >= schema.get("minItems", 0) and all(_valid(item, schema.get("items", {})) for item in value)
-    if _is(value, "object"):
-        properties = schema.get("properties", {})
-        return (
-            (schema.get("additionalProperties") is not False or value.keys() <= properties.keys())
-            and all(name in value for name in schema.get("required", ()))
-            and all(_valid(value[name], sub) for name, sub in properties.items() if name in value)
-        )
-    return True
+    for key, bound in schema.items():
+        if key == "type" and not _is(value, bound):
+            yield path, f"{value!r} is not of type {bound!r}"
+        elif key == "enum" and value not in bound:
+            yield path, f"{value!r} is not one of {bound!r}"
+        elif key == "minimum" and _is(value, "number") and value < bound:
+            yield path, f"{value!r} is less than the minimum of {bound!r}"
+        elif key == "exclusiveMinimum" and _is(value, "number") and value <= bound:
+            yield path, f"{value!r} is less than or equal to the minimum of {bound!r}"
+        elif key == "minItems" and _is(value, "array") and len(value) < bound:
+            yield path, f"{value!r} {'should be non-empty' if bound == 1 else 'is too short'}"
+        elif key == "items" and _is(value, "array"):
+            for index, item in enumerate(value):
+                yield from _errors(item, bound, (*path, index))
+        elif key == "additionalProperties" and _is(value, "object") and (extra := value.keys() - schema["properties"]):
+            names = ", ".join(map(repr, sorted(extra, key=str)))
+            verb = "was" if len(extra) == 1 else "were"
+            yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "required" and _is(value, "object"):
+            yield from ((path, f"{name!r} is a required property") for name in bound if name not in value)
+        elif key == "properties" and _is(value, "object"):
+            for name, sub in bound.items():
+                if name in value:
+                    yield from _errors(value[name], sub, (*path, name))
 
 
 def resolve_config(user: dict) -> dict:
-    if not _valid(user, SCHEMA):
-        import jsonschema  # only a refusal pays for the import, to raise the error jsonschema.validate picks
-
-        exc = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(SCHEMA)(SCHEMA).iter_errors(user))
-        if exc is None:
-            raise InternalError("the scenario check refused a scenario that jsonschema accepts")
-        raise ConfigError(f"scenario invalid: {exc.message} (at {list(exc.absolute_path)})")
+    # best_match's relevance key less its last three terms, which tie under SCHEMA: no keyword in it is weak (anyOf,
+    # oneOf) or strong, and errors at one path share one value and subschema; max keeps the first of equal keys
+    try:
+        worst = max(_errors(user, SCHEMA), key=lambda error: (-len(error[0]), error[0]), default=None)
+    except RecursionError as exc:  # a message quotes its value in full, as jsonschema's does
+        raise ConfigError("scenario invalid: a value nested too deeply to quote") from exc
+    if worst:
+        raise ConfigError(f"scenario invalid: {worst[1]} (at {list(worst[0])})")
     # NaN passes every schema bound (all its comparisons are false) and
     # infinity passes every lower bound
     try:

@@ -434,7 +434,7 @@ def test_cli_import_leaves_lp_solver_unloaded():
 
 
 def test_cli_accept_path_leaves_jsonschema_unloaded(tmp_path):
-    """A valid scenario never imports jsonschema; a refused one still reads in its words."""
+    """Neither a valid scenario nor a refused one imports jsonschema; the refusal still reads in its words."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"downlink": {"nope": 1}}')
     code = (
@@ -446,8 +446,91 @@ def test_cli_accept_path_leaves_jsonschema_unloaded(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(bad)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert [line for line in proc.stdout.splitlines() if line.startswith("rc ")] == ["rc 0 False", "rc 2 True"]
+    assert [line for line in proc.stdout.splitlines() if line.startswith("rc ")] == ["rc 0 False", "rc 2 False"]
     assert (
         "configuration error: scenario invalid: Additional properties are not allowed ('nope' was unexpected) "
         "(at ['downlink'])" in proc.stderr
     )
+
+
+def test_cli_runs_and_refuses_without_jsonschema(tmp_path):
+    """With ``import jsonschema`` refused, a valid scenario writes the same CSV and a refusal reads the same."""
+    bad = {"constellation": {"leos": [{"altitude_m": -1.0}]}, "code": {"point": "rsm"}}
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(bad, SCHEMA)
+    err = expected.value
+    assert run_cli(["downlink-energy", "--dt", "5", "--out", str(tmp_path / "here")]) == 0
+    code = (
+        "import sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'jsonschema':\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "from georelay.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    args = [sys.executable, "-c", code, "downlink-energy", "--dt", "5", "--out", str(tmp_path / "there")]
+    accepted = subprocess.run(args, capture_output=True, text=True)
+    assert accepted.returncode == 0, accepted.stderr
+    refused = subprocess.run(args + ["--scenario", str(tmp_path / "bad.json")], capture_output=True, text=True)
+    assert refused.returncode == 2
+    assert refused.stderr == f"configuration error: scenario invalid: {err.message} (at {list(err.absolute_path)})\n"
+    here, there = (tmp_path / out / "downlink-energy.csv" for out in ("here", "there"))
+    assert there.read_bytes() == here.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        # two errors at one LEO item: additionalProperties comes before required in the item's schema
+        (
+            {"constellation": {"leos": [{"altitude_m": 5e5, "velocity_mps": 7e3, "phase_offset_deg": 0, "mass_kg": 1}]}},
+            "Additional properties are not allowed ('mass_kg' was unexpected) (at ['constellation', 'leos', 0])",
+        ),
+        # equal depth in two blocks: the greater path wins, though the walk meets downlink first
+        (
+            {"downlink": {"p_max_w": -1}, "uplink": {"p_max_w": 0}},
+            "0 is less than or equal to the minimum of 0 (at ['uplink', 'p_max_w'])",
+        ),
+    ],
+    ids=["one-item", "two-blocks"],
+)
+def test_refusal_tie_rule(user, message):
+    with pytest.raises(ConfigError) as got:
+        resolve_config(user)
+    assert str(got.value) == f"scenario invalid: {message}"
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(user, SCHEMA)
+    assert f"{expected.value.message} (at {list(expected.value.absolute_path)})" == message
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b"[" * 3000, b'{"constellation": {"leos": ' + b"[" * 985 + b"]" * 985 + b"}}"],
+    ids=["not-utf8", "deep-json", "deep-leos"],
+)
+def test_cli_unreadable_scenario_is_a_config_error(tmp_path, capsys, raw):
+    (tmp_path / "bad.json").write_bytes(raw)
+    assert run_cli(["code-check", "--scenario", str(tmp_path / "bad.json"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_refusal_of_a_value_too_deep_to_quote():
+    leos: list = []
+    for _ in range(sys.getrecursionlimit() + 100):
+        leos = [leos]
+    with pytest.raises(ConfigError, match="a value nested too deeply to quote"):
+        resolve_config({"constellation": {"leos": leos}})
+
+
+def test_cli_unwritable_out_exits_before_the_solve(tmp_path, capsys, monkeypatch):
+    def solve(config):
+        raise AssertionError("code-check ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "code-check", solve)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "sub")
+    assert run_cli(["code-check", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
