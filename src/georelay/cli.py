@@ -12,6 +12,13 @@ subcommand's header and rows and its sweep row. A stage subcommand writes
 one task's rows, ``repair`` joins the two repair tasks, and ``sweep`` writes
 one task's sweep rows over the start time.
 
+The argparse tree is built once per process, on the first ``main`` call, and
+reused by every later call: building it costs more than many solves, and
+in-process callers (sweep drivers, benchmarks, library code) make many
+calls. A parse sets state only on its own namespace, so calls stay
+independent. Nothing is built at import, so a one-call process pays nothing
+extra.
+
 Exit codes: 0 success, 2 configuration/schema error, 3 infeasible instance,
 4 internal invariant failure.
 """
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -330,7 +338,8 @@ def _sweep_point(task: str, config: dict, ts: float) -> dict:
     return {"ts_s": ts, **point}
 
 
-def run_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
+def sweep_points(args) -> list[float]:
+    """The start times a ``sweep`` call solves at, or a ConfigError for a refused range."""
     start = getattr(args, "from")
     # points only increase from `from`, so its bound covers them all
     ts_min = SCHEMA["properties"][_block(args.task)]["properties"]["t_start_s"]["minimum"]
@@ -340,12 +349,17 @@ def run_sweep(config: dict, args) -> tuple[list[str], list[dict]]:
     span = (args.to - start + 1e-9) // args.step
     if not span < MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
-    points = [round(start + i * args.step, 9) for i in range(int(span) + 1)]
-    rows = [_sweep_point(args.task, config, ts) for ts in points]
+    return [round(start + i * args.step, 9) for i in range(int(span) + 1)]
+
+
+def run_sweep(config: dict, task: str, points: list[float]) -> tuple[list[str], list[dict]]:
+    rows = [_sweep_point(task, config, ts) for ts in points]
     return list(dict.fromkeys(key for row in rows for key in row)), rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Every call returns the same object, which ``main`` reuses: do not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="scenario JSON file (defaults reproduce the reference setup)")
     common.add_argument("--seed", type=int, help="override RNG seed")
@@ -385,9 +399,11 @@ def main(argv=None) -> int:
     sweep = args.command == "sweep"
     name = f"sweep-{args.task}" if sweep else args.command
     try:
-        os.makedirs(args.out, exist_ok=True)
         config = load_config(args.scenario, _flag_overrides(args, _block(args.task if sweep else name)))
-        header, rows, *_ = run_sweep(config, args) if sweep else COMMANDS[name](config)
+        points = sweep_points(args) if sweep else None
+        # only once the call is accepted, so that a refused one leaves no directory
+        os.makedirs(args.out, exist_ok=True)
+        header, rows, *_ = run_sweep(config, args.task, points) if sweep else COMMANDS[name](config)
         stem = os.path.join(args.out, name)
         write_csv(stem + ".csv", header, rows)
         manifest = {

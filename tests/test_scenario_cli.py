@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import resource
@@ -245,8 +246,8 @@ def test_cli_sweep_determinism(tmp_path):
     ],
 )
 def test_cli_invalid_flag_is_a_schema_error(tmp_path, flags):
-    assert run_cli(["downlink-energy", *flags, "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "downlink-energy.csv").exists()
+    assert run_cli(["downlink-energy", *flags, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -534,3 +535,68 @@ def test_cli_unwritable_out_exits_before_the_solve(tmp_path, capsys, monkeypatch
     out = str(tmp_path / "file" / "sub")
     assert run_cli(["code-check", "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+
+
+def test_cli_refused_call_leaves_no_out_directory(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"downlink": {"nope": 1}}')
+    # refused flags are covered by test_cli_invalid_flag_is_a_schema_error
+    refused = [
+        ["downlink-energy", "--scenario", str(bad)],
+        ["sweep", "--task", "downlink-energy", "--from", "-5", "--to", "0", "--step", "1"],
+    ]
+    for i, args in enumerate(refused):
+        out = tmp_path / f"refused-{i}"
+        assert run_cli([*args, "--out", str(out)]) == 2, args
+        assert not out.exists(), args
+    out = tmp_path / "a" / "b" / "c"
+    assert run_cli(["code-check", "--dt", "5", "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["code-check.csv", "code-check.manifest.json"]
+
+
+def _outputs(out) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The parser a process reuses carries no flag of one call into a later one."""
+    before = [
+        ["sweep", "--task", "repair-time", "--from", "0", "--to", "20", "--step", "20", "--dt", "5"],
+        ["downlink-time", "--ts", "30", "--emax", "21500", "--dt", "2"],
+    ]
+    after = [["downlink-time"], ["code-check"]]
+    for i, args in enumerate(before):
+        assert run_cli([*args, "--out", str(tmp_path / "here" / str(i))]) == 0, args
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["downlink-energy", "--bogus", "1", "--out", str(tmp_path / "refused")])
+    assert exc.value.code == 2
+    assert "usage: georelay downlink-energy" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    for i, args in enumerate(after, start=len(before)):
+        assert run_cli([*args, "--out", str(tmp_path / "here" / str(i))]) == 0, args
+    for i, args in enumerate(before + after):
+        fresh = tmp_path / "fresh" / str(i)
+        proc = subprocess.run(
+            [sys.executable, "-m", "georelay.cli", *args, "--out", str(fresh)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        here = _outputs(tmp_path / "here" / str(i))
+        assert len(here) == 2 and here == _outputs(fresh), args
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [["code-check", "--dt", "5"], ["code-check", "--scenario", str(tmp_path / "missing.json")], ["code-check"]]
+    counts = []
+    for args in calls:
+        run_cli([*args, "--out", str(tmp_path)])
+        counts.append(len(built))
+    # the first call builds it unless an earlier test in this process did; no later call does
+    assert counts == [counts[0]] * len(calls)
