@@ -158,10 +158,15 @@ def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=No
         source = np.asarray(source, dtype=np.int64)
         if source.shape != (m,) or np.any(source < 0) or np.any(source >= field_order):
             raise ValueError("source must be M field elements")
-    points = np.arange(alpha * n, dtype=np.int64)
+    # columns [k, 2k) are columns [0, k) times points^k: ceil(log2 M) block products
+    power = np.arange(alpha * n, dtype=np.int64)[:, None]
     vandermonde = np.ones((alpha * n, m), dtype=np.int64)
-    for j in range(1, m):
-        vandermonde[:, j] = field.mul(vandermonde[:, j - 1], points)
+    k = 1
+    while k < m:
+        width = min(k, m - k)
+        vandermonde[:, k : k + width] = field.mul(vandermonde[:, :width], power)
+        power = field.mul(power, power)
+        k *= 2
     stored = field.matmul(vandermonde, source.reshape(-1, 1)).reshape(-1)
     encoders = tuple(vandermonde[i * alpha : (i + 1) * alpha].T for i in range(n))
     payloads = tuple(stored[i * alpha : (i + 1) * alpha] for i in range(n))

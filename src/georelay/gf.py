@@ -9,7 +9,18 @@ built from the exp/log tables, and its matrix product xor-reduces the table
 entries of every (a_ik, b_kj) pair over k. A prime field's matrix product is
 ``(a @ b) % p``, exact in int64 while the inner dimension times (p - 1)^2
 stays below 2^63: at least 2^23 terms for p <= 2^20, where a code needs
-N alpha <= p. Elimination clears a pivot's column with one whole-matrix step.
+N alpha <= p.
+
+Elimination brings a copy to row echelon form, one routine for both
+families. Per pivot it scales the pivot row by the pivot's inverse, a
+scalar, and clears only the trailing block below and right of the pivot
+with one fused in-place update: GF(2^8) xors in the products read off its
+product table (the rows of the column's factors, then their entries at the
+pivot row's values), and GF(p) subtracts the outer product, then reduces
+once. Before that reduction an entry lies in [-(p - 1)^2, p - 1], a span of
+(p - 1)^2 + (p - 1) < 2^63 for p <= 2^20, so the update is exact in int64.
+``solve`` back-substitutes on the unit upper-triangular block of the
+echelon form, with one such update per unknown.
 """
 
 from __future__ import annotations
@@ -59,8 +70,21 @@ class GaloisField:
         """Matrix product over the field."""
         raise NotImplementedError
 
+    def _normalize(self, row: np.ndarray) -> None:
+        """Scale ``row`` in place by the scalar inverse of its nonzero first entry."""
+        raise NotImplementedError
+
+    def _sub_outer(self, block: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+        """``block -= col row^T`` over the field, in place and in one fused step."""
+        raise NotImplementedError
+
     def _eliminate(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Row-reduce a copy; returns the reduced matrix and the pivot columns."""
+        """Row echelon form of a copy, and its pivot columns.
+
+        Each pivot is 1 and has zeros below it; entries above pivots are not
+        cleared. A pivot scales its row from the pivot on and clears only the
+        trailing block below and right of it, in one :meth:`_sub_outer`.
+        """
         m = np.array(m, dtype=np.int64)
         rows, cols = m.shape
         pivots: list[int] = []
@@ -68,16 +92,15 @@ class GaloisField:
         for c in range(cols):
             if r == rows:
                 break
-            hits = np.flatnonzero(m[r:, c])
+            hits = m[r:, c].nonzero()[0]
             if hits.size == 0:
                 continue
             p = int(hits[0]) + r
             if p != r:
-                m[[r, p]] = m[[p, r]]
-            m[r] = self.mul(m[r], self.inv(m[r, c]))
-            factors = m[:, c].copy()
-            factors[r] = 0
-            m = self.sub(m, self.mul(factors[:, None], m[r][None, :]))
+                m[[r, p], c:] = m[[p, r], c:]
+            self._normalize(m[r, c:])
+            self._sub_outer(m[r + 1 :, c + 1 :], m[r + 1 :, c], m[r, c + 1 :])
+            m[r + 1 :, c] = 0
             pivots.append(c)
             r += 1
         return m, pivots
@@ -90,7 +113,13 @@ class GaloisField:
         return len(pivots)
 
     def solve(self, a, b):
-        """Solve a x = b exactly for a (possibly tall) consistent full-rank system."""
+        """Solve a x = b exactly for a (possibly tall) consistent full-rank system.
+
+        Once both checks pass, the echelon form of ``[a | b]`` holds a unit
+        upper-triangular block on the unknowns. Back substitution runs from
+        the last unknown up, each taking its value out of the rows above it
+        with one :meth:`_sub_outer`.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
         if a.shape[0] != b.shape[0]:
@@ -103,10 +132,10 @@ class GaloisField:
             raise SingularSystemError(
                 f"rank {len(pivots)} < {n_unknowns} unknowns; solution not unique"
             )
-        x = np.zeros(n_unknowns, dtype=np.int64)
-        for r, c in enumerate(pivots):
-            x[c] = aug[r, n_unknowns]
-        return x
+        x = aug[:n_unknowns, n_unknowns:].copy()
+        for r in range(n_unknowns - 1, 0, -1):
+            self._sub_outer(x[:r], aug[:r, r], x[r])
+        return x.reshape(-1)
 
 
 class PrimeField(GaloisField):
@@ -133,6 +162,15 @@ class PrimeField(GaloisField):
         flat = a.reshape(-1)
         out = np.array([pow(int(v), self.order - 2, self.order) for v in flat], dtype=np.int64)
         return out.reshape(a.shape) if a.shape else np.int64(out[0])
+
+    def _normalize(self, row):
+        row *= pow(int(row[0]), self.order - 2, self.order)
+        row %= self.order
+
+    def _sub_outer(self, block, col, row):
+        # entries lie in [-(p - 1)^2, p - 1] before the one reduction
+        block -= col[:, None] * row[None, :]
+        block %= self.order
 
     def matmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -188,6 +226,13 @@ class GF256(GaloisField):
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no inverse")
         return self._exp[255 - self._log[a]]
+
+    def _normalize(self, row):
+        row[:] = self._table[self._exp[255 - self._log[row[0]]]].take(row)
+
+    def _sub_outer(self, block, col, row):
+        # the product table's rows for col, then their columns for row
+        block ^= self._table.take(col, axis=0).take(row, axis=1)
 
     def matmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)

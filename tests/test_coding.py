@@ -226,3 +226,29 @@ def test_params_validation_rejects_nonpositive():
         RegenParams(0, 5, 3, 4, 10, 5)
     with pytest.raises(ValueError):
         RegenParams(30, 5, 3, 4, 10, 5, file_bits=0)
+
+
+@pytest.fixture(scope="module")
+def n40_store():
+    # the d = 2k - 2 MSR code at N = 40: N alpha = 760 stored symbols need GF(761)
+    return encode(RegenParams(380, 40, 20, 38, 19, 1), 761, seed=4)
+
+
+def test_n40_vandermonde_stack_has_full_rank(n40_store):
+    stacked = np.hstack(n40_store.encoders)
+    assert stacked.shape == (380, 760)
+    assert n40_store.field.rank(stacked) == 380
+
+
+def test_n40_reconstruct_from_k_full_nodes(n40_store):
+    mu = np.zeros(40, dtype=int)
+    mu[np.random.default_rng(40).permutation(40)[:20]] = 19
+    assert np.array_equal(reconstruct(n40_store, downloads_for(n40_store, mu)), n40_store.source)
+
+
+def test_n40_download_one_symbol_short_is_refused(n40_store):
+    mu = np.zeros(40, dtype=int)
+    mu[20:] = 19
+    mu[20] = 18  # 379 symbols for 380 unknowns
+    with pytest.raises(SingularSystemError, match=r"^rank 379 < 380 unknowns; solution not unique$"):
+        reconstruct(n40_store, downloads_for(n40_store, mu))

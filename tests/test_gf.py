@@ -163,15 +163,21 @@ def _systems(order, seed, count):
         yield a, b
 
 
-@pytest.mark.parametrize("order", [256, 257])
+@pytest.mark.parametrize("order", [256, 257, 761, LARGEST_PRIME])
 def test_rank_and_solve_match_gauss_jordan_oracle(order):
     f = galois_field(order)
     outcomes = set()
     for a, b in _systems(order, 11 + order, 300):
         rref, pivots = gauss_jordan(order, a.tolist())
         assert f.rank(a) == len(pivots)
-        reduced, got_pivots = f._eliminate(a)
-        assert got_pivots == pivots and reduced.tolist() == rref
+        echelon, got_pivots = f._eliminate(a)
+        assert got_pivots == pivots
+        # echelon shape: unit pivots, zeros below and left of each, zero rows under the last
+        for r, c in enumerate(pivots):
+            assert echelon[r, c] == 1 and not echelon[r + 1 :, c].any() and not echelon[r, :c].any()
+        assert not echelon[len(pivots) :].any()
+        # row equivalence: the same reduced row echelon form
+        assert gauss_jordan(order, echelon.tolist()) == (rref, pivots)
         status, x = solve_oracle(order, a.tolist(), b.tolist())
         outcomes.add(status)
         if status == "unique":
@@ -180,3 +186,12 @@ def test_rank_and_solve_match_gauss_jordan_oracle(order):
             with pytest.raises(SingularSystemError, match=status):
                 f.solve(a, b)
     assert outcomes == {"unique", "inconsistent", "not unique"}
+
+
+def test_n40_size_product_rank_is_its_inner_dimension():
+    # a 380 x k by k x 760 product over GF(761) has rank at most k; these random factors reach it
+    f = galois_field(761)
+    rng = np.random.default_rng(761)
+    for k in (1, 190, 379):
+        product = f.matmul(rng.integers(0, 761, size=(380, k)), rng.integers(0, 761, size=(k, 760)))
+        assert f.rank(product) == k

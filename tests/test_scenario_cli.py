@@ -4,6 +4,7 @@ import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -205,6 +206,16 @@ def test_cli_code_check(tmp_path):
     manifest = json.loads((tmp_path / "code-check.manifest.json").read_text())
     assert manifest["command"] == "code-check"
     assert manifest["config"]["code"]["total_files"] == 30
+
+
+def test_cli_code_check_n40_gf761_scenario(tmp_path, capsys):
+    # 40 LEOs under the d = 2k - 2 MSR code (380, 40, 20, 38, 19, 1): N alpha = 760 > 256 needs GF(761)
+    scenario = Path(__file__).parent / "data" / "scenarios" / "n40-gf761.json"
+    assert run_cli(["code-check", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert "rank_ok=True" in capsys.readouterr().out
+    with open(tmp_path / "code-check.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["field_order"], row["nodes"], row["total_files"], row["rank_ok"]) == ("761", "40", "380", "True")
 
 
 def test_cli_downlink_energy_and_time(tmp_path):
