@@ -11,16 +11,23 @@ entries of every (a_ik, b_kj) pair over k. A prime field's matrix product is
 stays below 2^63: at least 2^23 terms for p <= 2^20, where a code needs
 N alpha <= p.
 
-Elimination brings a copy to row echelon form, one routine for both
-families. Per pivot it scales the pivot row by the pivot's inverse, a
-scalar, and clears only the trailing block below and right of the pivot
-with one fused in-place update: GF(2^8) xors in the products read off its
-product table (the rows of the column's factors, then their entries at the
-pivot row's values), and GF(p) subtracts the outer product, then reduces
-once. Before that reduction an entry lies in [-(p - 1)^2, p - 1], a span of
-(p - 1)^2 + (p - 1) < 2^63 for p <= 2^20, so the update is exact in int64.
-``solve`` back-substitutes on the unit upper-triangular block of the
-echelon form, with one such update per unknown.
+Elimination brings a copy to row echelon form, or to reduced row echelon
+form for ``solve``, one routine for both families. Per pivot it scales the
+pivot row by the pivot's inverse, a scalar (GF(2^8) reads the whole scaled
+row off one row of a table of inverse-scaled product rows), and clears the
+pivot's column with one fused in-place update from that column on: below
+the pivot for the echelon form, above and below it for the reduced form.
+GF(2^8) xors in the products read off its product table (the rows of the
+column's factors, then their entries at the pivot row's values). GF(p)
+reduces only the pivot column and the pivot row at each pivot, subtracts
+their outer product from the block with no reduction, and reduces the
+whole matrix once at the end (delayed reduction: Dumas, Giorgi & Pernet,
+ACM TOMS 35(3), 2008). Each pivot moves an entry by at most (p - 1)^2, so
+after k pivots every entry lies in [-k (p - 1)^2, p - 1], exact in int64
+while k (p - 1)^2 + p < 2^63: every k < 2^23 for p <= 2^20. A longer
+elimination raises ``ValueError``, as ``matmul`` does for a longer inner
+dimension. ``solve`` reads x off the last column of the reduced form of
+``[a | b]``, with no back substitution.
 """
 
 from __future__ import annotations
@@ -54,20 +61,15 @@ class GaloisField:
     def __init__(self, order: int):
         self.order = order
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
         raise NotImplementedError
 
     def matmul(self, a, b):
         """Matrix product over the field."""
+        raise NotImplementedError
+
+    def _factors(self, col: np.ndarray) -> np.ndarray:
+        """A pivot column's entries as a reduced copy: the factors of its update."""
         raise NotImplementedError
 
     def _normalize(self, row: np.ndarray) -> None:
@@ -78,12 +80,19 @@ class GaloisField:
         """``block -= col row^T`` over the field, in place and in one fused step."""
         raise NotImplementedError
 
-    def _eliminate(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Row echelon form of a copy, and its pivot columns.
+    def _eliminate(self, m, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+        """Row echelon form of a copy of ``m``, and its pivot columns.
 
-        Each pivot is 1 and has zeros below it; entries above pivots are not
-        cleared. A pivot scales its row from the pivot on and clears only the
-        trailing block below and right of it, in one :meth:`_sub_outer`.
+        Each pivot is 1 and has zeros below it. With ``reduced`` it also has
+        zeros above it: the reduced row echelon form. A pivot takes its
+        column's factors (:meth:`_factors`), tests the diagonal entry first
+        and searches the rows below only when that entry is 0. It scales its
+        row from the pivot on, then one :meth:`_sub_outer` spans the rows
+        below it (with ``reduced``, every row) from the pivot's column on,
+        with the pivot row's own factor set to 0, so the column is cleared in
+        the same update. ``m`` holds field elements; GF(p) leaves the other
+        entries unreduced until the end, within the int64 bound of the module
+        docstring.
         """
         m = np.array(m, dtype=np.int64)
         rows, cols = m.shape
@@ -92,15 +101,19 @@ class GaloisField:
         for c in range(cols):
             if r == rows:
                 break
-            hits = m[r:, c].nonzero()[0]
-            if hits.size == 0:
-                continue
-            p = int(hits[0]) + r
-            if p != r:
+            top = 0 if reduced else r
+            col = self._factors(m[top:, c])
+            p = r
+            if col[r - top] == 0:
+                hits = col[r - top :].nonzero()[0]
+                if hits.size == 0:
+                    continue
+                p += int(hits[0])
                 m[[r, p], c:] = m[[p, r], c:]
             self._normalize(m[r, c:])
-            self._sub_outer(m[r + 1 :, c + 1 :], m[r + 1 :, c], m[r, c + 1 :])
-            m[r + 1 :, c] = 0
+            # after a swap, row p holds the old row r, whose factor is the 0 just tested
+            col[p - top] = 0
+            self._sub_outer(m[top:, c:], col, m[r, c:])
             pivots.append(c)
             r += 1
         return m, pivots
@@ -115,27 +128,25 @@ class GaloisField:
     def solve(self, a, b):
         """Solve a x = b exactly for a (possibly tall) consistent full-rank system.
 
-        Once both checks pass, the echelon form of ``[a | b]`` holds a unit
-        upper-triangular block on the unknowns. Back substitution runs from
-        the last unknown up, each taking its value out of the rows above it
-        with one :meth:`_sub_outer`.
+        Once both checks pass, the reduced row echelon form of ``[a | b]``
+        holds the identity on the unknowns, and x is its last column: no
+        back substitution. With fewer equations than unknowns the system is
+        refused whatever its form, so its pivots come from the cheaper row
+        echelon form.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
         if a.shape[0] != b.shape[0]:
             raise ValueError("row counts disagree")
         n_unknowns = a.shape[1]
-        aug, pivots = self._eliminate(np.hstack([a, b]))
+        aug, pivots = self._eliminate(np.hstack([a, b]), reduced=a.shape[0] >= n_unknowns)
         if any(p == n_unknowns for p in pivots):
             raise SingularSystemError("inconsistent linear system")
         if len(pivots) < n_unknowns:
             raise SingularSystemError(
                 f"rank {len(pivots)} < {n_unknowns} unknowns; solution not unique"
             )
-        x = aug[:n_unknowns, n_unknowns:].copy()
-        for r in range(n_unknowns - 1, 0, -1):
-            self._sub_outer(x[:r], aug[:r, r], x[r])
-        return x.reshape(-1)
+        return aug[:n_unknowns, n_unknowns].copy()
 
 
 class PrimeField(GaloisField):
@@ -146,31 +157,29 @@ class PrimeField(GaloisField):
             raise ValueError(f"{order} is not prime")
         super().__init__(order)
 
-    def add(self, a, b):
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.order
-
-    def sub(self, a, b):
-        return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.order
-
     def mul(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.order
 
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a % self.order == 0):
-            raise ZeroDivisionError("zero has no inverse")
-        flat = a.reshape(-1)
-        out = np.array([pow(int(v), self.order - 2, self.order) for v in flat], dtype=np.int64)
-        return out.reshape(a.shape) if a.shape else np.int64(out[0])
+    def _eliminate(self, m, reduced=False):
+        # k pivots move an entry by at most k (p - 1)^2 before the one reduction
+        k = min(np.shape(m))
+        if k > (2**63 - 1 - self.order) // (self.order - 1) ** 2:
+            raise ValueError(f"{k} pivots would overflow int64 elimination mod {self.order}")
+        m, pivots = super()._eliminate(m, reduced)
+        m %= self.order
+        return m, pivots
+
+    def _factors(self, col):
+        return col % self.order
 
     def _normalize(self, row):
+        row %= self.order
         row *= pow(int(row[0]), self.order - 2, self.order)
         row %= self.order
 
     def _sub_outer(self, block, col, row):
-        # entries lie in [-(p - 1)^2, p - 1] before the one reduction
+        # col and row are reduced, so each update moves an entry by at most (p - 1)^2
         block -= col[:, None] * row[None, :]
-        block %= self.order
 
     def matmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -192,13 +201,14 @@ class GF256(GaloisField):
             x = self._scalar_mul(x, AES_GENERATOR)
         exp[255:510] = exp[0:255]
         self._exp = exp
-        self._log = log
         # table[a, b] = a * b; log sums stay below 510, so int16 indexes hold them
         log16 = log.astype(np.int16)
         table = exp.astype(np.uint8)[log16[:, None] + log16[None, :]]
         table[0, :] = 0
         table[:, 0] = 0
         self._table = table
+        # inv_rows[a] = table[a^-1], the row that scales by 1/a (row 0 is unused)
+        self._inv_rows = table[exp[255 - log]]
 
     @staticmethod
     def _scalar_mul(a: int, b: int) -> int:
@@ -212,23 +222,14 @@ class GF256(GaloisField):
             b >>= 1
         return acc
 
-    def add(self, a, b):
-        return np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)
-
-    def sub(self, a, b):
-        return self.add(a, b)
-
     def mul(self, a, b):
         return self._table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)].astype(np.int64)
 
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no inverse")
-        return self._exp[255 - self._log[a]]
+    # entries never leave [0, 256), so the factors are a plain copy, and no Python call
+    _factors = staticmethod(np.ndarray.copy)
 
     def _normalize(self, row):
-        row[:] = self._table[self._exp[255 - self._log[row[0]]]].take(row)
+        row[:] = self._inv_rows[row[0]].take(row)
 
     def _sub_outer(self, block, col, row):
         # the product table's rows for col, then their columns for row

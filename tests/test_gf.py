@@ -3,7 +3,7 @@ import pytest
 
 from georelay.errors import SingularSystemError
 from georelay.gf import GF256, PrimeField, galois_field
-from oracles import gauss_jordan, scalar_matmul, solve_oracle
+from oracles import gauss_jordan, scalar_field, scalar_matmul, solve_oracle
 
 # the largest prime below MAX_PRIME_ORDER = 2^20
 LARGEST_PRIME = 1048573
@@ -19,11 +19,11 @@ def test_aes_pinned_products():
 
 
 def test_aes_inverse_pinned():
+    # eliminating [a | 1] scales the row by 1/a: 0x53^-1 = 0xCA under the AES polynomial
     f = galois_field(256)
-    assert int(f.inv(np.array(0x53))) == 0xCA
-    assert int(f.inv(np.array(0x01))) == 0x01
-    with pytest.raises(ZeroDivisionError):
-        f.inv(np.array([0]))
+    assert f._eliminate([[0x53, 0x01]])[0].tolist() == [[1, 0xCA]]
+    assert f._eliminate([[0x01, 0x01]])[0].tolist() == [[1, 0x01]]
+    assert f._eliminate([[0x00, 0x01]])[0].tolist() == [[0, 1]]
 
 
 def test_aes_generator_covers_field():
@@ -36,19 +36,24 @@ def test_aes_generator_covers_field():
 def test_gf256_all_inverses():
     f = galois_field(256)
     a = np.arange(1, 256)
-    prod = f.mul(a, f.inv(a))
-    assert np.all(prod == 1)
+    _, _, _, inv = scalar_field(256)
+    # a diagonal system's solution is the row scaling: x_i = 1 / a_i
+    x = f.solve(np.diag(a), np.ones_like(a))
+    assert x.tolist() == [inv(int(v)) for v in a]
+    assert np.all(f.mul(a, x) == 1)
 
 
 def test_prime_field_ops():
+    add, sub, mul, inv = scalar_field(257)
     f = galois_field(257)
     a = np.array([0, 1, 5, 256])
     b = np.array([3, 256, 100, 256])
-    assert np.all(f.add(a, b) == (a + b) % 257)
-    assert np.all(f.sub(a, b) == (a - b) % 257)
-    assert np.all(f.mul(a, b) == (a * b) % 257)
-    nz = np.array([1, 5, 250])
-    assert np.all(f.mul(nz, f.inv(nz)) == 1)
+    assert [add(x, y) for x, y in zip(a.tolist(), b.tolist())] == ((a + b) % 257).tolist()
+    assert [sub(x, y) for x, y in zip(a.tolist(), b.tolist())] == ((a - b) % 257).tolist()
+    assert f.mul(a, b).tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    for v in (1, 5, 250):
+        assert mul(v, inv(v)) == 1
+        assert f._eliminate([[v, 1]])[0].tolist() == [[1, inv(v)]]
     with pytest.raises(ValueError):
         galois_field(100)  # not prime, not 256
 
@@ -68,7 +73,7 @@ def test_rank_and_solve_round_trip():
 def test_rank_detects_dependence():
     f = galois_field(256)
     a = np.array([[1, 2, 3], [4, 5, 6]])
-    stacked = np.vstack([a, f.add(a[0], a[1]).reshape(1, -1)])
+    stacked = np.vstack([a, (a[0] ^ a[1]).reshape(1, -1)])  # the sum of the rows in GF(2^8)
     assert f.rank(stacked) == f.rank(a)
 
 
@@ -178,6 +183,8 @@ def test_rank_and_solve_match_gauss_jordan_oracle(order):
         assert not echelon[len(pivots) :].any()
         # row equivalence: the same reduced row echelon form
         assert gauss_jordan(order, echelon.tolist()) == (rref, pivots)
+        reduced, got_pivots = f._eliminate(a, reduced=True)
+        assert (reduced.tolist(), got_pivots) == (rref, pivots)
         status, x = solve_oracle(order, a.tolist(), b.tolist())
         outcomes.add(status)
         if status == "unique":
@@ -195,3 +202,46 @@ def test_n40_size_product_rank_is_its_inner_dimension():
     for k in (1, 190, 379):
         product = f.matmul(rng.integers(0, 761, size=(380, k)), rng.integers(0, 761, size=(k, 760)))
         assert f.rank(product) == k
+
+
+def test_single_prime_reduction_is_exact_at_scale():
+    # entries in [p - 64, p): the first updates add close to the (p - 1)^2 maximum, and 400 pivots
+    # accumulate before the one reduction
+    p = LARGEST_PRIME
+    f = galois_field(p)
+    rng = np.random.default_rng(p)
+    a = rng.integers(p - 64, p, size=(400, 400))
+    x = rng.integers(0, p, size=400)
+    assert f.solve(a, f.matmul(a, x.reshape(-1, 1))).tolist() == x.tolist()
+    for k in (1, 200, 399):
+        product = f.matmul(rng.integers(p - 64, p, size=(400, k)), rng.integers(p - 64, p, size=(k, 400)))
+        assert f.rank(product) == k
+
+
+def test_prime_elimination_refuses_past_the_int64_bound():
+    p = LARGEST_PRIME
+    f = galois_field(p)
+    k = (2**63 - 1 - p) // (p - 1) ** 2
+    assert k >= 2**23
+    # a zero-stride view: the bound is checked before the elimination's copy
+    with pytest.raises(ValueError, match="overflow"):
+        f.rank(np.broadcast_to(np.int64(1), (k + 1, k + 1)))
+
+
+@pytest.mark.parametrize("order", [256, 761])
+def test_solve_makes_one_update_per_unknown(order, monkeypatch):
+    # Gauss-Jordan: n pivots, one fused update each, and no back substitution
+    # a fresh instance, so the shared GF(2^8) one keeps no patched attribute
+    f = GF256() if order == 256 else galois_field(order)
+    calls = []
+    sub_outer = f._sub_outer
+    monkeypatch.setattr(f, "_sub_outer", lambda *args: (calls.append(1), sub_outer(*args)))
+    rng = np.random.default_rng(order)
+    for n in (1, 7, 30):
+        a = rng.integers(0, order, size=(n, n))
+        while f.rank(a) < n:
+            a = rng.integers(0, order, size=(n, n))
+        x = rng.integers(0, order, size=n)
+        calls.clear()
+        assert f.solve(a, f.matmul(a, x.reshape(-1, 1))).tolist() == x.tolist()
+        assert len(calls) == n
