@@ -9,6 +9,9 @@ scenario-driven CLI (:mod:`georelay.cli`). The uplink file counts, the MDS
 repair's file counts and the regenerating repair's helper set come from one
 exact marginal-cost greedy (:func:`georelay.uplink_opt.oa_solve`), and their
 horizons from one search (:func:`georelay.uplink_opt.min_time_solve`).
+Regenerating repair takes its D helpers and beta files per helper from the
+code parameters, which :func:`georelay.coding.validate_params` checks
+against the cut-set bound.
 :mod:`georelay.lp_solver` holds only stubs the benchmark's tracer names. The
 package exports no names of its own: import them from their modules.
 """

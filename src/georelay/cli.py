@@ -38,7 +38,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .coding import check_mu_reconstructable, encode, repair_requirement, validate_params
+from .coding import check_mu_reconstructable, code_point, encode, validate_params
 from .downlink_opt import constant_power_baseline, min_energy_downlink, min_time_downlink
 from .errors import ConfigError, GeorelayError, InfeasibleError, InternalError
 from .repair_opt import (
@@ -53,9 +53,7 @@ from .scenario import (
     build_downlink_request,
     build_repair_request,
     build_uplink_request,
-    code_point_check,
     load_config,
-    operating_point,
 )
 from .uplink_opt import min_time_uplink, oa_min_energy_uplink
 
@@ -154,8 +152,7 @@ _ALLOC_HEADER = [
 def code_check(config: dict) -> tuple[list[str], list[dict]]:
     params = build_regen_params(config)
     report = validate_params(params)
-    point = code_point_check(config)
-    plan = repair_requirement(operating_point(config), params)
+    point = code_point(config["code"]["point"], params.n_files, params.reconstruct_k, params.repair_d)
     seed = config["solver"]["seed"]
     store = encode(params, config["code"]["field_order"], seed=seed)
     full = np.full(params.n_nodes, params.per_node_files)
@@ -165,8 +162,6 @@ def code_check(config: dict) -> tuple[list[str], list[dict]]:
         f"gamma={point.repair_bandwidth} capacity_sum={report.capacity_sum} "
         f"params_ok={report.ok} rank_ok={rank_ok} attempts={store.attempts}"
     )
-    for v in report.violations:
-        print(f"  violation: {v}")
     row = {
         "field_order": config["code"]["field_order"],
         "total_files": params.n_files,
@@ -181,9 +176,9 @@ def code_check(config: dict) -> tuple[list[str], list[dict]]:
         "point_gamma": str(point.repair_bandwidth),
         "capacity_sum": report.capacity_sum,
         "params_ok": report.ok,
-        "regen_helpers": plan.helpers,
-        "regen_per_helper": plan.per_helper_files,
-        "regen_total_files": plan.total_files,
+        "regen_helpers": params.repair_d,
+        "regen_per_helper": params.per_helper_files,
+        "regen_total_files": params.repair_d * params.per_helper_files,
         "mds_total_files": params.n_files,
         "rank_ok": rank_ok,
         "encode_attempts": store.attempts,

@@ -9,9 +9,11 @@ Vandermonde matrix whose determinant, the product of the differences of its
 points, is nonzero, so any M stored symbols are independent. Any K nodes,
 and any download that takes a prefix of each node's symbols and M of them
 in all, therefore recover the source by construction; this needs a field of
-at least N alpha elements. :func:`repair_requirement` prices the traffic of
-regenerating a failed node from D helpers at ``per_helper_files`` each, but
-no function here executes a repair.
+at least N alpha elements. Regenerating a failed node takes
+``per_helper_files`` (beta) from each of ``repair_d`` (D) helpers, which
+:func:`validate_params` checks against the cut-set bound (Dimakis et al.,
+IEEE T-IT 2010); :func:`code_point` gives the closed-form alpha and beta at
+either end of that bound. No function here executes a repair.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ class ParamReport:
 
 
 def validate_params(p: RegenParams) -> ParamReport:
-    """Check the regenerating-code feasibility inequalities, report-style."""
+    """Check, report-style, that D helpers sending beta files each can regenerate a node.
+
+    That needs K <= D <= N - 1, and M at most the cut-set capacity
+    sum_{i<K} min(alpha, (D - i) beta).
+    """
     violations = []
     if not p.reconstruct_k <= p.repair_d <= p.n_nodes - 1:
         violations.append(
@@ -86,47 +92,19 @@ class CodePoint:
     repair_bandwidth: Fraction
 
 
-def msr_point(n_files: int, k: int, d: int) -> CodePoint:
-    """Minimum-storage operating point (exact rationals)."""
+def code_point(point: OperatingPoint | str, n_files: int, k: int, d: int) -> CodePoint:
+    """The minimum-storage or minimum-repair-bandwidth operating point for (M, K, D), in exact rationals.
+
+    At either point, integral alpha and beta meet the cut-set bound of
+    :func:`validate_params` with equality: its capacity sum is M.
+    """
     if k > d:
         raise ValueError("need K <= D")
-    alpha = Fraction(n_files, k)
-    gamma = Fraction(n_files * d, (d - k + 1) * k)
-    return CodePoint(alpha, gamma / d, gamma)
-
-
-def mbr_point(n_files: int, k: int, d: int) -> CodePoint:
-    """Minimum-repair-bandwidth operating point (exact rationals)."""
-    if k > d:
-        raise ValueError("need K <= D")
+    if OperatingPoint(point) is OperatingPoint.MSR:
+        gamma = Fraction(n_files * d, (d - k + 1) * k)
+        return CodePoint(Fraction(n_files, k), gamma / d, gamma)
     gamma = Fraction(2 * n_files * d, 2 * k * d - k * k + k)
     return CodePoint(gamma, gamma / d, gamma)
-
-
-@dataclass(frozen=True)
-class RepairPlan:
-    helpers: int
-    per_helper_files: int
-    total_files: int
-
-
-def repair_requirement(point: OperatingPoint, p: RegenParams) -> RepairPlan:
-    """Helper count and traffic to regenerate one node at the given point,
-    which fixes the count from alpha and beta; a ``repair_d`` that differs
-    is refused."""
-    alpha, beta = p.per_node_files, p.per_helper_files
-    if alpha % beta != 0:
-        raise ValueError(f"per_node_files {alpha} is not a multiple of per_helper_files {beta}")
-    if point is OperatingPoint.MSR:
-        d = alpha // beta + p.reconstruct_k - 1
-    else:
-        d = alpha // beta
-    if d != p.repair_d:
-        raise ValueError(
-            f"per_node_files {alpha} and per_helper_files {beta} give {d} repair helpers "
-            f"at {point.value}, but repair_d is {p.repair_d}"
-        )
-    return RepairPlan(d, beta, d * beta)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ dimension. ``solve`` reads x off the last column of the reduced form of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import SingularSystemError
@@ -243,14 +245,7 @@ class GF256(GaloisField):
         return np.bitwise_xor.reduce(self._table[a[:, :, None], b[None]], axis=1).astype(np.int64)
 
 
-_GF256_SINGLETON: GF256 | None = None
-
-
+@functools.cache
 def galois_field(order: int) -> GaloisField:
-    """Field of the given order: 256 (AES polynomial) or a prime."""
-    global _GF256_SINGLETON
-    if order == 256:
-        if _GF256_SINGLETON is None:
-            _GF256_SINGLETON = GF256()
-        return _GF256_SINGLETON
-    return PrimeField(order)
+    """Field of the given order: 256 (AES polynomial) or a prime; one object per order per process."""
+    return GF256() if order == 256 else PrimeField(order)

@@ -1,10 +1,12 @@
 """Failed-node repair planning over inter-LEO links.
 
-Regenerating repair downloads beta files from each of D helpers; the MDS
-baseline re-downloads all M source files. Each helper's energy is its own
-waterfilling cost, so both are a :class:`~georelay.uplink_opt.FileAllocationProblem`
-over the survivors for the exact greedy :func:`~georelay.uplink_opt.oa_solve`
-and the horizon search :func:`~georelay.uplink_opt.min_time_solve`. The
+Regenerating repair downloads beta files from each of D helpers, both read
+off the request's code parameters, which the request checks against the
+cut-set bound; the MDS baseline re-downloads all M source files. Each
+helper's energy is its own waterfilling cost, so both are a
+:class:`~georelay.uplink_opt.FileAllocationProblem` over the survivors for
+the exact greedy :func:`~georelay.uplink_opt.oa_solve` and the horizon
+search :func:`~georelay.uplink_opt.min_time_solve`. The
 regenerating problem has D blocks of beta files and a cap of one block per
 helper, so the greedy takes the D cheapest feasible helpers. LEO-to-LEO links
 need no coverage, so helper windows span [t_start, t_start + horizon].
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import OperatingPoint, RegenParams, repair_requirement
+from .coding import RegenParams, validate_params
 from .downlink_opt import AllocationResult
 from .geometry import inter_leos_distance
 from .horizon import StageRequest, TimeResult
@@ -28,17 +30,21 @@ class RepairRequest(StageRequest):
     """Inputs of the failed-node repair problems (0-based failed index).
 
     Helpers send to the failed node over inter-LEO links, which need no
-    coverage, so every helper's window opens at ``t_start_s``.
+    coverage, so every helper's window opens at ``t_start_s``. Code
+    parameters that :func:`~georelay.coding.validate_params` rejects are
+    refused: no D helpers sending beta files each could regenerate a node.
     """
 
     params: RegenParams
-    point: OperatingPoint
     failed_node: int
 
     def __post_init__(self):
         super().__post_init__()
         if not 0 <= self.failed_node < self.scenario.n_leos:
             raise ValueError("failed node index out of range")
+        report = validate_params(self.params)
+        if not report.ok:
+            raise ValueError("; ".join(report.violations))
 
     @property
     def helpers(self) -> tuple[int, ...]:
@@ -65,17 +71,17 @@ class RepairResult:
 
 def _regen_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAllocationProblem:
     """Regenerating repair over the survivors: D blocks of beta files, at most one per helper."""
-    plan = repair_requirement(req.point, req.params)
+    p = req.params
     channels = tuple(req.channel(h, horizon_s) for h in req.helpers)
-    block_bits = plan.per_helper_files * req.params.file_bits
-    return FileAllocationProblem(channels, plan.helpers, tuple(1 for _ in channels), block_bits, req.p_max_w)
+    block_bits = p.per_helper_files * p.file_bits
+    return FileAllocationProblem(channels, p.repair_d, tuple(1 for _ in channels), block_bits, req.p_max_w)
 
 
 def _regen_result(req: RepairRequest, result: UplinkResult) -> RepairResult:
     """The greedy's regenerating allocation for the chosen helpers only. A
     helper left out has a zero target, so the total and the residual maximum
     over all survivors are the chosen ones'."""
-    plan = repair_requirement(req.point, req.params)
+    p = req.params
     chosen = np.flatnonzero(result.mu)
     full = result.allocation
     alloc = replace(
@@ -86,7 +92,7 @@ def _regen_result(req: RepairRequest, result: UplinkResult) -> RepairResult:
         water_levels=full.water_levels[chosen],
     )
     helpers = tuple(req.helpers[i] for i in chosen)
-    return RepairResult(helpers, np.full(plan.helpers, plan.per_helper_files), alloc, plan.total_files)
+    return RepairResult(helpers, np.full(p.repair_d, p.per_helper_files), alloc, p.repair_d * p.per_helper_files)
 
 
 def repair_min_energy(req: RepairRequest, horizon_s: float | None = None) -> RepairResult:

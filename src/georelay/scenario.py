@@ -17,15 +17,18 @@ keywords ``_FIELDS`` uses and words a refusal as ``jsonschema.validate``
 (4.26, Draft 2020-12) would, without jsonschema. As in that draft, an
 integral float such as 30.0 is an integer; it resolves to the int 30, so the
 solvers and the manifest see ints. Unknown keys and non-finite numbers are
-rejected, and so is a code block the encoder or the repair plan cannot
-serve, or whose alpha and beta are not its operating point's. Resolving also
-builds the three stage requests and the code point, so a scenario their own
-checks refuse (say, a LEO above the GEO altitude, repeated uplink carriers,
-K > D, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
-a configuration error before any solve. The ``solver`` block's settings
-reach the solvers only through the stage requests built here, and
-``time_energy_rel_tol`` reaches none: the time searches stop on horizon
-widths of their own.
+rejected. So is a code block the encoder cannot serve: a field that is not
+GF(256) or a prime up to ``gf.MAX_PRIME_ORDER``, fewer field elements or
+stored symbols than the code needs, or an N alpha x M generator of more than
+``MAX_GENERATOR_ENTRIES`` entries. Its alpha and beta must be its operating
+point's, checked once through :func:`~georelay.coding.code_point`. Resolving
+also builds the three stage requests, so a scenario their own checks refuse
+(say, a LEO above the GEO altitude, repeated uplink carriers, a code whose D
+helpers cannot regenerate a node, or a horizon of more than
+``horizon.MAX_CELLS`` grid steps) fails as a configuration error before any
+solve. The ``solver`` block's settings reach the solvers only through the
+stage requests built here, and ``time_energy_rel_tol`` reaches none: the
+time searches stop on horizon widths of their own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import math
 import numbers
 
-from .coding import OperatingPoint, RegenParams, msr_point, mbr_point, repair_requirement
+from .coding import OperatingPoint, RegenParams, code_point
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
 from .geometry import ConstellationScenario
@@ -43,6 +46,10 @@ from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
 from .repair_opt import RepairRequest
 from .uplink_opt import UplinkRequest
+
+# entries of the N alpha x M generator a code may need: near 2^20, a cold code-check takes
+# about 1.6 s at 67 MB on a 2-vCPU host, and its time grows about as the entries^1.5
+MAX_GENERATOR_ENTRIES = 2**20
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -249,15 +256,14 @@ def resolve_config(user: dict) -> dict:
         )
     if stored < code["total_files"]:
         raise ConfigError(f"nodes * per_node_files = {stored} cannot hold total_files {code['total_files']}")
-    if code["repair_d"] >= code["nodes"]:
-        raise ConfigError(f"repair_d {code['repair_d']} needs more helpers than the {code['nodes'] - 1} survivors")
-    # the dataclasses' own checks, before any solve meets them
+    if stored * code["total_files"] > MAX_GENERATOR_ENTRIES:
+        raise ConfigError(
+            f"code generator of nodes * per_node_files x total_files = {stored} x {code['total_files']} "
+            f"entries exceeds the bound of {MAX_GENERATOR_ENTRIES}"
+        )
+    # the code point, then the dataclasses' own checks, before any solve meets them
     try:
-        build_downlink_request(config)
-        build_uplink_request(config)
-        build_repair_request(config)
-        point = code_point_check(config)
-        repair_requirement(operating_point(config), build_regen_params(config))
+        point = code_point(code["point"], code["total_files"], code["reconstruct_k"], code["repair_d"])
         if (code["per_node_files"], code["per_helper_files"]) != (point.per_node_files, point.per_helper_files):
             raise ValueError(
                 f"per_node_files {code['per_node_files']} and per_helper_files {code['per_helper_files']} "
@@ -265,6 +271,9 @@ def resolve_config(user: dict) -> dict:
                 f"reconstruct_k {code['reconstruct_k']} and repair_d {code['repair_d']}: "
                 f"alpha {point.per_node_files}, beta {point.per_helper_files}"
             )
+        build_downlink_request(config)
+        build_uplink_request(config)
+        build_repair_request(config)
     except ValueError as exc:
         raise ConfigError(f"scenario invalid: {exc}") from exc
     return config
@@ -293,17 +302,6 @@ def build_regen_params(config: dict) -> RegenParams:
         per_helper_files=code["per_helper_files"],
         file_bits=code["file_bits"],
     )
-
-
-def operating_point(config: dict) -> OperatingPoint:
-    return OperatingPoint(config["code"]["point"])
-
-
-def code_point_check(config: dict):
-    """The closed-form operating point for the configured (M, K, D)."""
-    code = config["code"]
-    fn = msr_point if config["code"]["point"] == "msr" else mbr_point
-    return fn(code["total_files"], code["reconstruct_k"], code["repair_d"])
 
 
 def _links(config: dict, block: str) -> tuple[LinkParams, ...]:
@@ -361,7 +359,6 @@ def build_repair_request(config: dict) -> RepairRequest:
     """Repair helpers send on their uplink carriers."""
     return RepairRequest(
         params=build_regen_params(config),
-        point=operating_point(config),
         failed_node=config["repair"]["failed_node"] - 1,
         **_stage_fields(config, "repair", _links(config, "uplink")),
     )

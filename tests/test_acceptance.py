@@ -29,11 +29,10 @@ from georelay.coding import (
     OperatingPoint,
     RegenParams,
     check_mu_reconstructable,
+    code_point,
     downloads_for,
     encode,
-    msr_point,
     reconstruct,
-    repair_requirement,
     validate_params,
 )
 from georelay.downlink_opt import (
@@ -82,15 +81,16 @@ def criterion(num: int, description: str, budget_s: float):
 
 def test_criterion_1_code_parameters():
     with criterion(1, "code-parameter reproduction", 1.0):
-        point = msr_point(30, 3, 4)
+        point = code_point(OperatingPoint.MSR, 30, 3, 4)
         assert point.per_node_files == Fraction(10)
         assert point.per_helper_files == Fraction(5)
         assert point.repair_bandwidth == Fraction(20)
         params = RegenParams(30, 5, 3, 4, 10, 5)
         report = validate_params(params)
         assert report.ok and report.capacity_sum == 30
-        plan = repair_requirement(OperatingPoint.MSR, params)
-        assert (plan.helpers, plan.per_helper_files, plan.total_files) == (4, 5, 20)
+        # D helpers send beta files each
+        assert (params.repair_d, params.per_helper_files) == (4, 5)
+        assert params.repair_d * params.per_helper_files == point.repair_bandwidth == 20
         assert params.n_files == 30  # full re-download size under a plain MDS code
 
 

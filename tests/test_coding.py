@@ -9,17 +9,16 @@ from georelay.coding import (
     OperatingPoint,
     RegenParams,
     check_mu_reconstructable,
+    code_point,
     downloads_for,
     encode,
-    mbr_point,
-    msr_point,
     reconstruct,
-    repair_requirement,
     validate_params,
 )
 from georelay.errors import SingularSystemError
 
 REFERENCE = RegenParams(30, 5, 3, 4, 10, 5)
+MSR, MBR = OperatingPoint.MSR, OperatingPoint.MBR
 
 
 def test_validate_reference_params_tight():
@@ -45,35 +44,35 @@ def test_validate_rejects_oversized_source():
 
 
 def test_msr_point_reference():
-    pt = msr_point(30, 3, 4)
+    pt = code_point(MSR, 30, 3, 4)
     assert pt == CodePoint(Fraction(10), Fraction(5), Fraction(20))
 
 
 def test_msr_point_collapses_at_k1():
-    pt = msr_point(12, 1, 4)
+    pt = code_point(MSR, 12, 1, 4)
     assert pt.per_node_files == 12
     assert pt.repair_bandwidth == 12
 
 
 def test_msr_point_d_equals_k():
-    pt = msr_point(30, 3, 3)
+    pt = code_point(MSR, 30, 3, 3)
     assert pt.per_node_files == 10
     assert pt.repair_bandwidth == 30
     assert pt.per_helper_files == 10
 
 
 def test_mbr_point_values():
-    pt = mbr_point(30, 3, 4)
+    pt = code_point(MBR, 30, 3, 4)
     assert pt.per_node_files == Fraction(240, 18)
     assert pt.repair_bandwidth == pt.per_node_files
-    assert mbr_point(12, 1, 4).per_node_files == 12
+    assert code_point(MBR, 12, 1, 4).per_node_files == 12
     # storage at the bandwidth-optimal point is never below the storage-optimal point
-    assert mbr_point(30, 3, 4).per_node_files > msr_point(30, 3, 4).per_node_files
+    assert code_point(MBR, 30, 3, 4).per_node_files > code_point(MSR, 30, 3, 4).per_node_files
 
 
 def test_eq3_holds_with_equality_for_msr():
     for m, k, d in ((30, 3, 4), (24, 2, 3), (60, 4, 5)):
-        pt = msr_point(m, k, d)
+        pt = code_point(MSR, m, k, d)
         if pt.per_node_files.denominator != 1 or pt.per_helper_files.denominator != 1:
             continue
         total = sum(
@@ -83,23 +82,32 @@ def test_eq3_holds_with_equality_for_msr():
 
 
 def test_repair_requirement_reference():
-    plan = repair_requirement(OperatingPoint.MSR, REFERENCE)
-    assert plan.helpers == 4
-    assert plan.per_helper_files == 5
-    assert plan.total_files == 20
+    """At the MSR point of (M, K, D) = (30, 3, 4), D = 4 helpers send beta = 5 files each: 20 in all."""
+    pt = code_point(MSR, 30, 3, 4)
+    assert (REFERENCE.per_node_files, REFERENCE.per_helper_files) == (pt.per_node_files, pt.per_helper_files)
+    assert (REFERENCE.repair_d, REFERENCE.per_helper_files) == (4, 5)
+    assert REFERENCE.repair_d * REFERENCE.per_helper_files == pt.repair_bandwidth == 20
     assert REFERENCE.n_files == 30  # MDS re-download size
 
 
-def test_repair_requirement_mbr_single_helper():
-    params = RegenParams(10, 4, 2, 1, 5, 5)
-    plan = repair_requirement(OperatingPoint.MBR, params)
-    assert plan.helpers == 1
-    assert plan.total_files == 5
-
-
 def test_repair_requirement_rejects_off_point():
-    with pytest.raises(ValueError):
-        repair_requirement(OperatingPoint.MSR, RegenParams(30, 5, 3, 4, 10, 3))
+    """beta = 3 is not the MSR point's 5, and four helpers sending 3 files each cannot regenerate a node."""
+    off = RegenParams(30, 5, 3, 4, 10, 3)
+    assert code_point(MSR, 30, 3, 4).per_helper_files != off.per_helper_files
+    report = validate_params(off)
+    assert not report.ok and report.capacity_sum == 25
+
+
+def test_integral_code_points_meet_the_cut_set_bound_with_equality():
+    """At either point, an integral alpha and beta give a cut-set capacity of exactly M."""
+    met = dict.fromkeys(OperatingPoint, 0)
+    for point, m, k, d in itertools.product(OperatingPoint, range(1, 61), range(1, 6), range(1, 8)):
+        pt = code_point(point, m, k, d) if k <= d else None
+        if pt and pt.per_node_files.denominator == pt.per_helper_files.denominator == 1:
+            report = validate_params(RegenParams(m, d + 1, k, d, int(pt.per_node_files), int(pt.per_helper_files)))
+            assert report.ok and report.capacity_sum == m, (point, m, k, d)
+            met[point] += 1
+    assert min(met.values()) > 10
 
 
 def test_encode_reference_all_subsets_full_rank():

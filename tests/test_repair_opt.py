@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from georelay.coding import OperatingPoint, RegenParams, repair_requirement
+from georelay.coding import OperatingPoint, RegenParams, code_point
 from georelay.errors import InfeasibleError
 from georelay.repair_opt import (
     mds_repair_baseline,
@@ -31,9 +31,37 @@ def test_reference_plan_single_subset(request_ref):
 
 def test_traffic_accounting(request_ref):
     """Regenerating repair moves D * beta files; MDS repair moves all M."""
-    plan = repair_requirement(request_ref.point, request_ref.params)
-    assert (plan.total_files, plan.helpers, plan.per_helper_files) == (20, 4, 5)
-    assert request_ref.params.n_files == 30
+    p = request_ref.params
+    point = code_point(OperatingPoint.MSR, p.n_files, p.reconstruct_k, p.repair_d)
+    assert (p.per_node_files, p.per_helper_files) == (point.per_node_files, point.per_helper_files)
+    assert (p.repair_d, p.per_helper_files, point.repair_bandwidth) == (4, 5, 20)
+    assert p.n_files == 30
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (RegenParams(30, 5, 4, 3, 10, 5), r"need K <= D <= N-1, got K=4, D=3, N=5"),
+        (RegenParams(36, 5, 3, 5, 12, 4), r"need K <= D <= N-1, got K=3, D=5, N=5"),
+        (RegenParams(31, 5, 3, 4, 10, 5), r"M=31 exceeds the cut-set capacity 30"),
+    ],
+    ids=["k-above-d", "d-above-survivors", "m-above-capacity"],
+)
+def test_request_refuses_a_code_no_repair_can_serve(request_ref, params, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(request_ref, params=params)
+
+
+def test_interior_code_repairs_from_d_helpers_of_beta_files(request_ref):
+    """(alpha, beta) = (12, 4) lies strictly between the MSR and MBR points of
+    (M, K, D) = (30, 3, 4), with cut-set capacity 32 >= 30: four helpers send
+    four files each."""
+    params = RegenParams(30, 5, 3, 4, 12, 4, request_ref.params.file_bits)
+    req = dataclasses.replace(request_ref, params=params)
+    res = repair_min_energy(req)
+    assert res.helpers == (0, 1, 2, 3)
+    assert res.files_per_helper.tolist() == [4, 4, 4, 4] and res.total_files == 16
+    assert np.allclose(res.allocation.delivered_bits, 4 * params.file_bits, rtol=1e-9)
 
 
 def test_each_helper_delivers_exact_beta(request_ref):
@@ -123,7 +151,7 @@ def _random_repair_request(base, rng, n_leos, d):
     alpha = (d - k + 1) * beta
     params = RegenParams(k * alpha, n_leos, k, d, alpha, beta, base.params.file_bits)
     return dataclasses.replace(
-        base, scenario=scenario, links=tuple(links), params=params, point=OperatingPoint.MSR, failed_node=failed
+        base, scenario=scenario, links=tuple(links), params=params, failed_node=failed
     )
 
 
@@ -192,7 +220,7 @@ def test_insufficient_helpers():
 
         repair_min_energy(
             RepairRequest(
-                scenario=sc, links=links, params=params, point=OperatingPoint.MSR, failed_node=0,
+                scenario=sc, links=links, params=params, failed_node=0,
                 t_start_s=0.0, horizon_s=20.0, p_max_w=900.0,
             )
         )

@@ -12,7 +12,7 @@ import pytest
 from georelay import cli
 from georelay.cli import main
 from georelay.errors import ConfigError
-from georelay.scenario import DEFAULT_CONFIG, SCHEMA, load_config, resolve_config
+from georelay.scenario import DEFAULT_CONFIG, MAX_GENERATOR_ENTRIES, SCHEMA, load_config, resolve_config
 
 
 def run_cli(args):
@@ -91,11 +91,26 @@ def test_cli_schema_error_exit_code(tmp_path):
     [
         ({"field_order": 7}, ["code-check"], "code.field_order 7 must be 256 or a prime"),
         ({"field_order": 100}, ["code-check"], "code.field_order 100 must be 256 or a prime"),
-        ({"per_helper_files": 3}, ["code-check", "repair"], "per_node_files 10 is not a multiple of per_helper_files 3"),
+        (
+            {"per_helper_files": 3},
+            ["code-check", "repair"],
+            "per_node_files 10 and per_helper_files 3 are not the msr point of total_files 30, "
+            "reconstruct_k 3 and repair_d 4: alpha 10, beta 5",
+        ),
         ({"per_node_files": 5}, ["code-check", "uplink-energy"], "nodes * per_node_files = 25 cannot hold total_files 30"),
         ({"total_files": 60}, ["code-check", "uplink-energy"], "nodes * per_node_files = 50 cannot hold total_files 60"),
-        ({"point": "mbr"}, ["code-check", "repair"], "give 2 repair helpers at mbr, but repair_d is 4"),
-        ({"repair_d": 3}, ["code-check", "repair"], "give 4 repair helpers at msr, but repair_d is 3"),
+        (
+            {"point": "mbr"},
+            ["code-check", "repair"],
+            "per_node_files 10 and per_helper_files 5 are not the mbr point of total_files 30, "
+            "reconstruct_k 3 and repair_d 4: alpha 40/3, beta 10/3",
+        ),
+        (
+            {"repair_d": 3},
+            ["code-check", "repair"],
+            "per_node_files 10 and per_helper_files 5 are not the msr point of total_files 30, "
+            "reconstruct_k 3 and repair_d 3: alpha 10, beta 10",
+        ),
         (
             {"per_node_files": 20, "per_helper_files": 10},
             ["code-check", "downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"],
@@ -105,7 +120,7 @@ def test_cli_schema_error_exit_code(tmp_path):
         (
             {"total_files": 36, "repair_d": 5, "per_node_files": 12, "per_helper_files": 4},
             ["code-check", "downlink-energy", "downlink-time", "uplink-energy", "uplink-time", "repair"],
-            "repair_d 5 needs more helpers than the 4 survivors",
+            "need K <= D <= N-1, got K=3, D=5, N=5",
         ),
     ],
     ids=["field-7", "field-100", "helper-3", "node-5", "total-60", "mbr-d-4", "msr-d-3", "off-point", "d-5-of-5"],
@@ -190,6 +205,46 @@ def test_cli_grid_cell_bound(tmp_path, args, user, code, message):
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert not list(out.iterdir())
+
+
+# a valid code whose 100,000 x 60,000 int64 generator would take about 45 GiB
+_OVERSIZED_CODE = {"code": {"total_files": 60000, "per_node_files": 20000, "per_helper_files": 10000, "field_order": 100003}}
+
+
+def test_cli_oversized_code_is_refused_before_it_is_built(tmp_path):
+    """Every subcommand refuses a code past the generator bound with exit 2 in under 1 s.
+
+    The calls run in one process capped at 1 GiB of address space, so a
+    regression that builds the generator fails the test rather than
+    exhausting the host's memory.
+    """
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_OVERSIZED_CODE))
+    out = tmp_path / "out"
+    calls = [[command] for command in cli.COMMANDS] + [["sweep", "--from", "0", "--to", "1", "--step", "1"]]
+    code = (
+        "import json, resource, sys, time\n"
+        "limit = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from georelay.cli import main\n"
+        "for call in json.loads(sys.argv[1]):\n"
+        "    start = time.perf_counter()\n"
+        "    rc = main(call + ['--scenario', sys.argv[2], '--out', sys.argv[3]])\n"
+        "    print(call[0], rc, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls), str(scenario), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [line.split() for line in proc.stdout.splitlines()]
+    assert [(command, rc) for command, rc, _ in results] == [(call[0], "2") for call in calls]
+    assert max(float(seconds) for *_, seconds in results) < 1.0
+    bound = f"x total_files = 100000 x 60000 entries exceeds the bound of {MAX_GENERATOR_ENTRIES}"
+    assert proc.stderr.count(bound) == len(calls), proc.stderr
+    assert not out.exists()
 
 
 def test_cli_infeasible_exit_code(tmp_path):
