@@ -1,7 +1,9 @@
 """GEO-to-LEO stage: energy minimization, constant-power baseline, time minimization.
 
 The energy problem decouples into independent per-LEO waterfilling solves
-because the bit constraints share no variables. Time minimization first finds
+because the bit constraints share no variables; the constant-power baseline
+is a per-LEO solve on the same channels, and one assembler gathers either
+into an :class:`AllocationResult`. Time minimization first finds
 the per-LEO full-power minimum durations; their maximum is the unconstrained
 optimum T0, and a binding energy budget is handled by a Newton search of the
 horizon on the optimal-energy curve, which decreases in the horizon. The
@@ -20,7 +22,7 @@ from .errors import InfeasibleError
 from .geometry import geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon, refuse_budget_below_floor
 from .link import PowerProfile
-from .waterfill import LN2, REL_BIT_TOL, max_deliverable_bits, solve_cells
+from .waterfill import LN2, REL_BIT_TOL, CellSolution, max_deliverable_bits, solve_cells
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -51,41 +53,48 @@ class AllocationResult:
     kkt_residual_max: float
 
 
+def _per_node(channels, solve) -> AllocationResult:
+    """``solve(n, channel)``, a :class:`~georelay.waterfill.CellSolution`, on
+    every node's channel, gathered into one result. An infeasible node's
+    error is raised again as "node n: ...", with its index and deliverable
+    bits."""
+    sols = []
+    for n, ch in enumerate(channels):
+        try:
+            sols.append(solve(n, ch))
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
+    energies = [sol.energy_j for sol in sols]
+    return AllocationResult(
+        profiles=tuple(ch.profile(sol.powers_w) for ch, sol in zip(channels, sols)),
+        energies_j=np.array(energies),
+        total_energy_j=float(sum(energies)),
+        delivered_bits=np.array([sol.delivered_bits for sol in sols]),
+        water_levels=np.array([sol.water_level for sol in sols]),
+        kkt_residual_max=max((sol.kkt_residual for sol in sols), default=0.0),
+    )
+
+
 def allocate_for_targets(channels, targets_bits, p_max, tables=None) -> AllocationResult:
     """Independent per-node waterfilling solves; infeasibility names the node.
 
     ``tables``, one :class:`~georelay.waterfill.BreakpointTable` per channel
     at ``p_max``, prices the targets on tables a caller already built.
     """
-    profiles, energies, bits, levels, residuals = [], [], [], [], []
-    for n, (ch, target) in enumerate(zip(channels, targets_bits)):
-        try:
-            if tables is None:
-                sol = solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, target, p_max)
-            else:
-                sol = tables[n].solve(target)
-        except InfeasibleError as exc:
-            raise InfeasibleError(
-                f"node {n}: {exc}", max_bits=exc.max_bits, index=n
-            ) from exc
-        profiles.append(ch.profile(sol.powers_w))
-        energies.append(sol.energy_j)
-        bits.append(sol.delivered_bits)
-        levels.append(sol.water_level)
-        residuals.append(sol.kkt_residual)
-    return AllocationResult(
-        profiles=tuple(profiles),
-        energies_j=np.array(energies),
-        total_energy_j=float(sum(energies)),
-        delivered_bits=np.array(bits),
-        water_levels=np.array(levels),
-        kkt_residual_max=max(residuals, default=0.0),
-    )
+    if tables is None:
+        return _per_node(
+            channels,
+            lambda n, ch: solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, targets_bits[n], p_max),
+        )
+    return _per_node(channels, lambda n, ch: tables[n].solve(targets_bits[n]))
 
 
-def _least_constant_power(ch, target, p_max) -> tuple[float, float]:
-    """The least constant power on ``ch`` whose bits reach ``target`` > 0,
-    or ``p_max`` if none below it does, to within 1e-15 p_max, and its bits.
+def _least_constant_power(ch, target, p_max) -> CellSolution:
+    """The least constant power on ``ch`` whose bits reach ``target``, or
+    ``p_max`` if none below it does, to within 1e-15 p_max; a zero target
+    gets power 0, and the masks follow from that one level. A target above
+    the full-power bits, past the waterfill's tolerance, is infeasible, with
+    those bits.
 
     bits(P) = W / ln 2 sum_k w_k ln(1 + P h_k) is concave and increasing,
     so Newton's steps, P + (target - bits) / bits' with bits' = W / ln 2
@@ -93,41 +102,29 @@ def _least_constant_power(ch, target, p_max) -> tuple[float, float]:
     P = 0, where bits = 0 needs no evaluation. A step shorter than the
     tolerance becomes one closing step of the tolerance, which reaches.
     """
-    tol = 1e-15 * p_max
-    scale = ch.bandwidth_hz / LN2
-    power, bits = 0.0, 0.0
-    for _ in range(200):
-        slope = scale * np.dot(ch.weights_s, ch.gains_per_w / (1.0 + power * ch.gains_per_w))
-        power = min(power + max((target - bits) / slope, tol), p_max)
-        bits = ch.bits(np.full(ch.n_cells, power))
-        if bits >= target or power == p_max:
-            break
-    return power, bits
+    n, power, bits, steps = ch.n_cells, 0.0, 0.0, 0
+    if target != 0:
+        full = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max)
+        if target > full * (1.0 + REL_BIT_TOL):
+            raise InfeasibleError("target unreachable at P_max", max_bits=full)
+        tol = 1e-15 * p_max
+        scale = ch.bandwidth_hz / LN2
+        for steps in range(1, 201):
+            slope = scale * np.dot(ch.weights_s, ch.gains_per_w / (1.0 + power * ch.gains_per_w))
+            power = min(power + max((target - bits) / slope, tol), p_max)
+            bits = ch.bits(np.full(n, power))
+            if bits >= target or power == p_max:
+                break
+    powers = np.full(n, power)
+    return CellSolution(
+        powers, math.nan, np.full(n, power == 0.0), np.full(n, power == p_max), bits, ch.energy(powers), steps, math.nan
+    )
 
 
 def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResult:
     """Per-node constant power: the least that meets each bit target
     (:func:`_least_constant_power`)."""
-    profiles, energies, bits, levels = [], [], [], []
-    for n, (ch, target) in enumerate(zip(channels, targets_bits)):
-        power, delivered = 0.0, 0.0
-        if target != 0:
-            if target > max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) * (1.0 + REL_BIT_TOL):
-                raise InfeasibleError(f"node {n}: target unreachable at P_max", index=n)
-            power, delivered = _least_constant_power(ch, target, p_max)
-        powers = np.full(ch.n_cells, power)
-        profiles.append(ch.profile(powers))
-        energies.append(ch.energy(powers))
-        bits.append(delivered)
-        levels.append(math.nan)
-    return AllocationResult(
-        profiles=tuple(profiles),
-        energies_j=np.array(energies),
-        total_energy_j=float(sum(energies)),
-        delivered_bits=np.array(bits),
-        water_levels=np.array(levels),
-        kkt_residual_max=math.nan,
-    )
+    return _per_node(channels, lambda n, ch: _least_constant_power(ch, targets_bits[n], p_max))
 
 
 def min_energy_downlink(req: DownlinkRequest, horizon_s: float | None = None) -> AllocationResult:

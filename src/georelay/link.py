@@ -7,7 +7,10 @@ instantaneous SNR is P * L / d(t)^2.
 Time integrals run on a shared discrete grid: cells of ``grid_step_s`` with a
 shorter final cell when the window length is not an exact multiple, evaluated
 by the midpoint rule. Every optimizer in the package uses this same grid, so
-bit constraints and energies are mutually consistent.
+bit constraints and energies are mutually consistent. A window's cells are
+counted in one place, :func:`grid_cell_count`; a cell is computed by
+:func:`build_channel` and, for the last cell of a cut, by
+:meth:`georelay.horizon.StageRequest._cut` with the same expressions.
 """
 
 from __future__ import annotations
@@ -54,25 +57,6 @@ class PowerProfile:
     grid_step_s: float
     values_w: np.ndarray
 
-    def __post_init__(self):
-        if self.t_end_s < self.t_start_s:
-            raise ValueError("window must have nonnegative length")
-        if self.grid_step_s <= 0:
-            raise ValueError("grid step must be positive")
-        values = np.asarray(self.values_w, dtype=float)
-        object.__setattr__(self, "values_w", values)
-        n = grid_cell_count(self.t_start_s, self.t_end_s, self.grid_step_s)
-        if values.shape != (n,):
-            raise ValueError(f"expected {n} grid values, got {values.shape}")
-
-    @property
-    def weights_s(self) -> np.ndarray:
-        return grid_weights(self.t_start_s, self.t_end_s, self.grid_step_s)
-
-    @property
-    def energy_j(self) -> float:
-        return float(np.dot(self.weights_s, self.values_w))
-
 
 def grid_cell_count(t_start: float, t_end: float, step: float) -> int:
     span = t_end - t_start
@@ -83,23 +67,6 @@ def grid_cell_count(t_start: float, t_end: float, step: float) -> int:
     if rem > _REL_CELL_EPS * step:
         n += 1
     return max(n, 1)
-
-
-def grid_weights(t_start: float, t_end: float, step: float) -> np.ndarray:
-    n = grid_cell_count(t_start, t_end, step)
-    if n == 0:
-        return np.zeros(0)
-    w = np.full(n, step)
-    w[-1] = (t_end - t_start) - step * (n - 1)
-    return w
-
-
-def grid_midpoints(t_start: float, t_end: float, step: float) -> np.ndarray:
-    n = grid_cell_count(t_start, t_end, step)
-    if n == 0:
-        return np.zeros(0)
-    starts = t_start + step * np.arange(n)
-    return starts + grid_weights(t_start, t_end, step) / 2.0
 
 
 def aggregate_gain(params: LinkParams) -> float:
@@ -135,16 +102,15 @@ class NodeChannel:
         return self.weights_s.size
 
     def bits(self, powers_w) -> float:
-        if self.n_cells == 0:
-            return 0.0
         return cell_bits(self.weights_s, self.gains_per_w, np.asarray(powers_w), self.bandwidth_hz)
 
     def energy(self, powers_w) -> float:
-        if self.n_cells == 0:
-            return 0.0
         return float(np.dot(self.weights_s, powers_w))
 
-    def profile(self, powers_w) -> PowerProfile:
+    def profile(self, powers_w: np.ndarray) -> PowerProfile:
+        """The profile of powers solved on this channel, one per cell."""
+        if powers_w.shape != (self.n_cells,):
+            raise ValueError(f"expected {self.n_cells} grid values, got {powers_w.shape}")
         return PowerProfile(self.t_start_s, self.t_end_s, self.grid_step_s, powers_w)
 
 
@@ -152,12 +118,16 @@ def build_channel(params: LinkParams, distance_fn, window, grid_step_s: float) -
     """Discretize a link over ``window``; an empty/inverted window gives zero cells.
 
     ``distance_fn`` maps an array of cell midpoints (s) to slant distances (m).
+    Every cell but the last is ``grid_step_s`` wide; the last takes the rest
+    of the window.
     """
     t_start, t_end = window
     if t_end <= t_start:
         return NodeChannel(t_start, t_start, grid_step_s, np.zeros(0), np.zeros(0), params.bandwidth_hz)
-    weights = grid_weights(t_start, t_end, grid_step_s)
-    mids = grid_midpoints(t_start, t_end, grid_step_s)
+    n = grid_cell_count(t_start, t_end, grid_step_s)
+    weights = np.full(n, grid_step_s)
+    weights[-1] = (t_end - t_start) - grid_step_s * (n - 1)
+    mids = t_start + grid_step_s * np.arange(n) + weights / 2.0
     d = np.asarray(distance_fn(mids), dtype=float)
     gains = aggregate_gain(params) / (d * d)
     return NodeChannel(t_start, t_end, grid_step_s, weights, gains, params.bandwidth_hz)

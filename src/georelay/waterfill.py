@@ -57,7 +57,8 @@ def cell_bits(weights: np.ndarray, gains: np.ndarray, powers: np.ndarray, bandwi
 
 @dataclass(frozen=True)
 class CellSolution:
-    """Waterfilling solution on bare grid cells."""
+    """One node's powers on bare grid cells: a waterfilling solution, or the
+    constant-power baseline's, which has no water level or KKT residual (NaN)."""
 
     powers_w: np.ndarray
     water_level: float
@@ -71,8 +72,6 @@ class CellSolution:
 
 def max_deliverable_bits(weights, gains, bandwidth_hz, p_max) -> float:
     """Bits delivered with every cell at P_max."""
-    if len(weights) == 0:
-        return 0.0
     return cell_bits(weights, gains, np.full(len(weights), p_max), bandwidth_hz)
 
 

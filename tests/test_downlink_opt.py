@@ -165,8 +165,11 @@ def test_infeasibility_names_leos(request_ref):
     with pytest.raises(InfeasibleError) as exc:
         min_energy_downlink(req)
     assert exc.value.index == 0  # weakest link fails first
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as exc:
         constant_power_baseline(req)
+    ch = req.channel(0)
+    assert exc.value.index == 0
+    assert exc.value.max_bits == max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w)
 
 
 def test_min_time_unbounded_budget(request_ref):

@@ -7,11 +7,8 @@ from georelay.link import (
     LIGHT_SPEED_MPS,
     LinkParams,
     NodeChannel,
-    PowerProfile,
     aggregate_gain,
     build_channel,
-    grid_midpoints,
-    grid_weights,
 )
 
 
@@ -86,22 +83,53 @@ def test_rate_snr_round_trip():
 
 
 def test_grid_partial_last_cell():
-    w = grid_weights(0.0, 10.5, 1.0)
-    assert len(w) == 11
-    assert w[-1] == pytest.approx(0.5)
-    m = grid_midpoints(0.0, 10.5, 1.0)
-    assert m[0] == pytest.approx(0.5)
-    assert m[-1] == pytest.approx(10.25)
-    assert grid_weights(5.0, 5.0, 1.0).size == 0
+    """A 10.5 s window holds 11 cells, the last 0.5 s wide, and the distance
+    is asked at their midpoints, 0.5 s to 10.25 s; an empty window holds
+    none."""
+    asked = []
+
+    def distance(t):
+        asked.append(t.copy())
+        return np.full_like(t, 1e7)
+
+    ch = build_channel(make_params(), distance, (0.0, 10.5), 1.0)
+    assert ch.n_cells == 11
+    assert ch.weights_s[-1] == pytest.approx(0.5)
+    (mids,) = asked
+    assert mids.size == 11
+    assert mids[0] == pytest.approx(0.5)
+    assert mids[-1] == pytest.approx(10.25)
+    assert build_channel(make_params(), distance, (5.0, 5.0), 1.0).n_cells == 0
+
+
+@pytest.mark.parametrize(
+    "span, cells, last",
+    [
+        (10.0 + 5e-10, 10, 1.0 + 5e-10),  # a remainder of 5e-10 step joins the last cell
+        (10.0 + 2e-9, 11, 2e-9),  # a remainder of 2e-9 step is a cell of its own
+        (5e-10, 1, 5e-10),  # a window shorter than 1e-9 step is one cell
+    ],
+)
+def test_grid_round_off_remainder(span, cells, last):
+    """A remainder of at most 1e-9 step is round-off and widens the last cell;
+    a longer one makes a cell. The weights sum to the window's length."""
+    t_start = 3.0
+    t_end = t_start + span
+    ch = build_channel(make_params(), lambda t: np.full_like(t, 1e7), (t_start, t_end), 1.0)
+    assert ch.n_cells == cells
+    assert ch.weights_s[-1] == pytest.approx(last, rel=1e-6)
+    assert np.all(ch.weights_s[:-1] == 1.0)
+    assert float(np.sum(ch.weights_s)) == t_end - t_start
 
 
 def test_profile_validation():
+    """A channel's profile takes one power per cell and refuses any other length."""
+    ch = constant_channel(make_params(), 1e7, span_s=10.0)
     with pytest.raises(ValueError):
-        PowerProfile(0.0, 10.0, 1.0, np.zeros(3))
-    prof = PowerProfile(0.0, 10.0, 1.0, np.ones(10))
-    assert prof.energy_j == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        PowerProfile(0.0, 1.0, -1.0, np.zeros(1))
+        ch.profile(np.zeros(3))
+    prof = ch.profile(np.ones(10))
+    assert prof.values_w.shape == (10,)
+    assert ch.energy(prof.values_w) == pytest.approx(10.0)
 
 
 def test_delivered_bits_zero_profile():
