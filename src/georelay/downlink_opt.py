@@ -2,11 +2,12 @@
 
 The energy problem decouples into independent per-LEO waterfilling solves
 because the bit constraints share no variables; the constant-power baseline
-is a per-LEO solve on the same channels, and one assembler gathers either
-into an :class:`AllocationResult`. Time minimization first finds
-the per-LEO full-power minimum durations; their maximum is the unconstrained
-optimum T0, and a binding energy budget is handled by a Newton search of the
-horizon on the optimal-energy curve, which decreases in the horizon. The
+is a per-LEO solve on the same channels, and one assembler gathers either,
+and the file allocator's solves, into an :class:`AllocationResult`. Time
+minimization first finds the per-LEO full-power minimum durations; their
+maximum is the unconstrained optimum T0, and a binding energy budget is
+handled by a Newton search of the horizon on the optimal-energy curve, which
+decreases in the horizon. The
 request, both searches and the time result are the shared ones in
 :mod:`georelay.horizon`; the per-LEO floors are this stage's one extra output.
 """
@@ -53,17 +54,9 @@ class AllocationResult:
     kkt_residual_max: float
 
 
-def _per_node(channels, solve) -> AllocationResult:
-    """``solve(n, channel)``, a :class:`~georelay.waterfill.CellSolution`, on
-    every node's channel, gathered into one result. An infeasible node's
-    error is raised again as "node n: ...", with its index and deliverable
-    bits."""
-    sols = []
-    for n, ch in enumerate(channels):
-        try:
-            sols.append(solve(n, ch))
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
+def allocation_result(channels, sols) -> AllocationResult:
+    """Every node's :class:`~georelay.waterfill.CellSolution`, one per
+    channel, gathered into one result."""
     energies = [sol.energy_j for sol in sols]
     return AllocationResult(
         profiles=tuple(ch.profile(sol.powers_w) for ch, sol in zip(channels, sols)),
@@ -75,18 +68,26 @@ def _per_node(channels, solve) -> AllocationResult:
     )
 
 
-def allocate_for_targets(channels, targets_bits, p_max, tables=None) -> AllocationResult:
-    """Independent per-node waterfilling solves; infeasibility names the node.
+def _per_node(channels, solve) -> AllocationResult:
+    """``solve(n, channel)``, a :class:`~georelay.waterfill.CellSolution`, on
+    every node's channel, gathered into one result. An infeasible node's
+    error is raised again as "node n: ...", with its index and deliverable
+    bits."""
+    sols = []
+    for n, ch in enumerate(channels):
+        try:
+            sols.append(solve(n, ch))
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
+    return allocation_result(channels, sols)
 
-    ``tables``, one :class:`~georelay.waterfill.BreakpointTable` per channel
-    at ``p_max``, prices the targets on tables a caller already built.
-    """
-    if tables is None:
-        return _per_node(
-            channels,
-            lambda n, ch: solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, targets_bits[n], p_max),
-        )
-    return _per_node(channels, lambda n, ch: tables[n].solve(targets_bits[n]))
+
+def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
+    """Independent per-node waterfilling solves; infeasibility names the node."""
+    return _per_node(
+        channels,
+        lambda n, ch: solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, targets_bits[n], p_max),
+    )
 
 
 def _least_constant_power(ch, target, p_max) -> CellSolution:

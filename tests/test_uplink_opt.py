@@ -1,11 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from georelay.downlink_opt import constant_power_for_targets
 from georelay.errors import InfeasibleError
 from georelay.link import NodeChannel
+from georelay import uplink_opt
 from georelay.scenario import build_uplink_request
 from georelay.uplink_opt import (
     FileAllocationProblem,
@@ -15,6 +19,7 @@ from georelay.uplink_opt import (
     oa_solve,
     solve_nlp_fixed_mu,
 )
+from georelay.waterfill import CellSolution, solve_cells
 from oracles import dp_oracle, dp_solve, enumerate_integer_splits
 
 
@@ -105,17 +110,22 @@ def test_dp_lexicographic_tie_break():
     assert oa_solve(prob).mu.tolist() == [1, 2]
 
 
+def pass_channel(rng, cells, bandwidth=20e6):
+    """One pass of ``cells`` one-second cells whose gain peaks at a seeded
+    cell and falls off as 1 / (1 + x^2)."""
+    t = np.arange(cells) + 0.5
+    centre, width = rng.uniform(0.2, 0.8) * cells, rng.uniform(0.3, 1.0) * cells
+    gains = 10.0 ** rng.uniform(-3.5, -2.5) / (1.0 + ((t - centre) / width) ** 2)
+    return NodeChannel(0.0, float(cells), 1.0, np.ones(cells), gains, bandwidth)
+
+
 def synthetic_problem(rng, n_nodes, file_bits=1.6e8, bandwidth=20e6, p_max=900.0, cap=10):
-    """N nodes, each seeing one pass of 40..200 one-second cells whose gain
-    peaks at a seeded cell and falls off as 1 / (1 + x^2); the file total is
-    60% of what the nodes carry at full power within their caps."""
+    """N nodes, each seeing one pass of 40..200 one-second cells; the file
+    total is 60% of what the nodes carry at full power within their caps."""
     channels, capacity = [], 0
     for _ in range(n_nodes):
         cells = int(rng.integers(40, 201))
-        t = np.arange(cells) + 0.5
-        centre, width = rng.uniform(0.2, 0.8) * cells, rng.uniform(0.3, 1.0) * cells
-        gains = 10.0 ** rng.uniform(-3.5, -2.5) / (1.0 + ((t - centre) / width) ** 2)
-        ch = NodeChannel(0.0, float(cells), 1.0, np.ones(cells), gains, bandwidth)
+        ch = pass_channel(rng, cells, bandwidth)
         channels.append(ch)
         capacity += min(cap, int(ch.bits(np.full(cells, p_max)) // file_bits))
     total = max(1, round(0.6 * capacity))
@@ -224,3 +234,126 @@ def test_request_validation(default_config):
         dataclasses.replace(req, links=(req.links[0],) * 5)  # duplicate carriers
     with pytest.raises(ValueError):
         dataclasses.replace(req, total_files=51)
+
+
+# ------------------------------------------------- grouped breakpoint tables
+
+
+def same_floats(got, want) -> bool:
+    """Bit for bit, the sign of zero included."""
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def assert_grouped_solve_is_per_node(problem, twins=None):
+    """``oa_solve`` against the exact DP's counts and, at those counts, every
+    float of its result against a lone channel's :func:`solve_cells`; each
+    group table's solve against the same solves, masks included. The DP
+    sums a split's energies in the order of its recursion, so on the exact
+    tie of two identical channels (``twins``) it may give either of them
+    the file: its counts may differ from the greedy's by a swap of the two."""
+    res = oa_solve(problem)
+    dp = dp_solve(problem).mu.tolist()
+    if twins is not None and res.mu.tolist() != dp:
+        i, j = twins
+        dp[i], dp[j] = dp[j], dp[i]
+    assert res.mu.tolist() == dp
+    p, u = problem.p_max_w, problem.file_bits
+    sols = [
+        solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, m * u, p)
+        for ch, m in zip(problem.channels, res.mu.tolist())
+    ]
+    alloc = res.allocation
+    for prof, sol in zip(alloc.profiles, sols):
+        assert prof.values_w.tobytes() == sol.powers_w.tobytes()
+    assert same_floats(alloc.energies_j, [sol.energy_j for sol in sols])
+    assert same_floats(alloc.delivered_bits, [sol.delivered_bits for sol in sols])
+    assert same_floats(alloc.water_levels, [sol.water_level for sol in sols])
+    assert same_floats(alloc.total_energy_j, sum(sol.energy_j for sol in sols))
+    assert same_floats(alloc.kkt_residual_max, max((sol.kkt_residual for sol in sols), default=0.0))
+    for a, b in uplink_opt._groups(problem.channels):
+        grouped = uplink_opt._table(problem.channels[a:b], p).solve(res.mu[a:b] * u)
+        for got, want in zip(grouped, sols[a:b]):
+            for name in CellSolution.__dataclass_fields__:
+                assert same_floats(getattr(got, name), getattr(want, name)), name
+    return res
+
+
+# a budget a few short channels straddle, which keeps the DP oracle quick
+SMALL_BUDGET = 16
+LENGTHS = (0, 1, 5, SMALL_BUDGET - 1, SMALL_BUDGET, SMALL_BUDGET + 1, 2 * SMALL_BUDGET + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.lists(st.tuples(st.sampled_from(LENGTHS), st.integers(0, 4)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.0, 1.0),
+    twin=st.booleans(),
+)
+@example(nodes=[(SMALL_BUDGET - 1, 3)], seed=0, share=1.0, twin=False)
+@example(nodes=[(0, 2), (5, 0), (SMALL_BUDGET + 1, 4), (1, 1)], seed=1, share=0.5, twin=True)
+@example(nodes=[(SMALL_BUDGET, 4), (1, 4)], seed=2, share=0.0, twin=False)
+def test_grouped_greedy_is_the_per_node_greedy(nodes, seed, share, twin):
+    """Channel lengths around the group budget, empty channels, storage caps
+    of 0, nodes left at zero files, a single node, and (``twin``) node 0's
+    channel again as the last node, in another group behind a channel longer
+    than the budget: the counts are the DP's, every float is a lone
+    channel's, and the twins price alike, the higher index taking the tie."""
+    rng = np.random.default_rng(seed)
+    channels = [pass_channel(rng, cells) for cells, _ in nodes]
+    caps = [cap for _, cap in nodes]
+    if twin:
+        channels += [pass_channel(rng, 2 * SMALL_BUDGET + 3), channels[0]]
+        caps += [2, caps[0]]
+    u, p = 2e7, 900.0
+    empty = FileAllocationProblem(tuple(channels), 0, tuple(caps), u, p)
+    total = int(share * int(integer_file_caps(empty).sum()))
+    problem = dataclasses.replace(empty, total_files=total)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uplink_opt, "GROUP_CELLS", SMALL_BUDGET)
+        res = assert_grouped_solve_is_per_node(problem, (0, len(channels) - 1) if twin else None)
+        if twin:
+            groups = uplink_opt._groups(problem.channels)
+            last_start = groups[-1][0]
+            assert last_start > 0
+            first = uplink_opt._table(channels[: groups[0][1]], p)
+            last = uplink_opt._table(channels[last_start:], p)
+            files = np.arange(1, int(integer_file_caps(empty)[0]) + 1) * u
+            assert same_floats(first.energy(files, 0), last.energy(files, len(channels) - 1 - last_start))
+            assert res.mu[-1] >= res.mu[0]
+
+
+def test_groups_at_the_budget():
+    """Nodes join a group in index order while it holds at most GROUP_CELLS
+    cells; a longer channel is a group of its own. At the real budget the
+    grouped greedy is still the per-node one."""
+    budget = uplink_opt.GROUP_CELLS
+    rng = np.random.default_rng(11)
+    lengths = (budget - 1, 1, 1, budget + 1, 0, 5)
+    channels = tuple(pass_channel(rng, cells) for cells in lengths)
+    assert uplink_opt._groups(channels) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    problem = FileAllocationProblem(channels, 0, (4,) * len(channels), 1.6e8, 900.0)
+    total = int(integer_file_caps(problem).sum()) - 1
+    assert total > 4
+    assert_grouped_solve_is_per_node(dataclasses.replace(problem, total_files=total))
+
+
+# tracemalloc peak of one oa_solve of the default uplink at a 0.1 s grid
+# (24,932 cells), with one breakpoint table per node: 2,048,185 B (numpy
+# 2.4.6, Python 3.11). Grouping every node into one table would hold a dozen
+# arrays of two entries per cell of all nodes at once.
+PER_NODE_PEAK_B = 2_048_185
+
+
+def test_oa_solve_memory_at_fine_grid(default_config):
+    default_config["solver"]["grid_step_s"] = 0.1
+    problem = build_uplink_request(default_config).problem()
+    assert sum(ch.n_cells for ch in problem.channels) == 24_932
+    oa_solve(problem)
+    tracemalloc.start()
+    try:
+        oa_solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * PER_NODE_PEAK_B

@@ -259,7 +259,7 @@ def test_targets_at_every_breakpoint():
                     continue
                 sol = solve_cells(w, h, W, target, p_max)
                 assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
-                priced = table.solve(target)
+                priced = table.solve(target)[0]
                 for name in CellSolution.__dataclass_fields__:
                     got, want = getattr(priced, name), getattr(sol, name)
                     if isinstance(want, np.ndarray):
@@ -274,12 +274,12 @@ def test_targets_at_every_breakpoint():
 def breakpoint_targets(table):
     """The bits at every breakpoint above the lowest height, and at full
     power."""
-    return [float(b) for b in table.bits[table.heights > table.heights[0]]] + [table.full_bits]
+    return [float(b) for b in table.bits[table.heights > table.heights[0]]] + [table.full_bits[0]]
 
 
 def assert_prices_match_solve(table, targets, rel):
     for target in targets:
-        assert table.energy(target) == pytest.approx(table.solve(target).energy_j, rel=rel, abs=0.0), target
+        assert table.energy(target) == pytest.approx(table.solve(target)[0].energy_j, rel=rel, abs=0.0), target
 
 
 def assert_bracket_is_linear_scan(table, targets):
@@ -303,7 +303,7 @@ def test_energy_matches_solve_on_random_channels():
             target = rng.uniform(0.15, 0.85) * max_deliverable_bits(w, h, W, p_max)
         table = BreakpointTable(w, h, W, p_max)
         assert_prices_match_solve(table, [target, *breakpoint_targets(table)], 1e-12)
-        assert_bracket_is_linear_scan(table, [target, *table.bits[table.bits > 0.0], table.full_bits])
+        assert_bracket_is_linear_scan(table, [target, *table.bits[table.bits > 0.0], table.full_bits[0]])
 
 
 def test_energy_matches_solve_on_tied_breakpoints_and_a_single_cell():
@@ -314,7 +314,7 @@ def test_energy_matches_solve_on_tied_breakpoints_and_a_single_cell():
     ):
         table = BreakpointTable(w, h, W, p_max)
         # shares up to a hair above full power, which the bit tolerance admits
-        shares = [s * table.full_bits for s in (0.05, 0.3, 0.5, 0.6, 0.9, 0.999, 1.0 + 0.5 * REL_BIT_TOL)]
+        shares = [s * table.full_bits[0] for s in (0.05, 0.3, 0.5, 0.6, 0.9, 0.999, 1.0 + 0.5 * REL_BIT_TOL)]
         assert_prices_match_solve(table, shares + breakpoint_targets(table), 1e-12)
 
 
@@ -346,7 +346,7 @@ def test_energy_of_a_tiny_target():
         target = share * table.bits[1]
         exact = w[k] * math.expm1(target * LN2 / (W * w[k])) / h[k]
         assert table.energy(target) == pytest.approx(exact, rel=1e-12, abs=0.0), share
-        assert table.solve(target).energy_j == pytest.approx(exact, rel=1e-12, abs=0.0), share
+        assert table.solve(target)[0].energy_j == pytest.approx(exact, rel=1e-12, abs=0.0), share
 
 
 def test_solve_on_tiny_shares_of_full_power():
@@ -358,8 +358,8 @@ def test_solve_on_tiny_shares_of_full_power():
         w, h, W, _, p_max = random_cell_problem(rng, 1, 60)
         table = BreakpointTable(w, h, W, p_max)
         for share in (1e-4, 1e-6, 1e-8, 1e-9, 1e-12):
-            target = share * table.full_bits
-            sol = table.solve(target)
+            target = share * table.full_bits[0]
+            sol = table.solve(target)[0]
             assert sol.energy_j == pytest.approx(table.energy(target), rel=1e-12, abs=0.0), share
             assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
 
@@ -382,7 +382,7 @@ def test_energy_refuses_what_solve_refuses():
     with pytest.raises(ValueError):
         table.energy(-1.0)
     with pytest.raises(InfeasibleError):
-        table.energy(2.0 * table.full_bits)
+        table.energy(2.0 * table.full_bits[0])
     empty = BreakpointTable(np.zeros(0), np.zeros(0), 1e6, 10.0)
     assert empty.energy(0.0) == 0.0
     with pytest.raises(InfeasibleError):
@@ -405,5 +405,5 @@ def test_energy_matches_solve_on_reference_uplink_channels(default_config, dt):
         assert_prices_match_solve(table, files, 1e-10)
         assert_bracket_is_linear_scan(table, files + breakpoint_targets(table))
         for target in files:
-            i, height = table._bracket(target), table.solve(target).water_level / LN2
+            i, height = table._bracket(target), table.solve(target)[0].water_level / LN2
             assert table.heights[i] * (1 - 1e-12) <= height <= table.heights[i + 1] * (1 + 1e-12)
