@@ -14,11 +14,20 @@ at least N alpha elements. Regenerating a failed node takes
 :func:`validate_params` checks against the cut-set bound (Dimakis et al.,
 IEEE T-IT 2010); :func:`code_point` gives the closed-form alpha and beta at
 either end of that bound. No function here executes a repair.
+
+The generator depends only on N alpha, M and the field, so it is built once
+per code and process (:func:`_generator`, a least-recently-used cache of
+``GENERATOR_CACHE_SIZE`` codes) and marked read-only: every store of a code
+shares it, and its ``encoders`` are read-only views of it. ``encode`` refuses
+a generator of more than ``MAX_GENERATOR_ENTRIES`` entries, so the cache
+holds at most ``GENERATOR_CACHE_SIZE`` x 2^20 int64 entries, 64 MiB, beyond
+the stores that still use them; the N = 40, GF(761) code's takes 2.3 MB.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +35,12 @@ import numpy as np
 
 from .errors import InternalError, SingularSystemError
 from .gf import GaloisField, galois_field
+
+# entries of the N alpha x M generator a code may need: near 2^20, a cold code-check takes
+# about 1.6 s at 67 MB on a 2-vCPU host, and its time grows about as the entries^1.5
+MAX_GENERATOR_ENTRIES = 2**20
+# distinct codes whose generators stay cached; the benchmark's coding mix uses three
+GENERATOR_CACHE_SIZE = 8
 
 
 class OperatingPoint(enum.Enum):
@@ -122,6 +137,35 @@ class CodedStore:
     attempts: int = 1
 
 
+def _integers(values, high: int, what: str) -> np.ndarray:
+    """``values`` as int64, refused unless every one is an integer in [0, high]."""
+    raw = np.asarray(values)
+    # a NaN fails both comparisons, and nothing out of range reaches the cast
+    if not ((raw >= 0) & (raw <= high)).all():
+        raise ValueError(f"{what} must lie in [0, {high}]")
+    out = raw.astype(np.int64)
+    if (out != raw).any():
+        raise ValueError(f"{what} must be integers")
+    return out
+
+
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _generator(rows: int, m: int, field_order: int) -> np.ndarray:
+    """The read-only ``rows`` x M Vandermonde matrix on the field points 0 .. rows - 1."""
+    field = galois_field(field_order)
+    # columns [k, 2k) are columns [0, k) times points^k: ceil(log2 M) block products
+    power = np.arange(rows, dtype=np.int64)[:, None]
+    vandermonde = np.ones((rows, m), dtype=np.int64)
+    k = 1
+    while k < m:
+        width = min(k, m - k)
+        vandermonde[:, k : k + width] = field.mul(vandermonde[:, :width], power)
+        power = field.mul(power, power)
+        k *= 2
+    vandermonde.setflags(write=False)
+    return vandermonde
+
+
 def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=None) -> CodedStore:
     """Store ``source`` (M field elements; drawn from ``seed`` when None) under the Vandermonde code."""
     m, n, alpha = params.n_files, params.n_nodes, params.per_node_files
@@ -129,71 +173,73 @@ def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=No
         raise ValueError("total stored files cannot cover the source")
     if alpha * n > field_order:
         raise ValueError(f"{alpha * n} stored symbols need a field of order >= {alpha * n}, got {field_order}")
+    if alpha * n * m > MAX_GENERATOR_ENTRIES:
+        raise ValueError(f"a {alpha * n} x {m} generator exceeds the bound of {MAX_GENERATOR_ENTRIES} entries")
     field = galois_field(field_order)
     if source is None:
         source = np.random.default_rng(seed).integers(0, field_order, size=m, dtype=np.int64)
     else:
-        source = np.asarray(source, dtype=np.int64)
-        if source.shape != (m,) or np.any(source < 0) or np.any(source >= field_order):
+        if np.shape(source) != (m,):
             raise ValueError("source must be M field elements")
-    # columns [k, 2k) are columns [0, k) times points^k: ceil(log2 M) block products
-    power = np.arange(alpha * n, dtype=np.int64)[:, None]
-    vandermonde = np.ones((alpha * n, m), dtype=np.int64)
-    k = 1
-    while k < m:
-        width = min(k, m - k)
-        vandermonde[:, k : k + width] = field.mul(vandermonde[:, :width], power)
-        power = field.mul(power, power)
-        k *= 2
+        source = _integers(source, field_order - 1, f"source symbols over GF({field_order})")
+    vandermonde = _generator(alpha * n, m, field_order)
     stored = field.matmul(vandermonde, source.reshape(-1, 1)).reshape(-1)
     encoders = tuple(vandermonde[i * alpha : (i + 1) * alpha].T for i in range(n))
     payloads = tuple(stored[i * alpha : (i + 1) * alpha] for i in range(n))
     return CodedStore(field, params, source, encoders, payloads)
 
 
-def _selected_columns(store: CodedStore, mu):
-    """Per-node encoding columns of the first ``mu[n]`` stored symbols of node n."""
-    mu = np.asarray(mu, dtype=int)
-    p = store.params
-    if mu.shape != (p.n_nodes,):
-        raise ValueError(f"expected {p.n_nodes} download counts")
-    if np.any(mu < 0) or np.any(mu > p.per_node_files):
-        raise ValueError("download counts must lie in [0, per_node_files]")
-    return mu, [h[:, : mu[i]] for i, h in enumerate(store.encoders)]
+def _download_counts(store: CodedStore, mu) -> np.ndarray:
+    """``mu`` as per-node integer download counts, one per node, each in [0, per_node_files]."""
+    mu = np.asarray(mu)
+    if mu.shape != (store.params.n_nodes,):
+        raise ValueError(f"expected {store.params.n_nodes} download counts")
+    return _integers(mu, store.params.per_node_files, "download counts")
 
 
 def check_mu_reconstructable(store: CodedStore, mu) -> bool:
     """True iff the per-node download counts allow exact source recovery."""
-    mu, blocks = _selected_columns(store, mu)
+    mu = _download_counts(store, mu)
     if int(mu.sum()) < store.params.n_files:
         return False
-    stacked = np.hstack([b for b in blocks if b.shape[1]])
+    stacked = np.hstack([h[:, :c] for h, c in zip(store.encoders, mu) if c])
     return store.field.rank(stacked) == store.params.n_files
 
 
 def downloads_for(store: CodedStore, mu) -> list[np.ndarray]:
     """Symbols each node transmits for the given download counts: its first ``mu[n]``."""
-    mu, _ = _selected_columns(store, mu)
-    return [payload[: mu[i]].copy() for i, payload in enumerate(store.payloads)]
+    mu = _download_counts(store, mu)
+    return [payload[:c].copy() for payload, c in zip(store.payloads, mu)]
 
 
 def reconstruct(store: CodedStore, downloads) -> np.ndarray:
     """Recover the source symbols from per-node downloaded symbol vectors.
 
+    Node n's download is its first ``len(downloads[n])`` stored symbols.
+    Raises ``ValueError`` unless there is one download per node, each of at
+    most ``per_node_files`` symbols, every one a field element in [0, q).
     Raises :class:`SingularSystemError` when the downloads do not determine
-    the source uniquely.
+    the source uniquely. A download of r < M symbols is refused by its size,
+    before any elimination, with the message ``GaloisField.solve`` gives:
+    ``rank r < M unknowns; solution not unique``. For a store that
+    :func:`encode` built, r is that rank: the downloaded rows are r distinct
+    rows of one Vandermonde matrix, and any r <= M of those are independent.
+    A download of M or more symbols fills its system in one pass over the
+    nodes, and the solution is checked against that system.
     """
-    mu = np.array([len(d) for d in downloads], dtype=int)
-    mu, blocks = _selected_columns(store, mu)
-    rows = [b.T for b in blocks if b.shape[1]]
-    if not rows:
-        raise SingularSystemError("no symbols downloaded")
-    a = np.vstack(rows)
-    b = np.concatenate([np.asarray(d, dtype=np.int64) for d in downloads if len(d)])
+    counts = _download_counts(store, [len(d) for d in downloads])
+    m, q = store.params.n_files, store.field.order
+    b = _integers(np.concatenate(downloads), q - 1, f"symbols downloaded over GF({q})")
+    if b.size < m:
+        raise SingularSystemError(f"rank {b.size} < {m} unknowns; solution not unique")
+    a = np.empty((b.size, m), dtype=np.int64)
+    r = 0
+    for h, c in zip(store.encoders, counts):
+        a[r : r + c] = h[:, :c].T
+        r += c
     solution = store.field.solve(a, b)
     if not np.array_equal(
         store.field.matmul(a, solution.reshape(-1, 1)).reshape(-1), b
     ):
         raise InternalError("reconstruction residual nonzero")
     return solution
-

@@ -38,7 +38,7 @@ import json
 import math
 import numbers
 
-from .coding import OperatingPoint, RegenParams, code_point
+from .coding import MAX_GENERATOR_ENTRIES, OperatingPoint, RegenParams, code_point
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
 from .geometry import ConstellationScenario
@@ -46,10 +46,6 @@ from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
 from .repair_opt import RepairRequest
 from .uplink_opt import UplinkRequest
-
-# entries of the N alpha x M generator a code may need: near 2^20, a cold code-check takes
-# about 1.6 s at 67 MB on a 2-vCPU host, and its time grows about as the entries^1.5
-MAX_GENERATOR_ENTRIES = 2**20
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}

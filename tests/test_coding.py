@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from georelay import coding
 from georelay.coding import (
+    GENERATOR_CACHE_SIZE,
+    MAX_GENERATOR_ENTRIES,
     CodePoint,
     OperatingPoint,
     RegenParams,
@@ -16,6 +19,9 @@ from georelay.coding import (
     validate_params,
 )
 from georelay.errors import SingularSystemError
+from georelay.gf import GaloisField
+
+from oracles import scalar_field, scalar_matmul
 
 REFERENCE = RegenParams(30, 5, 3, 4, 10, 5)
 MSR, MBR = OperatingPoint.MSR, OperatingPoint.MBR
@@ -260,3 +266,114 @@ def test_n40_download_one_symbol_short_is_refused(n40_store):
     mu[20] = 18  # 379 symbols for 380 unknowns
     with pytest.raises(SingularSystemError, match=r"^rank 379 < 380 unknowns; solution not unique$"):
         reconstruct(n40_store, downloads_for(n40_store, mu))
+
+
+# the benchmark's three codes and the N = 40 one, with the fields that hold their N alpha points
+GENERATOR_CASES = [
+    (RegenParams(30, 5, 3, 4, 10, 5), 256),
+    (RegenParams(30, 5, 3, 4, 10, 5), 761),
+    (RegenParams(20, 10, 5, 8, 4, 1), 256),
+    (RegenParams(20, 10, 5, 8, 4, 1), 761),
+    (RegenParams(56, 14, 7, 8, 8, 4), 256),
+    (RegenParams(56, 14, 7, 8, 8, 4), 761),
+    (RegenParams(380, 40, 20, 38, 19, 1), 761),
+]
+
+
+@pytest.mark.parametrize("params, order", GENERATOR_CASES)
+def test_cached_generator_equals_the_scalar_power_oracle(params, order):
+    _, _, mul, _ = scalar_field(order)
+    want = []
+    for point in range(params.n_nodes * params.per_node_files):
+        row, power = [], 1
+        for _ in range(params.n_files):
+            row.append(power)
+            power = mul(power, point)
+        want.append(row)
+    store = encode(params, order, seed=8)
+    assert np.hstack(store.encoders).T.tolist() == want
+    stored = scalar_matmul(order, want, store.source.reshape(-1, 1))
+    assert np.concatenate(store.payloads).tolist() == [v for (v,) in stored]
+
+
+def test_encode_shares_one_read_only_generator():
+    first, second = encode(REFERENCE, 256, seed=1), encode(REFERENCE, 256, seed=2)
+    generator = coding._generator(50, 30, 256)
+    for a, b in zip(first.encoders, second.encoders):
+        assert a.base is generator and b.base is generator
+        assert not a.flags.writeable
+    assert not np.array_equal(first.source, second.source)
+    with pytest.raises(ValueError, match="read-only"):
+        first.encoders[0][0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        generator[1, 1] = 5
+
+
+def test_generator_cache_stays_within_its_bound():
+    assert coding._generator.cache_info().maxsize == GENERATOR_CACHE_SIZE
+    for n in range(2, GENERATOR_CACHE_SIZE + 6):
+        store = encode(RegenParams(n, n, 1, 1, 1, 1), 257, seed=n)
+        assert store.encoders[0].base is coding._generator(n, n, 257)
+        assert coding._generator.cache_info().currsize <= GENERATOR_CACHE_SIZE
+    # every cached generator is within the entry bound encode enforces
+    with pytest.raises(ValueError, match=f"1025 x 1025 generator exceeds the bound of {MAX_GENERATOR_ENTRIES}"):
+        encode(RegenParams(1025, 1025, 1, 1, 1, 1), 1031, seed=0)
+
+
+def _prefix_system(store, mu):
+    """The rows and symbols of the download that takes each node's first ``mu[n]`` symbols."""
+    a = np.vstack([h[:, :c].T for h, c in zip(store.encoders, mu)])
+    return a, np.concatenate(downloads_for(store, mu))
+
+
+@pytest.mark.parametrize("order", [256, 257])
+def test_short_download_is_refused_with_the_solve_message(order):
+    params = RegenParams(6, 4, 2, 3, 3, 1)
+    store = encode(params, order, seed=5)
+    short = [mu for mu in itertools.product(range(4), repeat=4) if sum(mu) == params.n_files - 1]
+    assert len(short) == 40
+    for mu in short:
+        with pytest.raises(SingularSystemError) as want:
+            store.field.solve(*_prefix_system(store, mu))
+        with pytest.raises(SingularSystemError) as got:
+            reconstruct(store, downloads_for(store, mu))
+        assert str(got.value) == str(want.value) == "rank 5 < 6 unknowns; solution not unique", mu
+
+
+@pytest.mark.parametrize("order", [256, 257])
+def test_short_download_refusal_runs_no_elimination(order, monkeypatch):
+    store = encode(REFERENCE, order, seed=31)
+
+    def eliminate(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(GaloisField, "_eliminate", eliminate)
+    for mu, total in (([10, 10, 9, 0, 0], 29), ([0, 0, 0, 0, 0], 0), ([1, 2, 3, 4, 5], 15)):
+        with pytest.raises(SingularSystemError, match=rf"^rank {total} < 30 unknowns; solution not unique$"):
+            reconstruct(store, downloads_for(store, mu))
+    with pytest.raises(AssertionError, match="eliminated"):
+        reconstruct(store, downloads_for(store, [10, 10, 10, 0, 0]))
+
+
+@pytest.mark.parametrize("order, bad", [(256, 300), (256, 256), (256, -1), (257, 257 + 7), (257, -1), (257, 3.5)])
+def test_out_of_field_symbols_are_refused_before_elimination(order, bad, monkeypatch):
+    store = encode(REFERENCE, order, seed=37)
+    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: pytest.fail("eliminated"))
+    for mu in ([10, 10, 10, 0, 0], [10, 0, 0, 0, 5]):
+        downloads = [d.tolist() for d in downloads_for(store, mu)]
+        downloads[0][3] = bad
+        with pytest.raises(ValueError, match=rf"symbols downloaded over GF\({order}\) must"):
+            reconstruct(store, downloads)
+
+
+def test_fractional_download_counts_are_refused():
+    store = encode(REFERENCE, 256, seed=41)
+    for mu in ([9.9, 10, 10, 0, 0.5], [10, 10, 10, 0, np.nan], [10, 10, 10, 0, np.inf]):
+        with pytest.raises(ValueError, match="download counts must"):
+            downloads_for(store, mu)
+        with pytest.raises(ValueError, match="download counts must"):
+            check_mu_reconstructable(store, mu)
+    # integral floats are counts
+    got = downloads_for(store, [10.0, 10, 10, 0, 0])
+    assert [d.tolist() for d in got] == [d.tolist() for d in downloads_for(store, [10, 10, 10, 0, 0])]
+    assert check_mu_reconstructable(store, [10.0, 10, 10, 0, 0])
