@@ -22,12 +22,30 @@ shares it, and its ``encoders`` are read-only views of it. ``encode`` refuses
 a generator of more than ``MAX_GENERATOR_ENTRIES`` entries, so the cache
 holds at most ``GENERATOR_CACHE_SIZE`` x 2^20 int64 entries, 64 MiB, beyond
 the stores that still use them; the N = 40, GF(761) code's takes 2.3 MB.
+
+Every symbol position of a file set is decoded over the same download
+pattern, so :func:`reconstruct` keeps a decoder per pattern. It is keyed by
+the field order and the full content of the stacked r x M system A (its
+shape and bytes), so the stores of one code share it, and a hand-built
+store gets one only for its own rows. A pattern's first decode runs
+``GaloisField.solve``; its second runs one Gauss-Jordan elimination of
+``[A | I]``, whose read-only right half is the decoder: an r x r matrix
+whose first M rows L are a left inverse of A, L A = I, and whose other
+r - M rows N have full rank and N A = 0, so downloaded symbols b are
+consistent exactly when N b = 0. Each later decode is the decoder times b.
+``solve`` refuses a rank-deficient A, so such a pattern is never cached and
+every decode of it raises what ``solve`` raises. The cache is
+least-recently-used and holds at most ``DECODER_CACHE_ENTRIES`` int64
+entries, keys included, 16 MiB; the N = 40 code's K-node pattern takes
+288,800 of them, 2.3 MB.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +59,9 @@ from .gf import GaloisField, galois_field
 MAX_GENERATOR_ENTRIES = 2**20
 # distinct codes whose generators stay cached; the benchmark's coding mix uses three
 GENERATOR_CACHE_SIZE = 8
+# int64 entries of decoded patterns' keys and decoders that stay cached: the N = 40
+# code's K-node pattern takes 288,800, the benchmark's coding mix 27,472 in all
+DECODER_CACHE_ENTRIES = 2**21
 
 
 class OperatingPoint(enum.Enum):
@@ -212,6 +233,70 @@ def downloads_for(store: CodedStore, mu) -> list[np.ndarray]:
     return [payload[:c].copy() for payload, c in zip(store.payloads, mu)]
 
 
+class _DecoderCache:
+    """Least-recently-used map from a download pattern's key to its decoder, or to None once decoded.
+
+    A key is ``(field order, A's shape, A's bytes)``. ``entries`` counts the
+    int64 entries held, keys included, and never exceeds ``max_entries``:
+    a pattern larger than the bound is not kept.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self.entries = 0
+        self._items: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _size(key: tuple, decoder: np.ndarray | None) -> int:
+        rows, cols = key[1]
+        return rows * cols + (0 if decoder is None else decoder.size)
+
+    def lookup(self, key: tuple) -> tuple[bool, np.ndarray | None]:
+        """Whether ``key`` was decoded before, and its decoder if one was built."""
+        with self._lock:
+            if key not in self._items:
+                return False, None
+            self._items.move_to_end(key)
+            return True, self._items[key]
+
+    def store(self, key: tuple, decoder: np.ndarray | None) -> None:
+        size = self._size(key, decoder)
+        with self._lock:
+            if key in self._items:
+                self.entries -= self._size(key, self._items.pop(key))
+            if size > self.max_entries:
+                return
+            while self.entries + size > self.max_entries:
+                old_key, old = self._items.popitem(last=False)
+                self.entries -= self._size(old_key, old)
+            self._items[key] = decoder
+            self.entries += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self.entries = 0
+
+
+_DECODERS = _DecoderCache(DECODER_CACHE_ENTRIES)
+
+
+def _decoder(field: GaloisField, a: np.ndarray) -> np.ndarray:
+    """The read-only r x r right half of the reduced row echelon form of ``[a | I]``, for A of rank M.
+
+    That form is ``[E a | E]`` for the invertible E of its row operations,
+    and E a is the identity on M rows over r - M zero rows.
+    """
+    r, m = a.shape
+    reduced, pivots = field._eliminate(np.hstack([a, np.eye(r, dtype=np.int64)]), reduced=True, overwrite=True)
+    if pivots[:m] != list(range(m)):
+        raise InternalError("a decoded download pattern has rank below M")
+    decoder = np.ascontiguousarray(reduced[:, m:])
+    decoder.setflags(write=False)
+    return decoder
+
+
 def reconstruct(store: CodedStore, downloads) -> np.ndarray:
     """Recover the source symbols from per-node downloaded symbol vectors.
 
@@ -224,8 +309,18 @@ def reconstruct(store: CodedStore, downloads) -> np.ndarray:
     ``rank r < M unknowns; solution not unique``. For a store that
     :func:`encode` built, r is that rank: the downloaded rows are r distinct
     rows of one Vandermonde matrix, and any r <= M of those are independent.
-    A download of M or more symbols fills its system in one pass over the
+    A download of M or more symbols fills its system A in one pass over the
     nodes, and the solution is checked against that system.
+
+    The system is decoded through the module's decoder cache, keyed by the
+    field order and A's shape and bytes. A pattern's first decode runs
+    ``GaloisField.solve``, and one that succeeds marks the pattern as seen;
+    its second builds the pattern's decoder with one elimination of
+    ``[A | I]``; every later decode is one matrix product with it, and a
+    tall download whose symbols the decoder finds inconsistent raises
+    ``solve``'s ``inconsistent linear system``. A rank-deficient A always
+    goes to ``solve``. The exceptions are those ``solve`` raises, and a
+    nonzero residual raises :class:`InternalError` on every path.
     """
     counts = _download_counts(store, [len(d) for d in downloads])
     m, q = store.params.n_files, store.field.order
@@ -237,7 +332,19 @@ def reconstruct(store: CodedStore, downloads) -> np.ndarray:
     for h, c in zip(store.encoders, counts):
         a[r : r + c] = h[:, :c].T
         r += c
-    solution = store.field.solve(a, b)
+    key = (q, a.shape, a.tobytes())
+    seen, decoder = _DECODERS.lookup(key)
+    if seen and decoder is None:
+        decoder = _decoder(store.field, a)
+        _DECODERS.store(key, decoder)
+    if decoder is None:
+        solution = store.field.solve(a, b)
+        _DECODERS.store(key, None)
+    else:
+        decoded = store.field.matmul(decoder, b.reshape(-1, 1)).reshape(-1)
+        if decoded[m:].any():
+            raise SingularSystemError("inconsistent linear system")
+        solution = decoded[:m]
     if not np.array_equal(
         store.field.matmul(a, solution.reshape(-1, 1)).reshape(-1), b
     ):

@@ -12,9 +12,10 @@ stays below 2^63: at least 2^23 terms for p <= 2^20, where a code needs
 N alpha <= p.
 
 Elimination brings a copy to row echelon form, or to reduced row echelon
-form for ``solve``, one routine for both families. Per pivot it scales the
-pivot row by the pivot's inverse, a scalar (GF(2^8) reads the whole scaled
-row off one row of a table of inverse-scaled product rows), and clears the
+form for ``solve``, one routine for both families; ``solve`` hands it the
+fresh ``[a | b]`` to reduce in place instead. Per pivot it scales the pivot
+row by the pivot's inverse, a scalar (GF(2^8) reads the whole scaled row
+off one row of a table of inverse-scaled product rows), and clears the
 pivot's column with one fused in-place update from that column on: below
 the pivot for the echelon form, above and below it for the reduced form.
 GF(2^8) xors in the products read off its product table (the rows of the
@@ -82,7 +83,7 @@ class GaloisField:
         """``block -= col row^T`` over the field, in place and in one fused step."""
         raise NotImplementedError
 
-    def _eliminate(self, m, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    def _eliminate(self, m, reduced: bool = False, overwrite: bool = False) -> tuple[np.ndarray, list[int]]:
         """Row echelon form of a copy of ``m``, and its pivot columns.
 
         Each pivot is 1 and has zeros below it. With ``reduced`` it also has
@@ -94,9 +95,10 @@ class GaloisField:
         with the pivot row's own factor set to 0, so the column is cleared in
         the same update. ``m`` holds field elements; GF(p) leaves the other
         entries unreduced until the end, within the int64 bound of the module
-        docstring.
+        docstring. With ``overwrite``, an int64 ``m`` is reduced in place and
+        returned: the caller's fresh array, whose old content it no longer needs.
         """
-        m = np.array(m, dtype=np.int64)
+        m = np.asarray(m, dtype=np.int64) if overwrite else np.array(m, dtype=np.int64)
         rows, cols = m.shape
         pivots: list[int] = []
         r = 0
@@ -141,7 +143,7 @@ class GaloisField:
         if a.shape[0] != b.shape[0]:
             raise ValueError("row counts disagree")
         n_unknowns = a.shape[1]
-        aug, pivots = self._eliminate(np.hstack([a, b]), reduced=a.shape[0] >= n_unknowns)
+        aug, pivots = self._eliminate(np.hstack([a, b]), reduced=a.shape[0] >= n_unknowns, overwrite=True)
         if any(p == n_unknowns for p in pivots):
             raise SingularSystemError("inconsistent linear system")
         if len(pivots) < n_unknowns:
@@ -162,12 +164,12 @@ class PrimeField(GaloisField):
     def mul(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.order
 
-    def _eliminate(self, m, reduced=False):
+    def _eliminate(self, m, reduced=False, overwrite=False):
         # k pivots move an entry by at most k (p - 1)^2 before the one reduction
         k = min(np.shape(m))
         if k > (2**63 - 1 - self.order) // (self.order - 1) ** 2:
             raise ValueError(f"{k} pivots would overflow int64 elimination mod {self.order}")
-        m, pivots = super()._eliminate(m, reduced)
+        m, pivots = super()._eliminate(m, reduced, overwrite)
         m %= self.order
         return m, pivots
 

@@ -6,6 +6,7 @@ import pytest
 
 from georelay import coding
 from georelay.coding import (
+    DECODER_CACHE_ENTRIES,
     GENERATOR_CACHE_SIZE,
     MAX_GENERATOR_ENTRIES,
     CodePoint,
@@ -18,8 +19,8 @@ from georelay.coding import (
     reconstruct,
     validate_params,
 )
-from georelay.errors import SingularSystemError
-from georelay.gf import GaloisField
+from georelay.errors import InternalError, SingularSystemError
+from georelay.gf import GaloisField, galois_field
 
 from oracles import scalar_field, scalar_matmul
 
@@ -351,6 +352,8 @@ def test_short_download_refusal_runs_no_elimination(order, monkeypatch):
     for mu, total in (([10, 10, 9, 0, 0], 29), ([0, 0, 0, 0, 0], 0), ([1, 2, 3, 4, 5], 15)):
         with pytest.raises(SingularSystemError, match=rf"^rank {total} < 30 unknowns; solution not unique$"):
             reconstruct(store, downloads_for(store, mu))
+    # an earlier test may have left this pattern's decoder cached; a cold decode must eliminate
+    coding._DECODERS.clear()
     with pytest.raises(AssertionError, match="eliminated"):
         reconstruct(store, downloads_for(store, [10, 10, 10, 0, 0]))
 
@@ -377,3 +380,193 @@ def test_fractional_download_counts_are_refused():
     got = downloads_for(store, [10.0, 10, 10, 0, 0])
     assert [d.tolist() for d in got] == [d.tolist() for d in downloads_for(store, [10, 10, 10, 0, 0])]
     assert check_mu_reconstructable(store, [10.0, 10, 10, 0, 0])
+
+
+@pytest.fixture()
+def decoders(monkeypatch):
+    """A fresh, empty decoder cache of the default bound for one test."""
+    cache = coding._DecoderCache(DECODER_CACHE_ENTRIES)
+    monkeypatch.setattr(coding, "_DECODERS", cache)
+    return cache
+
+
+def _hand_built_store(params, order, rng, encoders=None):
+    """A store of random (or the given) encoders over GF(order), with payloads that encode a random source."""
+    field = galois_field(order)
+    if encoders is None:
+        encoders = [rng.integers(0, order, size=(params.n_files, params.per_node_files)) for _ in range(params.n_nodes)]
+    source = rng.integers(0, order, size=params.n_files)
+    payloads = tuple(field.matmul(h.T, source.reshape(-1, 1)).reshape(-1) for h in encoders)
+    return coding.CodedStore(field, params, source, tuple(encoders), payloads)
+
+
+def _solve_outcome(store, mu, downloads=None):
+    """``GaloisField.solve``'s solution, or its exception's message, on the download ``mu``."""
+    a, b = _prefix_system(store, mu)
+    if downloads is not None:
+        b = np.concatenate(downloads)
+    try:
+        return store.field.solve(a, b).tolist()
+    except SingularSystemError as exc:
+        return str(exc)
+
+
+def _pattern_key(store, mu):
+    """The decoder cache's key for the download ``mu``."""
+    a, _ = _prefix_system(store, mu)
+    return (store.field.order, a.shape, a.tobytes())
+
+
+def _reconstruct_outcome(store, downloads):
+    try:
+        return reconstruct(store, downloads).tolist()
+    except SingularSystemError as exc:
+        return str(exc)
+
+
+# a code per field whose N alpha points the field holds
+DECODER_CASES = [
+    (RegenParams(30, 5, 3, 4, 10, 5), 256),
+    (RegenParams(6, 4, 2, 3, 3, 1), 257),
+    (RegenParams(20, 10, 5, 8, 4, 1), 761),
+]
+
+
+@pytest.mark.parametrize("params, order", DECODER_CASES)
+@pytest.mark.parametrize("hand_built", [False, True])
+def test_every_decode_equals_solve(params, order, hand_built, decoders):
+    """First, second and later decodes of square and tall patterns equal ``solve``, over stores sharing each pattern."""
+    rng = np.random.default_rng([order, hand_built])
+    n, alpha, m = params.n_nodes, params.per_node_files, params.n_files
+    if hand_built:
+        shared = [rng.integers(0, order, size=(m, alpha)) for _ in range(n)]
+        stores = [_hand_built_store(params, order, rng, shared) for _ in range(5)]
+    else:
+        stores = [encode(params, order, seed=s) for s in range(5)]
+    # three square and three tall patterns: each symbol goes to a random node with room for it
+    patterns = []
+    for total in (m, m, m, m + 1, m + 2, min(m + alpha, n * alpha)):
+        mu = np.zeros(n, dtype=int)
+        for _ in range(total):
+            mu[rng.choice(np.flatnonzero(mu < alpha))] += 1
+        patterns.append(mu.tolist())
+    for mu in patterns:
+        for store in stores:
+            downloads = downloads_for(store, mu)
+            assert _reconstruct_outcome(store, downloads) == _solve_outcome(store, mu), mu
+        seen, decoder = decoders.lookup(_pattern_key(stores[0], mu))
+        # a pattern that solve decodes gets a decoder on its second decode; one it refuses is never cached
+        decoded = isinstance(_solve_outcome(stores[0], mu), list)
+        assert seen == decoded and (decoder is not None) == decoded
+        if decoder is not None:
+            assert not decoder.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                decoder[0, 0] = 1
+
+
+@pytest.mark.parametrize("order", [256, 257, 761])
+def test_corrupted_symbol_on_a_cached_tall_pattern_raises_the_solve_message(order, decoders):
+    params = RegenParams(30, 5, 3, 4, 10, 5)
+    store = encode(params, order, seed=43)
+    mu = [10, 10, 10, 1, 0]
+    for _ in range(3):
+        assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
+    assert decoders.lookup(_pattern_key(store, mu))[1] is not None
+    for node, at in ((0, 0), (2, 9), (3, 0)):
+        bad = downloads_for(store, mu)
+        bad[node][at] = (bad[node][at] + 1) % order
+        want = _solve_outcome(store, mu, bad)
+        assert want == "inconsistent linear system"
+        with pytest.raises(SingularSystemError, match=f"^{want}$"):
+            reconstruct(store, bad)
+
+
+@pytest.mark.parametrize("order", [256, 257, 761])
+def test_rank_deficient_store_is_never_cached(order, decoders, monkeypatch):
+    params = RegenParams(6, 4, 2, 3, 3, 1)
+    rng = np.random.default_rng(order)
+    node = rng.integers(0, order, size=(6, 3))
+    # nodes 0 and 1 store the same rows, so any download from both has rank below M
+    store = _hand_built_store(params, order, rng, [node, node.copy(), *rng.integers(0, order, size=(2, 6, 3))])
+    calls = []
+    eliminate = GaloisField._eliminate
+    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
+    messages = set()
+    for mu in ([3, 3, 0, 0], [3, 3, 1, 0], [2, 2, 2, 0]):
+        for corrupt in (False, True, False):
+            downloads = downloads_for(store, mu)
+            if corrupt:
+                downloads[2 if mu[2] else 0][0] ^= 1
+            want = _solve_outcome(store, mu, downloads)
+            assert isinstance(want, str)
+            messages.add(want.split()[0])
+            before = len(calls)
+            with pytest.raises(SingularSystemError, match=f"^{want}$"):
+                reconstruct(store, downloads)
+            assert len(calls) == before + 1
+    assert decoders.entries == 0 and not decoders.lookup(_pattern_key(store, [3, 3, 0, 0]))[0]
+    assert messages == {"rank", "inconsistent"}
+
+
+@pytest.mark.parametrize("order", [256, 761])
+def test_cached_decoder_corrupted_in_place_raises_internal_error(order, decoders):
+    store = encode(REFERENCE, order, seed=47)
+    mu = [10, 0, 10, 0, 10]
+    for _ in range(2):
+        reconstruct(store, downloads_for(store, mu))
+    decoder = decoders.lookup(_pattern_key(store, mu))[1]
+    # the decoder is read-only: unlock it to corrupt it in place
+    decoder.setflags(write=True)
+    decoder[0, 0] = (decoder[0, 0] + 1) % order
+    with pytest.raises(InternalError, match="reconstruction residual nonzero"):
+        reconstruct(store, downloads_for(store, mu))
+
+
+@pytest.mark.parametrize("order", [256, 257])
+def test_each_pattern_runs_at_most_two_eliminations(order, decoders, monkeypatch):
+    calls = []
+    eliminate = GaloisField._eliminate
+    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
+    patterns = [[10, 10, 10, 0, 0], [0, 10, 10, 0, 10], [10, 5, 5, 5, 5], [10, 10, 10, 10, 10]]
+    for seed in range(6):
+        store = encode(REFERENCE, order, seed=seed)
+        for mu in patterns:
+            assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
+        assert len(calls) == len(patterns) * min(seed + 1, 2)
+
+
+def test_decoder_cache_stays_within_its_bound(monkeypatch):
+    params = RegenParams(6, 4, 2, 3, 3, 1)
+    # a square pattern takes 36 key and 36 decoder entries: a bound of 200 holds two
+    cache = coding._DecoderCache(200)
+    monkeypatch.setattr(coding, "_DECODERS", cache)
+    store = encode(params, 257, seed=53)
+    square = [mu for mu in itertools.product(range(4), repeat=4) if sum(mu) == 6]
+    for mu in square[:12]:
+        for _ in range(3):
+            assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
+            assert cache.entries <= 200
+        assert cache.lookup(_pattern_key(store, mu))[1] is not None
+    assert cache.entries == 144
+    # the least recently used pattern went first
+    assert not cache.lookup(_pattern_key(store, square[9]))[0]
+    # a tall pattern of 12 x 6 takes 72 + 144 entries, more than the bound: decoded, its decoder never kept
+    for _ in range(4):
+        assert np.array_equal(reconstruct(store, downloads_for(store, [3, 3, 3, 3])), store.source)
+        assert cache.entries <= 200
+        assert cache.lookup(_pattern_key(store, [3, 3, 3, 3]))[1] is None
+
+
+def test_one_system_over_two_fields_gets_a_decoder_each(decoders):
+    """The key holds the field order: the same rows over GF(256) and GF(257) are two patterns."""
+    params = RegenParams(6, 4, 2, 3, 3, 1)
+    rng = np.random.default_rng(59)
+    encoders = [rng.integers(0, 256, size=(6, 3)) for _ in range(4)]
+    stores = [_hand_built_store(params, order, rng, encoders) for order in (256, 257)]
+    mu = [3, 0, 3, 1]
+    for _ in range(3):
+        for store in stores:
+            assert _reconstruct_outcome(store, downloads_for(store, mu)) == store.source.tolist()
+    keys = [_pattern_key(store, mu) for store in stores]
+    assert keys[0][1:] == keys[1][1:]
+    assert not np.array_equal(decoders.lookup(keys[0])[1], decoders.lookup(keys[1])[1])
