@@ -28,23 +28,23 @@ pattern, so :func:`reconstruct` keeps a decoder per pattern. It is keyed by
 the field order and the full content of the stacked r x M system A (its
 shape and bytes), so the stores of one code share it, and a hand-built
 store gets one only for its own rows. A pattern's first decode runs
-``GaloisField.solve``; its second runs one Gauss-Jordan elimination of
-``[A | I]``, whose read-only right half is the decoder: an r x r matrix
-whose first M rows L are a left inverse of A, L A = I, and whose other
-r - M rows N have full rank and N A = 0, so downloaded symbols b are
-consistent exactly when N b = 0. Each later decode is the decoder times b.
-``solve`` refuses a rank-deficient A, so such a pattern is never cached and
-every decode of it raises what ``solve`` raises. The cache is
-least-recently-used and holds at most ``DECODER_CACHE_ENTRIES`` int64
-entries, keys included, 16 MiB; the N = 40 code's K-node pattern takes
-288,800 of them, 2.3 MB.
+``GaloisField.solve`` and records its elimination: the row operations of
+its M pivots, which depend on A alone. That record is the decoder, built at
+no extra elimination. Every later decode replays it on the downloaded
+symbols b (``GaloisField.replay``): M scaled vector updates, with no pivot
+search, that leave x over r - M entries which are all zero exactly when b
+is consistent. ``solve`` refuses a rank-deficient A, so such a pattern is
+never cached and every decode of it raises what ``solve`` raises. The cache
+is least-recently-used and holds at most ``DECODER_CACHE_ENTRIES`` int64
+entries, 2 r M per pattern for its key and its factors, 16 MiB; a larger
+pattern is decoded by ``solve`` each time, unrecorded. The N = 40 code's
+K-node pattern takes 288,800 entries, 2.3 MB.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +59,8 @@ from .gf import GaloisField, galois_field
 MAX_GENERATOR_ENTRIES = 2**20
 # distinct codes whose generators stay cached; the benchmark's coding mix uses three
 GENERATOR_CACHE_SIZE = 8
-# int64 entries of decoded patterns' keys and decoders that stay cached: the N = 40
-# code's K-node pattern takes 288,800, the benchmark's coding mix 27,472 in all
+# int64 entries of decoded patterns' keys and recorded factors that stay cached: the
+# N = 40 code's K-node pattern takes 288,800, the benchmark's coding mix 27,472 in all
 DECODER_CACHE_ENTRIES = 2**21
 
 
@@ -234,67 +234,44 @@ def downloads_for(store: CodedStore, mu) -> list[np.ndarray]:
 
 
 class _DecoderCache:
-    """Least-recently-used map from a download pattern's key to its decoder, or to None once decoded.
+    """Least-recently-used map from a download pattern's key to the elimination ``solve`` recorded for it.
 
-    A key is ``(field order, A's shape, A's bytes)``. ``entries`` counts the
-    int64 entries held, keys included, and never exceeds ``max_entries``:
-    a pattern larger than the bound is not kept.
+    A key is ``(field order, A's shape, A's bytes)``, and a pattern of r x M
+    holds 2 r M int64 entries: its key and M factor columns of r. ``entries``
+    counts them and never exceeds ``max_entries``. It takes no lock: nothing
+    in the package decodes from more than one thread.
     """
 
     def __init__(self, max_entries: int):
         self.max_entries = max_entries
         self.entries = 0
-        self._items: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
-        self._lock = threading.Lock()
+        self._items: OrderedDict[tuple, tuple] = OrderedDict()
 
     @staticmethod
-    def _size(key: tuple, decoder: np.ndarray | None) -> int:
+    def size(key: tuple) -> int:
         rows, cols = key[1]
-        return rows * cols + (0 if decoder is None else decoder.size)
+        return 2 * rows * cols
 
-    def lookup(self, key: tuple) -> tuple[bool, np.ndarray | None]:
-        """Whether ``key`` was decoded before, and its decoder if one was built."""
-        with self._lock:
-            if key not in self._items:
-                return False, None
+    def get(self, key: tuple) -> tuple | None:
+        steps = self._items.get(key)
+        if steps is not None:
             self._items.move_to_end(key)
-            return True, self._items[key]
+        return steps
 
-    def store(self, key: tuple, decoder: np.ndarray | None) -> None:
-        size = self._size(key, decoder)
-        with self._lock:
-            if key in self._items:
-                self.entries -= self._size(key, self._items.pop(key))
-            if size > self.max_entries:
-                return
-            while self.entries + size > self.max_entries:
-                old_key, old = self._items.popitem(last=False)
-                self.entries -= self._size(old_key, old)
-            self._items[key] = decoder
-            self.entries += size
+    def put(self, key: tuple, steps: tuple) -> None:
+        """Keep ``steps`` for ``key``, a new key no larger than the bound, evicting the least recent."""
+        self.entries += self.size(key)
+        while self.entries > self.max_entries:
+            old_key, _ = self._items.popitem(last=False)
+            self.entries -= self.size(old_key)
+        self._items[key] = steps
 
     def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-            self.entries = 0
+        self._items.clear()
+        self.entries = 0
 
 
 _DECODERS = _DecoderCache(DECODER_CACHE_ENTRIES)
-
-
-def _decoder(field: GaloisField, a: np.ndarray) -> np.ndarray:
-    """The read-only r x r right half of the reduced row echelon form of ``[a | I]``, for A of rank M.
-
-    That form is ``[E a | E]`` for the invertible E of its row operations,
-    and E a is the identity on M rows over r - M zero rows.
-    """
-    r, m = a.shape
-    reduced, pivots = field._eliminate(np.hstack([a, np.eye(r, dtype=np.int64)]), reduced=True, overwrite=True)
-    if pivots[:m] != list(range(m)):
-        raise InternalError("a decoded download pattern has rank below M")
-    decoder = np.ascontiguousarray(reduced[:, m:])
-    decoder.setflags(write=False)
-    return decoder
 
 
 def reconstruct(store: CodedStore, downloads) -> np.ndarray:
@@ -314,13 +291,13 @@ def reconstruct(store: CodedStore, downloads) -> np.ndarray:
 
     The system is decoded through the module's decoder cache, keyed by the
     field order and A's shape and bytes. A pattern's first decode runs
-    ``GaloisField.solve``, and one that succeeds marks the pattern as seen;
-    its second builds the pattern's decoder with one elimination of
-    ``[A | I]``; every later decode is one matrix product with it, and a
-    tall download whose symbols the decoder finds inconsistent raises
-    ``solve``'s ``inconsistent linear system``. A rank-deficient A always
-    goes to ``solve``. The exceptions are those ``solve`` raises, and a
-    nonzero residual raises :class:`InternalError` on every path.
+    ``GaloisField.solve``, which records its row operations; one that
+    succeeds keeps that record as the pattern's decoder, and every later
+    decode replays it on the downloaded symbols, with no elimination. A tall
+    download whose symbols the replay finds inconsistent raises ``solve``'s
+    ``inconsistent linear system``. A rank-deficient A always goes to
+    ``solve``. The exceptions are those ``solve`` raises, and a nonzero
+    residual raises :class:`InternalError` on every path.
     """
     counts = _download_counts(store, [len(d) for d in downloads])
     m, q = store.params.n_files, store.field.order
@@ -333,18 +310,17 @@ def reconstruct(store: CodedStore, downloads) -> np.ndarray:
         a[r : r + c] = h[:, :c].T
         r += c
     key = (q, a.shape, a.tobytes())
-    seen, decoder = _DECODERS.lookup(key)
-    if seen and decoder is None:
-        decoder = _decoder(store.field, a)
-        _DECODERS.store(key, decoder)
-    if decoder is None:
-        solution = store.field.solve(a, b)
-        _DECODERS.store(key, None)
+    steps = _DECODERS.get(key)
+    if steps is None:
+        steps = [] if _DECODERS.size(key) <= _DECODERS.max_entries else None
+        solution = store.field.solve(a, b, steps)
+        if steps is not None:
+            _DECODERS.put(key, tuple(steps))
     else:
-        decoded = store.field.matmul(decoder, b.reshape(-1, 1)).reshape(-1)
-        if decoded[m:].any():
+        reduced = store.field.replay(steps, b)
+        if reduced[m:].any():
             raise SingularSystemError("inconsistent linear system")
-        solution = decoded[:m]
+        solution = reduced[:m]
     if not np.array_equal(
         store.field.matmul(a, solution.reshape(-1, 1)).reshape(-1), b
     ):

@@ -29,6 +29,12 @@ while k (p - 1)^2 + p < 2^63: every k < 2^23 for p <= 2^20. A longer
 elimination raises ``ValueError``, as ``matmul`` does for a longer inner
 dimension. ``solve`` reads x off the last column of the reduced form of
 ``[a | b]``, with no back substitution.
+
+``solve`` can record its elimination: per pivot of A's columns, the row it
+swapped in, the scale of the pivot row and the read-only factors that
+cleared the column. The pivots depend on A alone, so :meth:`GaloisField.replay` puts
+another right-hand side through the same row operations, one scaled vector
+update per pivot and no search, and reads off what ``solve`` would return.
 """
 
 from __future__ import annotations
@@ -75,15 +81,31 @@ class GaloisField:
         """A pivot column's entries as a reduced copy: the factors of its update."""
         raise NotImplementedError
 
-    def _normalize(self, row: np.ndarray) -> None:
-        """Scale ``row`` in place by the scalar inverse of its nonzero first entry."""
+    def _normalize(self, row: np.ndarray) -> int:
+        """Scale ``row`` in place by the scalar inverse of its nonzero first entry.
+
+        Returns what :meth:`replay` takes to scale another vector's entry in
+        the same row alike: that inverse over GF(p); over GF(2^8) the first
+        entry itself, which indexes the table row that scales by its inverse.
+        """
         raise NotImplementedError
 
     def _sub_outer(self, block: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
         """``block -= col row^T`` over the field, in place and in one fused step."""
         raise NotImplementedError
 
-    def _eliminate(self, m, reduced: bool = False, overwrite: bool = False) -> tuple[np.ndarray, list[int]]:
+    def replay(self, steps, b) -> np.ndarray:
+        """The vector ``b`` put through the row operations :meth:`solve` recorded in ``steps``, reduced.
+
+        For the full-rank r x M system a whose solve recorded the steps, the
+        first M entries are the x that ``solve(a, b)`` returns, and the other
+        r - M are all zero exactly when ``solve`` finds the system consistent.
+        """
+        raise NotImplementedError
+
+    def _eliminate(
+        self, m, reduced: bool = False, overwrite: bool = False, steps: list | None = None
+    ) -> tuple[np.ndarray, list[int]]:
         """Row echelon form of a copy of ``m``, and its pivot columns.
 
         Each pivot is 1 and has zeros below it. With ``reduced`` it also has
@@ -97,6 +119,10 @@ class GaloisField:
         entries unreduced until the end, within the int64 bound of the module
         docstring. With ``overwrite``, an int64 ``m`` is reduced in place and
         returned: the caller's fresh array, whose old content it no longer needs.
+        With ``steps``, a list, the reduced form appends ``(row, swapped row,
+        scale, factors)`` per pivot, the scale from :meth:`_normalize` and the
+        factors read-only and 0 at the pivot row: all that :meth:`replay`
+        needs to repeat the pivot.
         """
         m = np.asarray(m, dtype=np.int64) if overwrite else np.array(m, dtype=np.int64)
         rows, cols = m.shape
@@ -114,10 +140,13 @@ class GaloisField:
                     continue
                 p += int(hits[0])
                 m[[r, p], c:] = m[[p, r], c:]
-            self._normalize(m[r, c:])
+            scale = self._normalize(m[r, c:])
             # after a swap, row p holds the old row r, whose factor is the 0 just tested
             col[p - top] = 0
             self._sub_outer(m[top:, c:], col, m[r, c:])
+            if steps is not None:
+                col.setflags(write=False)
+                steps.append((r, p, scale, col))
             pivots.append(c)
             r += 1
         return m, pivots
@@ -129,21 +158,25 @@ class GaloisField:
         _, pivots = self._eliminate(m)
         return len(pivots)
 
-    def solve(self, a, b):
+    def solve(self, a, b, steps: list | None = None):
         """Solve a x = b exactly for a (possibly tall) consistent full-rank system.
 
         Once both checks pass, the reduced row echelon form of ``[a | b]``
         holds the identity on the unknowns, and x is its last column: no
         back substitution. With fewer equations than unknowns the system is
         refused whatever its form, so its pivots come from the cheaper row
-        echelon form.
+        echelon form. With ``steps``, a list, a solve that returns has
+        appended the row operations of its M pivots, for :meth:`replay`.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
         if a.shape[0] != b.shape[0]:
             raise ValueError("row counts disagree")
         n_unknowns = a.shape[1]
-        aug, pivots = self._eliminate(np.hstack([a, b]), reduced=a.shape[0] >= n_unknowns, overwrite=True)
+        reduced = a.shape[0] >= n_unknowns
+        aug, pivots = self._eliminate(
+            np.hstack([a, b]), reduced=reduced, overwrite=True, steps=steps if reduced else None
+        )
         if any(p == n_unknowns for p in pivots):
             raise SingularSystemError("inconsistent linear system")
         if len(pivots) < n_unknowns:
@@ -164,22 +197,35 @@ class PrimeField(GaloisField):
     def mul(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.order
 
-    def _eliminate(self, m, reduced=False, overwrite=False):
+    def _eliminate(self, m, reduced=False, overwrite=False, steps=None):
         # k pivots move an entry by at most k (p - 1)^2 before the one reduction
         k = min(np.shape(m))
         if k > (2**63 - 1 - self.order) // (self.order - 1) ** 2:
             raise ValueError(f"{k} pivots would overflow int64 elimination mod {self.order}")
-        m, pivots = super()._eliminate(m, reduced, overwrite)
+        m, pivots = super()._eliminate(m, reduced, overwrite, steps)
         m %= self.order
         return m, pivots
+
+    def replay(self, steps, b):
+        # as in the elimination, each step moves an entry by at most (p - 1)^2 before the one reduction
+        b = np.array(b, dtype=np.int64)
+        for r, p, inverse, col in steps:
+            if p != r:
+                b[r], b[p] = b[p], b[r]
+            b[r] = scaled = int(b[r]) * inverse % self.order
+            b -= col * scaled
+        b %= self.order
+        return b
 
     def _factors(self, col):
         return col % self.order
 
     def _normalize(self, row):
         row %= self.order
-        row *= pow(int(row[0]), self.order - 2, self.order)
+        inverse = pow(int(row[0]), self.order - 2, self.order)
+        row *= inverse
         row %= self.order
+        return inverse
 
     def _sub_outer(self, block, col, row):
         # col and row are reduced, so each update moves an entry by at most (p - 1)^2
@@ -233,11 +279,25 @@ class GF256(GaloisField):
     _factors = staticmethod(np.ndarray.copy)
 
     def _normalize(self, row):
-        row[:] = self._inv_rows[row[0]].take(row)
+        pivot = row[0]
+        row[:] = self._inv_rows[pivot].take(row)
+        return pivot
 
     def _sub_outer(self, block, col, row):
         # the product table's rows for col, then their columns for row
         block ^= self._table.take(col, axis=0).take(row, axis=1)
+
+    def replay(self, steps, b):
+        # entries never leave [0, 256): the steps run on bytes, xored with the table's bytes
+        table, inv_rows = self._table, self._inv_rows
+        b = np.array(b, dtype=np.uint8)
+        for r, p, pivot, col in steps:
+            if p != r:
+                b[r], b[p] = b[p], b[r]
+            scaled = inv_rows[pivot, b[r]]
+            b[r] = scaled
+            np.bitwise_xor(b, table[scaled][col], out=b)
+        return b.astype(np.int64)
 
     def matmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)

@@ -390,6 +390,15 @@ def decoders(monkeypatch):
     return cache
 
 
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """A list that grows by one per ``GaloisField._eliminate`` call."""
+    calls = []
+    eliminate = GaloisField._eliminate
+    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
+    return calls
+
+
 def _hand_built_store(params, order, rng, encoders=None):
     """A store of random (or the given) encoders over GF(order), with payloads that encode a random source."""
     field = galois_field(order)
@@ -454,43 +463,74 @@ def test_every_decode_equals_solve(params, order, hand_built, decoders):
         for store in stores:
             downloads = downloads_for(store, mu)
             assert _reconstruct_outcome(store, downloads) == _solve_outcome(store, mu), mu
-        seen, decoder = decoders.lookup(_pattern_key(stores[0], mu))
-        # a pattern that solve decodes gets a decoder on its second decode; one it refuses is never cached
-        decoded = isinstance(_solve_outcome(stores[0], mu), list)
-        assert seen == decoded and (decoder is not None) == decoded
-        if decoder is not None:
-            assert not decoder.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                decoder[0, 0] = 1
+        steps = decoders.get(_pattern_key(stores[0], mu))
+        # a pattern that solve decodes keeps its first decode's elimination; one it refuses is never cached
+        assert (steps is not None) == isinstance(_solve_outcome(stores[0], mu), list)
+        if steps is not None:
+            assert len(steps) == m
+            for _, _, _, factors in steps:
+                with pytest.raises(ValueError, match="read-only"):
+                    factors[0] = 1
 
 
 @pytest.mark.parametrize("order", [256, 257, 761])
-def test_corrupted_symbol_on_a_cached_tall_pattern_raises_the_solve_message(order, decoders):
+def test_replay_equals_solve_through_row_swaps(order):
+    """Systems whose pivots need row swaps: a replayed right-hand side gives what ``solve`` gives."""
+    field = galois_field(order)
+    rng = np.random.default_rng(order + 1)
+    swaps = 0
+    for rows in (6, 6, 7, 9, 9):
+        a = rng.integers(0, order, size=(rows, 6))
+        # zeros where the first pivots would sit, so the elimination must search below them
+        a[0, 0] = a[1, 1] = a[:3, 2] = 0
+        assert field.rank(a) == 6
+        steps = []
+        x = rng.integers(0, order, size=6)
+        b = field.matmul(a, x.reshape(-1, 1)).reshape(-1)
+        assert field.solve(a, b, steps).tolist() == x.tolist()
+        swaps += sum(r != p for r, p, _, _ in steps)
+        for _ in range(4):
+            other = field.matmul(a, rng.integers(0, order, size=(6, 1))).reshape(-1)
+            if rows > 6 and rng.random() < 0.5:
+                i = rng.integers(rows)
+                other[i] = (other[i] + 1) % order
+            replayed = field.replay(steps, other)
+            try:
+                want = field.solve(a, other).tolist()
+            except SingularSystemError as exc:
+                assert str(exc) == "inconsistent linear system" and replayed[6:].any()
+            else:
+                assert replayed[:6].tolist() == want and not replayed[6:].any()
+    assert swaps >= 5
+
+
+@pytest.mark.parametrize("order", [256, 257, 761])
+def test_corrupted_symbol_on_a_cached_tall_pattern_raises_the_solve_message(order, decoders, eliminations):
     params = RegenParams(30, 5, 3, 4, 10, 5)
     store = encode(params, order, seed=43)
     mu = [10, 10, 10, 1, 0]
     for _ in range(3):
         assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
-    assert decoders.lookup(_pattern_key(store, mu))[1] is not None
+    assert decoders.get(_pattern_key(store, mu)) is not None and len(eliminations) == 1
     for node, at in ((0, 0), (2, 9), (3, 0)):
         bad = downloads_for(store, mu)
         bad[node][at] = (bad[node][at] + 1) % order
         want = _solve_outcome(store, mu, bad)
         assert want == "inconsistent linear system"
+        before = len(eliminations)
         with pytest.raises(SingularSystemError, match=f"^{want}$"):
             reconstruct(store, bad)
+        # the cached decoder found it: no elimination
+        assert len(eliminations) == before
 
 
 @pytest.mark.parametrize("order", [256, 257, 761])
-def test_rank_deficient_store_is_never_cached(order, decoders, monkeypatch):
+def test_rank_deficient_store_is_never_cached(order, decoders, eliminations):
     params = RegenParams(6, 4, 2, 3, 3, 1)
     rng = np.random.default_rng(order)
     node = rng.integers(0, order, size=(6, 3))
     # nodes 0 and 1 store the same rows, so any download from both has rank below M
     store = _hand_built_store(params, order, rng, [node, node.copy(), *rng.integers(0, order, size=(2, 6, 3))])
-    calls = []
-    eliminate = GaloisField._eliminate
-    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
     messages = set()
     for mu in ([3, 3, 0, 0], [3, 3, 1, 0], [2, 2, 2, 0]):
         for corrupt in (False, True, False):
@@ -500,11 +540,11 @@ def test_rank_deficient_store_is_never_cached(order, decoders, monkeypatch):
             want = _solve_outcome(store, mu, downloads)
             assert isinstance(want, str)
             messages.add(want.split()[0])
-            before = len(calls)
+            before = len(eliminations)
             with pytest.raises(SingularSystemError, match=f"^{want}$"):
                 reconstruct(store, downloads)
-            assert len(calls) == before + 1
-    assert decoders.entries == 0 and not decoders.lookup(_pattern_key(store, [3, 3, 0, 0]))[0]
+            assert len(eliminations) == before + 1
+    assert decoders.entries == 0 and decoders.get(_pattern_key(store, [3, 3, 0, 0])) is None
     assert messages == {"rank", "inconsistent"}
 
 
@@ -512,32 +552,30 @@ def test_rank_deficient_store_is_never_cached(order, decoders, monkeypatch):
 def test_cached_decoder_corrupted_in_place_raises_internal_error(order, decoders):
     store = encode(REFERENCE, order, seed=47)
     mu = [10, 0, 10, 0, 10]
-    for _ in range(2):
-        reconstruct(store, downloads_for(store, mu))
-    decoder = decoders.lookup(_pattern_key(store, mu))[1]
-    # the decoder is read-only: unlock it to corrupt it in place
-    decoder.setflags(write=True)
-    decoder[0, 0] = (decoder[0, 0] + 1) % order
+    reconstruct(store, downloads_for(store, mu))
+    r, _, _, factors = decoders.get(_pattern_key(store, mu))[-1]
+    # the last pivot scales the last unknown into place and adds its multiples to every other row
+    assert r == REFERENCE.n_files - 1 and store.source[-1] != 0
+    # the factors are read-only: unlock them to corrupt them in place
+    factors.setflags(write=True)
+    factors[0] = (factors[0] + 1) % order
     with pytest.raises(InternalError, match="reconstruction residual nonzero"):
         reconstruct(store, downloads_for(store, mu))
 
 
 @pytest.mark.parametrize("order", [256, 257])
-def test_each_pattern_runs_at_most_two_eliminations(order, decoders, monkeypatch):
-    calls = []
-    eliminate = GaloisField._eliminate
-    monkeypatch.setattr(GaloisField, "_eliminate", lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
+def test_each_pattern_is_eliminated_once(order, decoders, eliminations):
     patterns = [[10, 10, 10, 0, 0], [0, 10, 10, 0, 10], [10, 5, 5, 5, 5], [10, 10, 10, 10, 10]]
     for seed in range(6):
         store = encode(REFERENCE, order, seed=seed)
         for mu in patterns:
             assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
-        assert len(calls) == len(patterns) * min(seed + 1, 2)
+        assert len(eliminations) == len(patterns)
 
 
-def test_decoder_cache_stays_within_its_bound(monkeypatch):
+def test_decoder_cache_stays_within_its_bound(monkeypatch, eliminations):
     params = RegenParams(6, 4, 2, 3, 3, 1)
-    # a square pattern takes 36 key and 36 decoder entries: a bound of 200 holds two
+    # a square pattern takes 36 key and 36 factor entries: a bound of 200 holds two
     cache = coding._DecoderCache(200)
     monkeypatch.setattr(coding, "_DECODERS", cache)
     store = encode(params, 257, seed=53)
@@ -546,18 +584,23 @@ def test_decoder_cache_stays_within_its_bound(monkeypatch):
         for _ in range(3):
             assert np.array_equal(reconstruct(store, downloads_for(store, mu)), store.source)
             assert cache.entries <= 200
-        assert cache.lookup(_pattern_key(store, mu))[1] is not None
-    assert cache.entries == 144
+        assert cache.get(_pattern_key(store, mu)) is not None
+    assert cache.entries == 144 and len(eliminations) == 12
     # the least recently used pattern went first
-    assert not cache.lookup(_pattern_key(store, square[9]))[0]
-    # a tall pattern of 12 x 6 takes 72 + 144 entries, more than the bound: decoded, its decoder never kept
-    for _ in range(4):
+    assert cache.get(_pattern_key(store, square[9])) is None
+    # a tall pattern of 12 x 6 takes 144 entries: kept, it evicts both squares
+    for _ in range(3):
         assert np.array_equal(reconstruct(store, downloads_for(store, [3, 3, 3, 3])), store.source)
-        assert cache.entries <= 200
-        assert cache.lookup(_pattern_key(store, [3, 3, 3, 3]))[1] is None
+    assert cache.entries == 144 and len(eliminations) == 13
+    # the reference code's full download, 50 x 30, takes 3,000: decoded by one elimination each time, never kept
+    big = encode(REFERENCE, 257, seed=53)
+    for i in range(3):
+        assert np.array_equal(reconstruct(big, downloads_for(big, [10] * 5)), big.source)
+        assert len(eliminations) == 14 + i
+        assert cache.entries == 144 and cache.get(_pattern_key(big, [10] * 5)) is None
 
 
-def test_one_system_over_two_fields_gets_a_decoder_each(decoders):
+def test_one_system_over_two_fields_gets_a_decoder_each(decoders, eliminations):
     """The key holds the field order: the same rows over GF(256) and GF(257) are two patterns."""
     params = RegenParams(6, 4, 2, 3, 3, 1)
     rng = np.random.default_rng(59)
@@ -569,4 +612,5 @@ def test_one_system_over_two_fields_gets_a_decoder_each(decoders):
             assert _reconstruct_outcome(store, downloads_for(store, mu)) == store.source.tolist()
     keys = [_pattern_key(store, mu) for store in stores]
     assert keys[0][1:] == keys[1][1:]
-    assert not np.array_equal(decoders.lookup(keys[0])[1], decoders.lookup(keys[1])[1])
+    assert decoders.get(keys[0]) is not None and decoders.get(keys[1]) is not None
+    assert len(eliminations) == 2
