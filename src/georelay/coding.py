@@ -1,4 +1,4 @@
-"""Regenerating-code parameterization, encoding and reconstructability checks.
+"""Regenerating-code parameterization, the code check, encoding and decoding.
 
 A code instance distributes M source files over N nodes, each storing
 ``per_node_files`` (alpha) linear combinations over a finite field. The
@@ -15,11 +15,16 @@ at least N alpha elements. Regenerating a failed node takes
 IEEE T-IT 2010); :func:`code_point` gives the closed-form alpha and beta at
 either end of that bound. No function here executes a repair.
 
+:func:`check_code` holds the one set of rules for a code that can be
+stored, which :func:`encode` and the scenario resolver both apply. The
+decoder :func:`reconstruct` is the one test of reconstructability: the
+CLI's ``code-check`` decodes every stored symbol back to the source.
+
 The generator depends only on N alpha, M and the field, so it is built once
 per code and process (:func:`_generator`, a least-recently-used cache of
 ``GENERATOR_CACHE_SIZE`` codes) and marked read-only: every store of a code
-shares it, and its ``encoders`` are read-only views of it. ``encode`` refuses
-a generator of more than ``MAX_GENERATOR_ENTRIES`` entries, so the cache
+shares it, and its ``encoders`` are read-only views of it. A generator has
+at most ``MAX_GENERATOR_ENTRIES`` entries (:func:`check_code`), so the cache
 holds at most ``GENERATOR_CACHE_SIZE`` x 2^20 int64 entries, 64 MiB, beyond
 the stores that still use them; the N = 40, GF(761) code's takes 2.3 MB.
 
@@ -52,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalError, SingularSystemError
-from .gf import GaloisField, galois_field
+from .gf import MAX_PRIME_ORDER, GaloisField, galois_field, is_prime
 
 # entries of the N alpha x M generator a code may need: near 2^20, a cold code-check takes
 # about 1.6 s at 67 MB on a 2-vCPU host, and its time grows about as the entries^1.5
@@ -90,7 +95,7 @@ class RegenParams:
         )
         if any(int(c) != c or c < 1 for c in counts):
             raise ValueError("all code counts must be integers >= 1")
-        if self.file_bits <= 0:
+        if not self.file_bits > 0:
             raise ValueError("file size must be positive")
 
 
@@ -187,15 +192,32 @@ def _generator(rows: int, m: int, field_order: int) -> np.ndarray:
     return vandermonde
 
 
+def check_code(params: RegenParams, field_order: int) -> None:
+    """Raise ``ValueError`` unless :func:`encode` can store ``params`` over the field of ``field_order``.
+
+    In this order: the field is GF(256) or a prime up to ``gf.MAX_PRIME_ORDER``, with a point per stored
+    symbol; the N alpha stored symbols cover the M source symbols; the generator has at most
+    ``MAX_GENERATOR_ENTRIES`` entries.
+    """
+    m, stored = params.n_files, params.n_nodes * params.per_node_files
+    if not (field_order == 256 or (field_order <= MAX_PRIME_ORDER and is_prime(field_order))) or field_order < stored:
+        raise ValueError(
+            f"field order {field_order} must be 256 or a prime up to {MAX_PRIME_ORDER}, "
+            f"and at least nodes * per_node_files = {stored}"
+        )
+    if stored < m:
+        raise ValueError(f"nodes * per_node_files = {stored} cannot hold total_files {m}")
+    if stored * m > MAX_GENERATOR_ENTRIES:
+        raise ValueError(
+            f"code generator of nodes * per_node_files x total_files = {stored} x {m} "
+            f"entries exceeds the bound of {MAX_GENERATOR_ENTRIES}"
+        )
+
+
 def encode(params: RegenParams, field_order: int = 256, seed: int = 0, source=None) -> CodedStore:
     """Store ``source`` (M field elements; drawn from ``seed`` when None) under the Vandermonde code."""
+    check_code(params, field_order)
     m, n, alpha = params.n_files, params.n_nodes, params.per_node_files
-    if alpha * n < m:
-        raise ValueError("total stored files cannot cover the source")
-    if alpha * n > field_order:
-        raise ValueError(f"{alpha * n} stored symbols need a field of order >= {alpha * n}, got {field_order}")
-    if alpha * n * m > MAX_GENERATOR_ENTRIES:
-        raise ValueError(f"a {alpha * n} x {m} generator exceeds the bound of {MAX_GENERATOR_ENTRIES} entries")
     field = galois_field(field_order)
     if source is None:
         source = np.random.default_rng(seed).integers(0, field_order, size=m, dtype=np.int64)
@@ -216,15 +238,6 @@ def _download_counts(store: CodedStore, mu) -> np.ndarray:
     if mu.shape != (store.params.n_nodes,):
         raise ValueError(f"expected {store.params.n_nodes} download counts")
     return _integers(mu, store.params.per_node_files, "download counts")
-
-
-def check_mu_reconstructable(store: CodedStore, mu) -> bool:
-    """True iff the per-node download counts allow exact source recovery."""
-    mu = _download_counts(store, mu)
-    if int(mu.sum()) < store.params.n_files:
-        return False
-    stacked = np.hstack([h[:, :c] for h, c in zip(store.encoders, mu) if c])
-    return store.field.rank(stacked) == store.params.n_files
 
 
 def downloads_for(store: CodedStore, mu) -> list[np.ndarray]:

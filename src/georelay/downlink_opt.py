@@ -37,7 +37,7 @@ class DownlinkRequest(StageRequest):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.files_per_leos < 0 or self.file_bits <= 0:
+        if not (self.files_per_leos >= 0 and self.file_bits > 0):
             raise ValueError("bad file parameters")
 
     def distance(self, n: int, t):

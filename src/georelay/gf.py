@@ -163,9 +163,7 @@ class GaloisField:
 
         Once both checks pass, the reduced row echelon form of ``[a | b]``
         holds the identity on the unknowns, and x is its last column: no
-        back substitution. With fewer equations than unknowns the system is
-        refused whatever its form, so its pivots come from the cheaper row
-        echelon form. With ``steps``, a list, a solve that returns has
+        back substitution. With ``steps``, a list, a solve that returns has
         appended the row operations of its M pivots, for :meth:`replay`.
         """
         a = np.asarray(a, dtype=np.int64)
@@ -173,10 +171,7 @@ class GaloisField:
         if a.shape[0] != b.shape[0]:
             raise ValueError("row counts disagree")
         n_unknowns = a.shape[1]
-        reduced = a.shape[0] >= n_unknowns
-        aug, pivots = self._eliminate(
-            np.hstack([a, b]), reduced=reduced, overwrite=True, steps=steps if reduced else None
-        )
+        aug, pivots = self._eliminate(np.hstack([a, b]), reduced=True, overwrite=True, steps=steps)
         if any(p == n_unknowns for p in pivots):
             raise SingularSystemError("inconsistent linear system")
         if len(pivots) < n_unknowns:

@@ -113,7 +113,7 @@ class StageRequest:
     def __post_init__(self):
         if len(self.links) != self.scenario.n_leos:
             raise ValueError("one LinkParams per LEO required")
-        if self.p_max_w <= 0 or self.horizon_s <= 0 or self.grid_step_s <= 0:
+        if not (self.p_max_w > 0 and self.horizon_s > 0 and self.grid_step_s > 0):
             raise ValueError("power cap, horizon and grid step must be positive")
         if self.horizon_s / self.grid_step_s > MAX_CELLS:
             raise ValueError(

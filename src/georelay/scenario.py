@@ -17,18 +17,20 @@ keywords ``_FIELDS`` uses and words a refusal as ``jsonschema.validate``
 (4.26, Draft 2020-12) would, without jsonschema. As in that draft, an
 integral float such as 30.0 is an integer; it resolves to the int 30, so the
 solvers and the manifest see ints. Unknown keys and non-finite numbers are
-rejected. So is a code block the encoder cannot serve: a field that is not
-GF(256) or a prime up to ``gf.MAX_PRIME_ORDER``, fewer field elements or
-stored symbols than the code needs, or an N alpha x M generator of more than
-``MAX_GENERATOR_ENTRIES`` entries. Its alpha and beta must be its operating
-point's, checked once through :func:`~georelay.coding.code_point`. Resolving
-also builds the three stage requests, so a scenario their own checks refuse
-(say, a LEO above the GEO altitude, repeated uplink carriers, a code whose D
-helpers cannot regenerate a node, or a horizon of more than
-``horizon.MAX_CELLS`` grid steps) fails as a configuration error before any
-solve. The ``solver`` block's settings reach the solvers only through the
-stage requests built here, and ``time_energy_rel_tol`` reaches none: the
-time searches stop on horizon widths of their own.
+rejected. So is a code block of other than one node per LEO, or one that the
+encoder's own check, :func:`~georelay.coding.check_code`, refuses: a field
+that is not GF(256) or a prime up to ``gf.MAX_PRIME_ORDER``, fewer field
+elements or stored symbols than the code needs, or an N alpha x M generator
+of more than ``MAX_GENERATOR_ENTRIES`` entries. Its alpha and beta must be
+its operating point's, checked once through
+:func:`~georelay.coding.code_point`. Resolving also builds the three stage
+requests, so a scenario their own checks refuse (say, a LEO above the GEO
+altitude, repeated uplink carriers, a code whose D helpers cannot regenerate
+a node, or a horizon of more than ``horizon.MAX_CELLS`` grid steps) fails as
+a configuration error before any solve. The ``solver`` block's settings
+reach the solvers only through the stage requests built here, and
+``time_energy_rel_tol`` reaches none: the time searches stop on horizon
+widths of their own.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ import json
 import math
 import numbers
 
-from .coding import MAX_GENERATOR_ENTRIES, OperatingPoint, RegenParams, code_point
+from .coding import OperatingPoint, RegenParams, check_code, code_point
 from .downlink_opt import DownlinkRequest
 from .errors import ConfigError
 from .geometry import ConstellationScenario
-from .gf import MAX_PRIME_ORDER, is_prime
 from .link import LinkParams
 from .repair_opt import RepairRequest
 from .uplink_opt import UplinkRequest
@@ -243,22 +244,9 @@ def resolve_config(user: dict) -> dict:
     if config["code"]["nodes"] != n_leos:
         raise ConfigError(f"code block declares {config['code']['nodes']} nodes, constellation has {n_leos}")
     code = config["code"]
-    stored, order = code["nodes"] * code["per_node_files"], code["field_order"]
-    # the code's N * alpha stored symbols need as many distinct field points
-    if not (order == 256 or (order <= MAX_PRIME_ORDER and is_prime(order))) or order < stored:
-        raise ConfigError(
-            f"code.field_order {order} must be 256 or a prime up to {MAX_PRIME_ORDER}, "
-            f"and at least nodes * per_node_files = {stored}"
-        )
-    if stored < code["total_files"]:
-        raise ConfigError(f"nodes * per_node_files = {stored} cannot hold total_files {code['total_files']}")
-    if stored * code["total_files"] > MAX_GENERATOR_ENTRIES:
-        raise ConfigError(
-            f"code generator of nodes * per_node_files x total_files = {stored} x {code['total_files']} "
-            f"entries exceeds the bound of {MAX_GENERATOR_ENTRIES}"
-        )
-    # the code point, then the dataclasses' own checks, before any solve meets them
+    # the encoder's check, the code point, then the dataclasses' own checks, before any solve meets them
     try:
+        check_code(build_regen_params(config), code["field_order"])
         point = code_point(code["point"], code["total_files"], code["reconstruct_k"], code["repair_d"])
         if (code["per_node_files"], code["per_helper_files"]) != (point.per_node_files, point.per_helper_files):
             raise ValueError(

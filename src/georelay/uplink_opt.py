@@ -58,7 +58,7 @@ class FileAllocationProblem:
     def __post_init__(self):
         if len(self.max_files_per_node) != len(self.channels):
             raise ValueError("one storage cap per node required")
-        if self.total_files < 0 or self.file_bits <= 0 or self.p_max_w <= 0:
+        if not (self.total_files >= 0 and self.file_bits > 0 and self.p_max_w > 0):
             raise ValueError("bad problem constants")
         if sum(self.max_files_per_node) < self.total_files:
             raise InfeasibleError("per-node storage caps cannot cover the file total")

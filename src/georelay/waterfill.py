@@ -106,7 +106,7 @@ class BreakpointTable:
     """
 
     def __init__(self, weights, gains, bandwidth_hz, p_max, bounds=None):
-        if p_max <= 0:
+        if not p_max > 0:
             raise ValueError("power cap must be positive")
         weights = np.asarray(weights, dtype=float)
         gains = np.asarray(gains, dtype=float)
@@ -167,9 +167,9 @@ class BreakpointTable:
         return values[0] if len(self._cells) == 1 else np.repeat(values, self.sizes)
 
     def _refuse(self, target, n) -> None:
-        """Raise, for a target that is negative or that segment n cannot
-        deliver, what a solve raises; pass any other."""
-        if target < 0:
+        """Raise, for a target that is negative or NaN or that segment n
+        cannot deliver, what a solve raises; pass any other."""
+        if not target >= 0:
             raise ValueError("bit target must be nonnegative")
         if target > 0 and self.sizes[n] == 0:
             raise InfeasibleError("empty window cannot deliver bits", max_bits=0.0)

@@ -7,8 +7,9 @@ allocation oracle is a dynamic program over per-node waterfilling tables
 rather than the library's greedy, the finite-field oracles are scalar
 Python loops (the GF(2^8) product is the bit-serial shift-and-add, not a
 table), the floor oracle bisects the horizon on the full-power
-predicate instead of reading thresholds off the prefix, and the
-constant-power oracle bisects the power instead of taking Newton steps.
+predicate instead of reading thresholds off the prefix, the
+constant-power oracle bisects the power instead of taking Newton steps, and
+the reconstructability oracle takes a rank where the library decodes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from georelay import horizon
+from georelay.coding import _download_counts
 from georelay.errors import InfeasibleError
 from georelay.gf import GF256
 from georelay.uplink_opt import _file_caps, integer_file_caps
@@ -234,6 +236,18 @@ def solve_oracle(order, a, b):
     if len(pivots) < n:
         return "not unique", None
     return "unique", [rref[r][n] for r in range(n)]
+
+
+def check_mu_reconstructable(store, mu) -> bool:
+    """True iff the per-node download counts allow exact source recovery: their stacked encoders have rank M.
+
+    A rank, not a decode: the tests check ``coding.reconstruct`` against it.
+    """
+    mu = _download_counts(store, mu)
+    if int(mu.sum()) < store.params.n_files:
+        return False
+    stacked = np.hstack([h[:, :c] for h, c in zip(store.encoders, mu) if c])
+    return store.field.rank(stacked) == store.params.n_files
 
 
 def bisect_floor(req, reaches, lo, hi, abs_tol, rel_tol, unreachable) -> float:

@@ -28,7 +28,6 @@ from georelay.cli import main as cli_main
 from georelay.coding import (
     OperatingPoint,
     RegenParams,
-    check_mu_reconstructable,
     code_point,
     downloads_for,
     encode,
@@ -63,7 +62,7 @@ from georelay.uplink_opt import (
     solve_nlp_fixed_mu,
 )
 from georelay.waterfill import solve_cells
-from oracles import dp_oracle, projected_gradient_min_energy, random_cell_problem
+from oracles import check_mu_reconstructable, dp_oracle, projected_gradient_min_energy, random_cell_problem
 
 
 @contextmanager

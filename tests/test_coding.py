@@ -12,7 +12,6 @@ from georelay.coding import (
     CodePoint,
     OperatingPoint,
     RegenParams,
-    check_mu_reconstructable,
     code_point,
     downloads_for,
     encode,
@@ -22,10 +21,15 @@ from georelay.coding import (
 from georelay.errors import InternalError, SingularSystemError
 from georelay.gf import GaloisField, galois_field
 
-from oracles import scalar_field, scalar_matmul
+from oracles import check_mu_reconstructable, scalar_field, scalar_matmul
 
 REFERENCE = RegenParams(30, 5, 3, 4, 10, 5)
 MSR, MBR = OperatingPoint.MSR, OperatingPoint.MBR
+
+
+def test_nan_file_size_is_refused():
+    with pytest.raises(ValueError, match="file size must be positive"):
+        RegenParams(30, 5, 3, 4, 10, 5, file_bits=float("nan"))
 
 
 def test_validate_reference_params_tight():
@@ -317,7 +321,7 @@ def test_generator_cache_stays_within_its_bound():
         assert store.encoders[0].base is coding._generator(n, n, 257)
         assert coding._generator.cache_info().currsize <= GENERATOR_CACHE_SIZE
     # every cached generator is within the entry bound encode enforces
-    with pytest.raises(ValueError, match=f"1025 x 1025 generator exceeds the bound of {MAX_GENERATOR_ENTRIES}"):
+    with pytest.raises(ValueError, match=f"= 1025 x 1025 entries exceeds the bound of {MAX_GENERATOR_ENTRIES}"):
         encode(RegenParams(1025, 1025, 1, 1, 1, 1), 1031, seed=0)
 
 

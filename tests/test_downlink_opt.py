@@ -22,6 +22,11 @@ def request_ref(default_config):
     return build_downlink_request(default_config)
 
 
+def test_nan_file_size_is_refused(request_ref):
+    with pytest.raises(ValueError, match="bad file parameters"):
+        dataclasses.replace(request_ref, file_bits=float("nan"))
+
+
 def test_zero_files_zero_energy(request_ref):
     req = dataclasses.replace(request_ref, files_per_leos=0)
     alloc = min_energy_downlink(req)

@@ -175,6 +175,13 @@ def test_stage_request_rejects_nonpositive_power_horizon_and_grid_step(default_c
         dataclasses.replace(req, **{field: 0.0})
 
 
+@pytest.mark.parametrize("field", ["p_max_w", "horizon_s", "grid_step_s"])
+def test_stage_request_rejects_nan_power_horizon_and_grid_step(default_config, field):
+    req = build_downlink_request(default_config)
+    with pytest.raises(ValueError, match="must be positive"):
+        dataclasses.replace(req, **{field: math.nan})
+
+
 def test_stage_request_bounds_the_cells_of_every_channel(default_config):
     req = build_downlink_request(default_config)
     with pytest.raises(ValueError, match=f"more than {MAX_CELLS} grid cells"):

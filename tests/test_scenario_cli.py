@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -9,10 +11,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from georelay import cli
+from georelay import cli, coding
 from georelay.cli import main
 from georelay.errors import ConfigError
-from georelay.scenario import DEFAULT_CONFIG, MAX_GENERATOR_ENTRIES, SCHEMA, load_config, resolve_config
+from georelay.coding import MAX_GENERATOR_ENTRIES
+from georelay.scenario import DEFAULT_CONFIG, SCHEMA, build_regen_params, load_config, resolve_config
+from oracles import check_mu_reconstructable
 
 
 def run_cli(args):
@@ -89,8 +93,8 @@ def test_cli_schema_error_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "code, commands, message",
     [
-        ({"field_order": 7}, ["code-check"], "code.field_order 7 must be 256 or a prime"),
-        ({"field_order": 100}, ["code-check"], "code.field_order 100 must be 256 or a prime"),
+        ({"field_order": 7}, ["code-check"], "field order 7 must be 256 or a prime"),
+        ({"field_order": 100}, ["code-check"], "field order 100 must be 256 or a prime"),
         (
             {"per_helper_files": 3},
             ["code-check", "repair"],
@@ -211,6 +215,37 @@ def test_cli_grid_cell_bound(tmp_path, args, user, code, message):
 _OVERSIZED_CODE = {"code": {"total_files": 60000, "per_node_files": 20000, "per_helper_files": 10000, "field_order": 100003}}
 
 
+def test_code_node_count_must_be_the_leo_count():
+    with pytest.raises(ConfigError, match="^code block declares 6 nodes, constellation has 5$"):
+        resolve_config({"code": {"nodes": 6}})
+
+
+_FIELD_RULE = "must be 256 or a prime up to 1048576, and at least nodes * per_node_files = 50"
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        ({"field_order": 100}, f"field order 100 {_FIELD_RULE}"),
+        ({"field_order": 1048583}, f"field order 1048583 {_FIELD_RULE}"),
+        ({"field_order": 47}, f"field order 47 {_FIELD_RULE}"),
+        ({"total_files": 60}, "nodes * per_node_files = 50 cannot hold total_files 60"),
+        (
+            {"total_files": 900, "per_node_files": 300, "field_order": 1511},
+            "code generator of nodes * per_node_files x total_files = 1500 x 900 entries exceeds the bound of 1048576",
+        ),
+    ],
+    ids=["not-a-field", "prime-above-the-bound", "field-too-small", "cannot-hold", "generator-too-large"],
+)
+def test_encode_and_the_scenario_refuse_a_code_with_one_message(code, message):
+    # each code breaks one rule of coding.check_code, and both callers raise its words
+    params = build_regen_params({"code": {**DEFAULT_CONFIG["code"], **code}})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coding.encode(params, code.get("field_order", 256))
+    with pytest.raises(ConfigError, match=f"^scenario invalid: {re.escape(message)}$"):
+        resolve_config({"code": code})
+
+
 def test_cli_oversized_code_is_refused_before_it_is_built(tmp_path):
     """Every subcommand refuses a code past the generator bound with exit 2 in under 1 s.
 
@@ -261,6 +296,32 @@ def test_cli_code_check(tmp_path):
     manifest = json.loads((tmp_path / "code-check.manifest.json").read_text())
     assert manifest["command"] == "code-check"
     assert manifest["config"]["code"]["total_files"] == 30
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["first-decode", "cached-decoder"])
+def test_cli_code_check_fails_on_a_corrupted_store(tmp_path, capsys, monkeypatch, cached):
+    # the decode of every stored symbol finds one corrupted symbol on its first solve and on a replay
+    coding._DECODERS.clear()
+    if cached:
+        assert run_cli(["code-check", "--out", str(tmp_path)]) == 0
+    stores = []
+
+    def corrupted(*args, **kwargs):
+        store = coding.encode(*args, **kwargs)
+        payloads = [payload.copy() for payload in store.payloads]
+        payloads[2][4] ^= 1
+        stores.append(dataclasses.replace(store, payloads=tuple(payloads)))
+        return stores[-1]
+
+    monkeypatch.setattr(cli, "encode", corrupted)
+    assert run_cli(["code-check", "--out", str(tmp_path)]) == 0
+    assert "rank_ok=False" in capsys.readouterr().out
+    with open(tmp_path / "code-check.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["rank_ok"] == "False"
+    (store,) = stores
+    # the rank oracle reads only the encoders, which the corruption leaves as they were
+    assert check_mu_reconstructable(store, [store.params.per_node_files] * store.params.n_nodes)
 
 
 def test_cli_code_check_n40_gf761_scenario(tmp_path, capsys):

@@ -20,7 +20,7 @@ from georelay.uplink_opt import (
     solve_nlp_fixed_mu,
 )
 from georelay.waterfill import CellSolution, solve_cells
-from oracles import dp_oracle, dp_solve, enumerate_integer_splits
+from oracles import check_mu_reconstructable, dp_oracle, dp_solve, enumerate_integer_splits
 
 
 def flat_channel(span, gain_per_w, bandwidth=1e6, step=1.0):
@@ -38,6 +38,13 @@ def small_problem(gains, total_files=6, cap=3, span=40.0, file_bits=2e6, p_max=5
 @pytest.fixture()
 def request_ref(default_config):
     return build_uplink_request(default_config)
+
+
+@pytest.mark.parametrize("field", ["total_files", "file_bits", "p_max_w"])
+def test_nan_problem_constant_is_refused(field):
+    problem = small_problem([1e-3, 2e-3])
+    with pytest.raises(ValueError, match="bad problem constants"):
+        dataclasses.replace(problem, **{field: float("nan")})
 
 
 def test_nlp_fixed_mu_definition(request_ref):
@@ -157,7 +164,7 @@ def test_dp_beats_fixed_split(request_ref):
 
 
 def test_returned_mu_is_reconstructable(request_ref, default_config):
-    from georelay.coding import check_mu_reconstructable, encode
+    from georelay.coding import encode
     from georelay.scenario import build_regen_params
 
     res = oa_min_energy_uplink(request_ref)

@@ -389,6 +389,22 @@ def test_energy_refuses_what_solve_refuses():
         empty.energy(1.0)
 
 
+def test_nan_bit_target_is_refused():
+    # a NaN fails every comparison, so the guard tests for the target it accepts
+    with pytest.raises(ValueError, match="bit target must be nonnegative"):
+        solve_cells(np.ones(5), np.full(5, 1e-3), 1e6, math.nan, 10.0)
+    table = BreakpointTable(np.ones(5), np.full(5, 1e-3), 1e6, 10.0)
+    with pytest.raises(ValueError, match="bit target must be nonnegative"):
+        table.energy(math.nan)
+    with pytest.raises(ValueError, match="bit target must be nonnegative"):
+        table.energy([1.0, math.nan])
+
+
+def test_nan_power_cap_is_refused():
+    with pytest.raises(ValueError, match="power cap must be positive"):
+        BreakpointTable(np.ones(5), np.full(5, 1e-3), 1e6, math.nan)
+
+
 @pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
 def test_energy_matches_solve_on_reference_uplink_channels(default_config, dt):
     """Every file count the allocator prices on each default uplink channel.
