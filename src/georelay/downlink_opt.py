@@ -54,17 +54,16 @@ class AllocationResult:
     kkt_residual_max: float
 
 
-def allocation_result(channels, sols) -> AllocationResult:
-    """Every node's :class:`~georelay.waterfill.CellSolution`, one per
-    channel, gathered into one result."""
-    energies = [sol.energy_j for sol in sols]
+def allocation_result(channels, powers, energies, delivered, levels, residuals) -> AllocationResult:
+    """Every node's powers, one array per channel, with its energy, delivered
+    bits, water level and KKT residual, gathered into one result."""
     return AllocationResult(
-        profiles=tuple(ch.profile(sol.powers_w) for ch, sol in zip(channels, sols)),
+        profiles=tuple(ch.profile(p) for ch, p in zip(channels, powers)),
         energies_j=np.array(energies),
         total_energy_j=float(sum(energies)),
-        delivered_bits=np.array([sol.delivered_bits for sol in sols]),
-        water_levels=np.array([sol.water_level for sol in sols]),
-        kkt_residual_max=max((sol.kkt_residual for sol in sols), default=0.0),
+        delivered_bits=np.array(delivered),
+        water_levels=np.array(levels),
+        kkt_residual_max=max(residuals, default=0.0),
     )
 
 
@@ -79,7 +78,14 @@ def _per_node(channels, solve) -> AllocationResult:
             sols.append(solve(n, ch))
         except InfeasibleError as exc:
             raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
-    return allocation_result(channels, sols)
+    return allocation_result(
+        channels,
+        [sol.powers_w for sol in sols],
+        [sol.energy_j for sol in sols],
+        [sol.delivered_bits for sol in sols],
+        [sol.water_level for sol in sols],
+        [sol.kkt_residual for sol in sols],
+    )
 
 
 def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:

@@ -222,15 +222,26 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     heapq.heapify(heap)
     mu = [0] * n_nodes
     for _ in range(problem.total_files):
-        _, neg_n, spent = heapq.heappop(heap)
+        # every node has one entry, so the entries differ and the pops'
+        # order does not depend on how the heap is laid out
+        _, neg_n, spent = heap[0]
         n = -neg_n
         mu[n] += 1
         if mu[n] < counts[n]:
             e = prices[edges[n] + mu[n]]
-            heapq.heappush(heap, (e - spent, neg_n, e))
+            heapq.heapreplace(heap, (e - spent, neg_n, e))
+        else:
+            heapq.heappop(heap)
     mu = np.array(mu, dtype=int)
-    sols = [sol for a, b, table in groups for sol in table.solve(mu[a:b] * u)]
-    return UplinkResult(allocation_result(channels, sols), mu, OAState())
+    powers, energies, delivered, levels, residuals = [], [], [], [], []
+    for a, b, table in groups:
+        solved = table.solve_group(mu[a:b] * u)
+        powers += solved.powers_w
+        energies += solved.energies_j
+        delivered += solved.delivered_bits
+        levels += solved.water_levels
+        residuals += solved.kkt_residuals
+    return UplinkResult(allocation_result(channels, powers, energies, delivered, levels, residuals), mu, OAState())
 
 
 def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:

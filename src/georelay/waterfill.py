@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +86,37 @@ class CellSolution:
     kkt_residual: float
 
 
+class GroupSolution(NamedTuple):
+    """The solutions of a table's segments as columns, one entry per
+    segment, in the order of :class:`CellSolution`'s fields."""
+
+    powers_w: list
+    water_levels: list
+    zero_masks: list
+    saturated_masks: list
+    delivered_bits: list
+    energies_j: list
+    iterations: list
+    kkt_residuals: list
+
+
 def max_deliverable_bits(weights, gains, bandwidth_hz, p_max) -> float:
     """Bits delivered with every cell at P_max."""
     return cell_bits(weights, gains, np.full(len(weights), p_max), bandwidth_hz)
+
+
+def _rise(target_bits, foot_bits, foot, top, top_bits, slope) -> float:
+    """dx, the level's rise above the foot of a bracket [foot, top] that
+    lifts ``foot_bits`` to ``target_bits``, clamped to the bracket, with
+    ``slope`` = W w_i, the bandwidth times the bracket's interior weight. A
+    target at or above ``top_bits``, the table's bits at the top, sits at the
+    top, so the rise divides by a positive interior weight: the table's bits
+    at the foot < target < ``top_bits``."""
+    if target_bits >= top_bits:
+        return top - foot
+    rise = (target_bits - foot_bits) / slope
+    # 2^rise - 1 through expm1 keeps its digits just above the foot
+    return min(max(foot * math.expm1(rise * LN2), 0.0), top - foot)
 
 
 class BreakpointTable:
@@ -102,7 +131,7 @@ class BreakpointTable:
     each of them, the bits delivered, the energy spent and the interior
     weight up to the next one. :meth:`energy` prices targets in O(log n) and
     :meth:`solve` returns the powers; both find each bracket by binary
-    search and the level as one rise above its foot, in :meth:`_rise`.
+    search and the level as one rise above its foot (:func:`_rise`).
     """
 
     def __init__(self, weights, gains, bandwidth_hz, p_max, bounds=None):
@@ -110,68 +139,88 @@ class BreakpointTable:
             raise ValueError("power cap must be positive")
         weights = np.asarray(weights, dtype=float)
         gains = np.asarray(gains, dtype=float)
-        self.bounds = bounds = np.asarray((0, weights.size) if bounds is None else bounds)
-        self.sizes = sizes = bounds[1:] - bounds[:-1]
+        n = weights.size
         self.weights, self.gains, self.p_max = weights, gains, p_max
-        self.bandwidth_hz = np.full(sizes.shape, bandwidth_hz, dtype=float)
         # each segment's cells and W / ln 2, as Python numbers for the
         # per-segment steps
-        self._cells = cells = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        edges = [0, n] if bounds is None else np.asarray(bounds).tolist()
+        self._cells = cells = list(zip(edges[:-1], edges[1:]))
+        self.bandwidth_hz = np.full(len(cells), bandwidth_hz, dtype=float)
+        self._bandwidth = self.bandwidth_hz.tolist()
         self._scale = scale = (self.bandwidth_hz / LN2).tolist()
-        marks_of = [slice(2 * a, 2 * b) for a, b in cells]
+        lone = len(cells) == 1
 
         full_log = np.log1p(p_max * gains)
-        self.full_bits = np.array([float(np.dot(weights[a:b], full_log[a:b])) for a, b in cells]) * scale
+        self.full_bits = np.array([float(weights[a:b].dot(full_log[a:b])) * s for (a, b), s in zip(cells, scale)])
+        self._limit = self.full_bits * (1.0 + REL_BIT_TOL)
         del full_log
 
         # cell k turns on at 1/h_k and saturates at p_max + 1/h_k; sorted,
-        # these events give the interior weight on [heights[i], heights[i+1]]
+        # these events give the interior weight on [heights[i], heights[i+1]].
+        # A group sorts (segment, height) pairs, which numpy compares
+        # lexicographically as complex numbers: one stable sort leaves each
+        # segment in the order its channel alone sorts to, ties included.
         inv_gain = 1.0 / gains
         marks = np.concatenate((inv_gain, inv_gain + p_max))
         del inv_gain
-        order = np.argsort(marks, kind="stable")
-        if sizes.size > 1:
-            seg = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
-            order = order[np.argsort(np.concatenate((seg, seg))[order], kind="stable")]
-            del seg
+        if lone:
+            order = np.argsort(marks, kind="stable")
+        else:
+            sizes = np.diff(edges)
+            # each cell's segment, which also spreads per-segment values
+            self._segment = np.repeat(np.arange(len(cells)), sizes)
+            keys = np.empty(2 * n, dtype=complex)
+            keys.real[:n] = keys.real[n:] = self._segment
+            keys.imag = marks
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
         self.heights = heights = marks[order]
         events = np.concatenate((weights, -weights), out=marks)[order]
-        del order
-        for cut in marks_of:
-            np.add.accumulate(events[cut], out=events[cut])
+        del marks, order
+        for a, b in cells:
+            cut = events[2 * a : 2 * b]
+            np.add.accumulate(cut, out=cut)
         self.w_int = w_int = np.maximum(events, 0.0, out=events)
 
         # from each segment's lowest height on, the energy grows by w_int[i]
         # times each gap and the bits by W w_int[i] log2(heights[i+1] /
         # heights[i]): sums of terms >= 0, which never fall, as a binary
-        # search needs. A segment starts at 0 whatever lies below it, and the
-        # gap up to its first height is zeroed so that the log1p never sees a
-        # ratio between two segments. The marks' storage holds the energies.
-        starts = [2 * a for a, b in cells if b > a]
-        self.e_at = e_at = marks
-        self.bits = bits = np.empty(heights.size)
-        gap = np.subtract(heights[1:], heights[:-1], out=e_at[1:])
-        e_at[starts] = 0.0
-        np.log1p(np.divide(gap, heights[:-1], out=bits[1:]), out=bits[1:])
-        bits[1:] *= w_int[:-1]
-        gap *= w_int[:-1]
-        e_at[starts] = bits[starts] = 0.0
-        for cut, w_over_ln2 in zip(marks_of, scale):
-            np.add.accumulate(e_at[cut], out=e_at[cut])
-            np.add.accumulate(bits[cut], out=bits[cut])
-            bits[cut] *= w_over_ln2
+        # search needs. The two are the rows of one array, summed in one
+        # call per segment, each from 0 at its lowest height whatever lies
+        # below it. The gap up to a segment's first height is zeroed so that
+        # the log1p never sees a ratio between two segments.
+        sums = np.empty((2, heights.size))
+        self.e_at, self.bits = e_at, bits = sums[0], sums[1]
+        np.subtract(heights[1:], heights[:-1], out=e_at[1:])
+        self._firsts = firsts = [a for a, b in cells if b > a]
+        for a in firsts:
+            e_at[2 * a] = 0.0
+        np.log1p(np.divide(e_at[1:], heights[:-1], out=bits[1:]), out=bits[1:])
+        np.multiply(sums[:, 1:], w_int[:-1], out=sums[:, 1:])
+        for a, b in cells:
+            cut = sums[:, 2 * a : 2 * b]
+            cut[:, :1] = 0.0
+            np.add.accumulate(cut, axis=1, out=cut)
+        bits *= scale[0] if len(set(scale)) == 1 else np.repeat(scale, 2 * sizes)
+        self._keys = None
+        if not lone:
+            # the bracket keys: (segment, bits) pairs, in the sorted order
+            keys.imag = bits
+            self._keys = keys
+            self._tops = 2 * np.array(edges[1:]) - 1
 
     def _per_cell(self, values):
         """Each segment's value on each of its cells; a lone segment's value
         stays one number."""
-        return values[0] if len(self._cells) == 1 else np.repeat(values, self.sizes)
+        return values[0] if self._keys is None else np.array(values)[self._segment]
 
     def _refuse(self, target, n) -> None:
         """Raise, for a target that is negative or NaN or that segment n
         cannot deliver, what a solve raises; pass any other."""
         if not target >= 0:
             raise ValueError("bit target must be nonnegative")
-        if target > 0 and self.sizes[n] == 0:
+        a, b = self._cells[n]
+        if target > 0 and b == a:
             raise InfeasibleError("empty window cannot deliver bits", max_bits=0.0)
         best = float(self.full_bits[n])
         if target > best * (1.0 + REL_BIT_TOL):
@@ -185,29 +234,12 @@ class BreakpointTable:
         level of each positive, deliverable target on its node's segment: the
         first height above the segment's lowest whose bits reach it, or the
         segment's top one."""
-        if len(self._cells) == 1:
+        if self._keys is None:
             return np.minimum(self.bits.searchsorted(targets), self.bits.size - 1) - 1
-        # one binary search over every segment: (segment, bits) pairs,
-        # compared lexicographically, as numpy orders complex numbers
-        nodes = np.asarray(nodes, dtype=np.intp)
-        keys = np.empty(self.bits.size, dtype=complex)
-        keys.real = np.repeat(np.arange(self.sizes.size), 2 * self.sizes)
-        keys.imag = self.bits
-        query = np.empty(nodes.shape, dtype=complex)
+        # one binary search over every segment's (segment, bits) keys
+        query = np.empty(len(nodes), dtype=complex)
         query.real, query.imag = nodes, targets
-        return np.minimum(keys.searchsorted(query), 2 * self.bounds[1:][nodes] - 1) - 1
-
-    def _rise(self, i, target_bits, foot_bits, n) -> float:
-        """dx, the level's rise above the foot of bracket i of segment n that
-        lifts ``foot_bits`` to ``target_bits``, clamped to the bracket. A
-        target at or above the bits at its top sits at the top, so the rise
-        divides by a positive interior weight: bits[i] < target < bits[i + 1]."""
-        foot, top = float(self.heights[i]), float(self.heights[i + 1])
-        if target_bits >= self.bits[i + 1]:
-            return top - foot
-        rise = (target_bits - foot_bits) / (self.bandwidth_hz[n] * self.w_int[i])
-        # 2^rise - 1 through expm1 keeps its digits just above the foot
-        return min(max(foot * math.expm1(rise * LN2), 0.0), top - foot)
+        return np.minimum(self._keys.searchsorted(query), self._tops[nodes]) - 1
 
     def energy(self, target_bits, nodes=0):
         """Least energy delivering each of ``target_bits`` on its node's
@@ -216,15 +248,16 @@ class BreakpointTable:
         empty or undeliverable one raises what :meth:`solve` raises. A float
         for a scalar target, else an array.
 
-        Every target takes :meth:`_rise` at once, over arrays, through
-        numpy's expm1, which can differ from ``math.expm1`` in the last
-        place: a price may round apart from ``solve``'s energy, never by more.
+        Every target takes the rise of :func:`_rise` at once, over arrays,
+        through numpy's expm1, which can differ from ``math.expm1`` in the
+        last place: a price may round apart from ``solve``'s energy, never by
+        more.
         """
         targets = np.asarray(target_bits, dtype=float)
         nodes = np.asarray(nodes)
         if nodes.shape != targets.shape:
             nodes = np.full(targets.shape, nodes)
-        ok = (targets >= 0) & (targets <= self.full_bits[nodes] * (1.0 + REL_BIT_TOL))
+        ok = (targets >= 0) & (targets <= self._limit[nodes])
         if not ok.all():
             k = int(np.argmin(ok))
             self._refuse(float(targets.flat[k]), int(nodes.flat[k]))
@@ -232,49 +265,67 @@ class BreakpointTable:
         t, s = targets[live], nodes[live]
         i = self._bracket(t, s)
         j = i + 1
-        foot, w_int = self.heights[i], self.w_int[i]
-        span = self.heights[j] - foot
-        inside = t < self.bits[j]
-        rise = np.divide(t - self.bits[i], self.bandwidth_hz[s] * w_int, out=np.zeros(t.shape), where=inside)
+        foot, w_int, e_foot, b_foot = self.heights[i], self.w_int[i], self.e_at[i], self.bits[i]
+        top, b_top = self.heights[j], self.bits[j]
+        span = top - foot
+        inside = t < b_top
+        rise = np.divide(t - b_foot, self.bandwidth_hz[s] * w_int, out=np.zeros(t.shape), where=inside)
         dx = np.where(inside, np.minimum(np.maximum(foot * np.expm1(rise * LN2), 0.0), span), span)
         prices = np.zeros(targets.shape)
-        prices[live] = self.e_at[i] + w_int * dx
+        prices[live] = e_foot + w_int * dx
         return float(prices) if prices.ndim == 0 else prices
 
     def solve(self, target_bits) -> list[CellSolution]:
         """Least-energy powers delivering ``target_bits`` (one per segment, or
-        one for all) on every segment: the bracket's split, the bits at its
-        foot summed on that split, and the rise of :meth:`_rise` on every
-        interior cell. A segment with a zero target sends nothing. The steps
-        on cells run once over the group; each segment's bracket, rise and
-        sums are its own, as a lone channel's are."""
-        weights, gains, p_max, heights = self.weights, self.gains, self.p_max, self.heights
-        cells, scale, full = self._cells, self._scale, self.full_bits.tolist()
+        one for all): :meth:`solve_group`, one :class:`CellSolution` per
+        segment."""
+        return [CellSolution(*row) for row in self._rows(target_bits)]
+
+    def solve_group(self, target_bits) -> GroupSolution:
+        """:meth:`solve`'s solutions as columns, with no per-segment object."""
+        return GroupSolution(*map(list, zip(*self._rows(target_bits))))
+
+    def _rows(self, target_bits) -> list[tuple]:
+        """Every segment's solution as a tuple of :class:`CellSolution`'s
+        fields: the bracket's split, the bits at its foot summed on that
+        split, and the rise of :func:`_rise` on every interior cell. A
+        segment with a zero target sends nothing. The steps on cells run once
+        over the group, and so do the brackets' gathers and the KKT
+        residuals; each segment's dot products and rise are its own, as a
+        lone channel's are."""
+        weights, gains, p_max = self.weights, self.gains, self.p_max
+        cells, scale = self._cells, self._scale
         targets = np.full(len(cells), target_bits, dtype=float).tolist()
-        for n, t in enumerate(targets):
-            if not 0.0 <= t <= full[n] * (1.0 + REL_BIT_TOL):
+        for n, (t, limit) in enumerate(zip(targets, self._limit.tolist())):
+            if not 0.0 <= t <= limit:
                 self._refuse(t, n)
         live = [n for n, t in enumerate(targets) if t > 0]
         if not live:
             zeros, off = np.zeros(weights.size), np.zeros(weights.size, dtype=bool)
-            return [CellSolution(zeros[a:b], 0.0, off[a:b], off[a:b], 0.0, 0.0, 0, 0.0) for a, b in cells]
-        brackets = self._bracket([targets[n] for n in live], live).tolist()
-        foot, top = [0.0] * len(cells), [0.0] * len(cells)
-        for n, i in zip(live, brackets):
-            foot[n], top[n] = float(heights[i]), float(heights[i + 1])
+            return [(zeros[a:b], 0.0, off[a:b], off[a:b], 0.0, 0.0, 0, 0.0) for a, b in cells]
+        live_targets = [targets[n] for n in live]
+        i = self._bracket(live_targets, live)
+        feet, w_ints = self.heights[i].tolist(), self.w_int[i].tolist()
+        tops, top_bits = self.heights[i + 1].tolist(), self.bits[i + 1].tolist()
+        if len(live) == len(cells):
+            foot, top = feet, tops
+        else:
+            foot, top = [0.0] * len(cells), [0.0] * len(cells)
+            for n, f, t in zip(live, feet, tops):
+                foot[n], top[n] = f, t
 
         # the split on the open interval above each bracket's foot: no mark
         # lies inside it, so a cell turning on at the foot is interior, at
         # power 0 there. A segment with a zero target has its top at 0, so
         # none of its cells is saturated or interior, and none is reported off.
         inv_gain = 1.0 / gains
-        top = self._per_cell(top)
-        zero = inv_gain >= top
-        sat = inv_gain + p_max < top
+        top_at = self._per_cell(top)
+        zero = inv_gain >= top_at
+        sat = inv_gain + p_max < top_at
         interior = ~zero & ~sat
         if len(live) < len(cells):
-            zero &= top > 0.0
-        del top
+            zero &= top_at > 0.0
+        del top_at
         # an interior power is raw = x - 1/h_k, summed as (foot - 1/h_k) + dx:
         # a cell turning on at the foot gets dx itself, with all its digits
         raw = self._per_cell(foot) - inv_gain
@@ -283,26 +334,30 @@ class BreakpointTable:
         np.minimum(raw, p_max, out=powers, where=interior)
         log = np.log1p(powers * gains)
         dx = [0.0] * len(cells)
-        for n, i in zip(live, brackets):
+        for n, t, f, tp, tb, w in zip(live, live_targets, feet, tops, top_bits, w_ints):
             a, b = cells[n]
-            dx[n] = self._rise(i, targets[n], float(np.dot(weights[a:b], log[a:b])) * scale[n], n)
+            dx[n] = _rise(t, float(weights[a:b].dot(log[a:b])) * scale[n], f, tp, tb, self._bandwidth[n] * w)
         np.minimum(np.add(raw, self._per_cell(dx), out=raw), p_max, out=powers, where=interior)
 
+        # every nonempty segment's KKT residual, its largest deviation of an
+        # interior power from the uncapped one, in one pass: a max is exact
         log = np.log1p(powers * gains, out=log)
-        deviation = np.abs(raw - powers)
-        sols = []
+        deviation = np.where(interior, np.abs(np.subtract(raw, powers, out=raw), out=raw), 0.0)
+        peaks = iter(np.maximum.reduceat(deviation, self._firsts).tolist())
+        rows = []
         for n, (a, b) in enumerate(cells):
+            peak = next(peaks) if b > a else 0.0
             if targets[n] == 0:
-                sols.append(CellSolution(powers[a:b], 0.0, zero[a:b], sat[a:b], 0.0, 0.0, 0, 0.0))
+                rows.append((powers[a:b], 0.0, zero[a:b], sat[a:b], 0.0, 0.0, 0, 0.0))
                 continue
-            delivered = float(np.dot(weights[a:b], log[a:b])) * scale[n]
+            w = weights[a:b]
+            delivered = float(w.dot(log[a:b])) * scale[n]
             if delivered < targets[n] * (1.0 - 1e-9):
                 raise InternalError("waterfilling under-delivered its bit target")
-            energy = float(np.dot(weights[a:b], powers[a:b]))
-            resid = float(np.max(deviation[a:b], where=interior[a:b], initial=0.0))
+            energy = float(w.dot(powers[a:b]))
             level = LN2 * (foot[n] + dx[n])
-            sols.append(CellSolution(powers[a:b], level, zero[a:b], sat[a:b], delivered, energy, 1, resid))
-        return sols
+            rows.append((powers[a:b], level, zero[a:b], sat[a:b], delivered, energy, 1, peak))
+        return rows
 
 
 def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolution:
