@@ -208,13 +208,17 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
 
     # node n's energy at k files is prices[edges[n] + k - 1]
     counts = np.minimum(caps, problem.total_files)
-    edges = np.concatenate(([0], np.cumsum(counts)))
+    edges = np.zeros(n_nodes + 1, dtype=int)
+    np.cumsum(counts, out=edges[1:])
     nodes = np.repeat(np.arange(n_nodes), counts)
     files = np.arange(edges[-1]) - edges[nodes] + 1
-    prices = []
-    for a, b, table in groups:
-        cut = slice(edges[a], edges[b])
-        prices += table.energy(files[cut] * u, nodes[cut] - a).tolist()
+    if len(groups) == 1:
+        prices = groups[0][2].energy(files * u, nodes).tolist()
+    else:
+        prices = []
+        for a, b, table in groups:
+            cut = slice(edges[a], edges[b])
+            prices += table.energy(files[cut] * u, nodes[cut] - a).tolist()
     counts, edges = counts.tolist(), edges.tolist()
 
     # (extra energy of the node's next file, -node, its energy with that file)

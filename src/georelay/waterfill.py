@@ -87,16 +87,13 @@ class CellSolution:
 
 
 class GroupSolution(NamedTuple):
-    """The solutions of a table's segments as columns, one entry per
-    segment, in the order of :class:`CellSolution`'s fields."""
+    """A table's solutions as columns, one entry per segment: what an
+    allocation result needs of each :class:`CellSolution`."""
 
     powers_w: list
     water_levels: list
-    zero_masks: list
-    saturated_masks: list
     delivered_bits: list
     energies_j: list
-    iterations: list
     kkt_residuals: list
 
 
@@ -147,13 +144,15 @@ class BreakpointTable:
         self._cells = cells = list(zip(edges[:-1], edges[1:]))
         self.bandwidth_hz = np.full(len(cells), bandwidth_hz, dtype=float)
         self._bandwidth = self.bandwidth_hz.tolist()
-        self._scale = scale = (self.bandwidth_hz / LN2).tolist()
+        self._scale = scale = [w / LN2 for w in self._bandwidth]
         lone = len(cells) == 1
 
+        self._weights_of = weights_of = [weights[a:b] for a, b in cells]
         full_log = np.log1p(p_max * gains)
-        self.full_bits = np.array([float(weights[a:b].dot(full_log[a:b])) * s for (a, b), s in zip(cells, scale)])
-        self._limit = self.full_bits * (1.0 + REL_BIT_TOL)
+        full = [float(w.dot(full_log[a:b])) * s for w, (a, b), s in zip(weights_of, cells, scale)]
         del full_log
+        self.full_bits = np.array(full)
+        self._limits = [bits * (1.0 + REL_BIT_TOL) for bits in full]
 
         # cell k turns on at 1/h_k and saturates at p_max + 1/h_k; sorted,
         # these events give the interior weight on [heights[i], heights[i+1]].
@@ -241,6 +240,18 @@ class BreakpointTable:
         query.real, query.imag = nodes, targets
         return np.minimum(self._keys.searchsorted(query), self._tops[nodes]) - 1
 
+    def _read_brackets(self, targets, nodes):
+        """Each target's bracket on its node's segment, read off the table as
+        lists: the height and interior weight at the foot, then the height
+        and bits at the top. A lone segment reads its one bracket as
+        scalars."""
+        if self._keys is None:
+            i = min(int(self.bits.searchsorted(targets[0])), self.bits.size - 1) - 1
+            return [float(self.heights[i])], [float(self.w_int[i])], [float(self.heights[i + 1])], [float(self.bits[i + 1])]
+        i = self._bracket(targets, nodes)
+        j = i + 1
+        return self.heights[i].tolist(), self.w_int[i].tolist(), self.heights[j].tolist(), self.bits[j].tolist()
+
     def energy(self, target_bits, nodes=0):
         """Least energy delivering each of ``target_bits`` on its node's
         segment: ``solve``'s energy to rounding, in O(log n) each, with the
@@ -257,60 +268,67 @@ class BreakpointTable:
         nodes = np.asarray(nodes)
         if nodes.shape != targets.shape:
             nodes = np.full(targets.shape, nodes)
-        ok = (targets >= 0) & (targets <= self._limit[nodes])
+        ok = (targets >= 0) & (targets <= self.full_bits[nodes] * (1.0 + REL_BIT_TOL))
         if not ok.all():
             k = int(np.argmin(ok))
             self._refuse(float(targets.flat[k]), int(nodes.flat[k]))
-        live = targets > 0
-        t, s = targets[live], nodes[live]
+        live = None if targets.all() else targets > 0
+        t, s = (targets, nodes) if live is None else (targets[live], nodes[live])
         i = self._bracket(t, s)
         j = i + 1
-        foot, w_int, e_foot, b_foot = self.heights[i], self.w_int[i], self.e_at[i], self.bits[i]
-        top, b_top = self.heights[j], self.bits[j]
-        span = top - foot
-        inside = t < b_top
-        rise = np.divide(t - b_foot, self.bandwidth_hz[s] * w_int, out=np.zeros(t.shape), where=inside)
+        foot, w_int = self.heights[i], self.w_int[i]
+        span = self.heights[j] - foot
+        inside = t < self.bits[j]
+        rise = np.divide(t - self.bits[i], self.bandwidth_hz[s] * w_int, out=np.zeros(t.shape), where=inside)
         dx = np.where(inside, np.minimum(np.maximum(foot * np.expm1(rise * LN2), 0.0), span), span)
-        prices = np.zeros(targets.shape)
-        prices[live] = e_foot + w_int * dx
+        prices = self.e_at[i] + w_int * dx
+        if live is not None:
+            priced, prices = prices, np.zeros(targets.shape)
+            prices[live] = priced
         return float(prices) if prices.ndim == 0 else prices
 
     def solve(self, target_bits) -> list[CellSolution]:
         """Least-energy powers delivering ``target_bits`` (one per segment, or
-        one for all): :meth:`solve_group`, one :class:`CellSolution` per
+        one for all): :meth:`_solve`, one :class:`CellSolution` per
         segment."""
-        return [CellSolution(*row) for row in self._rows(target_bits)]
+        powers, zero, sat, levels, delivered, energies, iterations, residuals = self._solve(target_bits)
+        return [
+            CellSolution(powers[a:b], levels[n], zero[a:b], sat[a:b], delivered[n], energies[n], iterations[n], residuals[n])
+            for n, (a, b) in enumerate(self._cells)
+        ]
 
     def solve_group(self, target_bits) -> GroupSolution:
-        """:meth:`solve`'s solutions as columns, with no per-segment object."""
-        return GroupSolution(*map(list, zip(*self._rows(target_bits))))
+        """:meth:`solve`'s powers and totals as columns, with no per-segment
+        object and no masks."""
+        powers, _, _, levels, delivered, energies, _, residuals = self._solve(target_bits)
+        return GroupSolution([powers[a:b] for a, b in self._cells], levels, delivered, energies, residuals)
 
-    def _rows(self, target_bits) -> list[tuple]:
-        """Every segment's solution as a tuple of :class:`CellSolution`'s
-        fields: the bracket's split, the bits at its foot summed on that
-        split, and the rise of :func:`_rise` on every interior cell. A
-        segment with a zero target sends nothing. The steps on cells run once
-        over the group, and so do the brackets' gathers and the KKT
+    def _solve(self, target_bits):
+        """Every segment's solution: the group's powers and zero and
+        saturated masks over all its cells, then the water levels, delivered
+        bits, energies, iterations and KKT residuals as lists, one entry per
+        segment. Each takes its bracket's split, the bits at its foot summed
+        on that split, and the rise of :func:`_rise` on every interior cell;
+        a segment with a zero target sends nothing. The steps on cells run
+        once over the group, and so do the brackets' gathers and the KKT
         residuals; each segment's dot products and rise are its own, as a
         lone channel's are."""
-        weights, gains, p_max = self.weights, self.gains, self.p_max
-        cells, scale = self._cells, self._scale
+        gains, p_max, cells, scale, weights_of = self.gains, self.p_max, self._cells, self._scale, self._weights_of
         targets = np.full(len(cells), target_bits, dtype=float).tolist()
-        for n, (t, limit) in enumerate(zip(targets, self._limit.tolist())):
+        for n, (t, limit) in enumerate(zip(targets, self._limits)):
             if not 0.0 <= t <= limit:
                 self._refuse(t, n)
         live = [n for n, t in enumerate(targets) if t > 0]
+        nothing = [0.0] * len(cells)
         if not live:
-            zeros, off = np.zeros(weights.size), np.zeros(weights.size, dtype=bool)
-            return [(zeros[a:b], 0.0, off[a:b], off[a:b], 0.0, 0.0, 0, 0.0) for a, b in cells]
+            off = np.zeros(gains.size, dtype=bool)
+            return np.zeros(gains.size), off, off, nothing, nothing, nothing, [0] * len(cells), nothing
         live_targets = [targets[n] for n in live]
-        i = self._bracket(live_targets, live)
-        feet, w_ints = self.heights[i].tolist(), self.w_int[i].tolist()
-        tops, top_bits = self.heights[i + 1].tolist(), self.bits[i + 1].tolist()
+        feet, w_ints, tops, top_bits = self._read_brackets(live_targets, live)
         if len(live) == len(cells):
             foot, top = feet, tops
         else:
-            foot, top = [0.0] * len(cells), [0.0] * len(cells)
+            foot, top = nothing.copy(), nothing.copy()
             for n, f, t in zip(live, feet, tops):
                 foot[n], top[n] = f, t
 
@@ -333,31 +351,31 @@ class BreakpointTable:
         powers = np.where(sat, p_max, 0.0)
         np.minimum(raw, p_max, out=powers, where=interior)
         log = np.log1p(powers * gains)
-        dx = [0.0] * len(cells)
+        dx = nothing.copy()
         for n, t, f, tp, tb, w in zip(live, live_targets, feet, tops, top_bits, w_ints):
             a, b = cells[n]
-            dx[n] = _rise(t, float(weights[a:b].dot(log[a:b])) * scale[n], f, tp, tb, self._bandwidth[n] * w)
+            dx[n] = _rise(t, float(weights_of[n].dot(log[a:b])) * scale[n], f, tp, tb, self._bandwidth[n] * w)
         np.minimum(np.add(raw, self._per_cell(dx), out=raw), p_max, out=powers, where=interior)
+        log = np.log1p(powers * gains, out=log)
 
         # every nonempty segment's KKT residual, its largest deviation of an
         # interior power from the uncapped one, in one pass: a max is exact
-        log = np.log1p(powers * gains, out=log)
         deviation = np.where(interior, np.abs(np.subtract(raw, powers, out=raw), out=raw), 0.0)
-        peaks = iter(np.maximum.reduceat(deviation, self._firsts).tolist())
-        rows = []
-        for n, (a, b) in enumerate(cells):
-            peak = next(peaks) if b > a else 0.0
-            if targets[n] == 0:
-                rows.append((powers[a:b], 0.0, zero[a:b], sat[a:b], 0.0, 0.0, 0, 0.0))
-                continue
-            w = weights[a:b]
-            delivered = float(w.dot(log[a:b])) * scale[n]
-            if delivered < targets[n] * (1.0 - 1e-9):
+        residuals = np.maximum.reduceat(deviation, self._firsts).tolist()
+        if len(residuals) < len(cells):
+            peaks = iter(residuals)
+            residuals = [next(peaks) if b > a else 0.0 for a, b in cells]
+        levels, delivered, energies, iterations = nothing.copy(), nothing.copy(), nothing.copy(), [0] * len(cells)
+        for n in live:
+            a, b = cells[n]
+            w = weights_of[n]
+            delivered[n] = bits = float(w.dot(log[a:b])) * scale[n]
+            if bits < targets[n] * (1.0 - 1e-9):
                 raise InternalError("waterfilling under-delivered its bit target")
-            energy = float(w.dot(powers[a:b]))
-            level = LN2 * (foot[n] + dx[n])
-            rows.append((powers[a:b], level, zero[a:b], sat[a:b], delivered, energy, 1, peak))
-        return rows
+            energies[n] = float(w.dot(powers[a:b]))
+            levels[n] = LN2 * (foot[n] + dx[n])
+            iterations[n] = 1
+        return powers, zero, sat, levels, delivered, energies, iterations, residuals
 
 
 def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolution:
