@@ -51,18 +51,21 @@ class AllocationResult:
     total_energy_j: float
     delivered_bits: np.ndarray
     water_levels: np.ndarray
+    kkt_residuals: np.ndarray
     kkt_residual_max: float
 
 
-def allocation_result(channels, powers, energies, delivered, levels, residuals) -> AllocationResult:
-    """Every node's powers, one array per channel, with its energy, delivered
-    bits, water level and KKT residual, gathered into one result."""
+def allocation_result(profiles, levels, delivered, energies, residuals) -> AllocationResult:
+    """Every node's power profile, with its water level, delivered bits,
+    energy and KKT residual, gathered into one result. This is the one place
+    an :class:`AllocationResult` is built."""
     return AllocationResult(
-        profiles=tuple(ch.profile(p) for ch, p in zip(channels, powers)),
+        profiles=tuple(profiles),
         energies_j=np.array(energies),
         total_energy_j=float(sum(energies)),
         delivered_bits=np.array(delivered),
         water_levels=np.array(levels),
+        kkt_residuals=np.array(residuals),
         kkt_residual_max=max(residuals, default=0.0),
     )
 
@@ -79,11 +82,10 @@ def _per_node(channels, solve) -> AllocationResult:
         except InfeasibleError as exc:
             raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
     return allocation_result(
-        channels,
-        [sol.powers_w for sol in sols],
-        [sol.energy_j for sol in sols],
-        [sol.delivered_bits for sol in sols],
+        [ch.profile(sol.powers_w) for ch, sol in zip(channels, sols)],
         [sol.water_level for sol in sols],
+        [sol.delivered_bits for sol in sols],
+        [sol.energy_j for sol in sols],
         [sol.kkt_residual for sol in sols],
     )
 

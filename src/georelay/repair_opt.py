@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding import RegenParams, validate_params
-from .downlink_opt import AllocationResult
+from .downlink_opt import AllocationResult, allocation_result
 from .geometry import inter_leos_distance
 from .horizon import StageRequest, TimeResult
 from .uplink_opt import FileAllocationProblem, UplinkResult, min_time_solve, oa_solve
@@ -78,18 +78,18 @@ def _regen_problem(req: RepairRequest, horizon_s: float | None = None) -> FileAl
 
 
 def _regen_result(req: RepairRequest, result: UplinkResult) -> RepairResult:
-    """The greedy's regenerating allocation for the chosen helpers only. A
-    helper left out has a zero target, so the total and the residual maximum
-    over all survivors are the chosen ones'."""
+    """The greedy's regenerating allocation, assembled over the helpers it
+    chose, the survivors a beta-block went to. A helper left out has a zero
+    target, so it adds nothing to the total energy or the residual maximum."""
     p = req.params
     chosen = np.flatnonzero(result.mu)
     full = result.allocation
-    alloc = replace(
-        full,
-        profiles=tuple(full.profiles[i] for i in chosen),
-        energies_j=full.energies_j[chosen],
-        delivered_bits=full.delivered_bits[chosen],
-        water_levels=full.water_levels[chosen],
+    alloc = allocation_result(
+        [full.profiles[i] for i in chosen],
+        full.water_levels[chosen].tolist(),
+        full.delivered_bits[chosen].tolist(),
+        full.energies_j[chosen].tolist(),
+        full.kkt_residuals[chosen].tolist(),
     )
     helpers = tuple(req.helpers[i] for i in chosen)
     return RepairResult(helpers, np.full(p.repair_d, p.per_helper_files), alloc, p.repair_d * p.per_helper_files)

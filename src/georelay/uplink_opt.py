@@ -237,15 +237,15 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
         else:
             heapq.heappop(heap)
     mu = np.array(mu, dtype=int)
-    powers, energies, delivered, levels, residuals = [], [], [], [], []
+    profiles, levels, delivered, energies, residuals = [], [], [], [], []
     for a, b, table in groups:
         solved = table.solve_group(mu[a:b] * u)
-        powers += solved.powers_w
-        energies += solved.energies_j
-        delivered += solved.delivered_bits
+        profiles += [ch.profile(powers) for ch, powers in zip(channels[a:b], solved.powers_w)]
         levels += solved.water_levels
+        delivered += solved.delivered_bits
+        energies += solved.energies_j
         residuals += solved.kkt_residuals
-    return UplinkResult(allocation_result(channels, powers, energies, delivered, levels, residuals), mu, OAState())
+    return UplinkResult(allocation_result(profiles, levels, delivered, energies, residuals), mu, OAState())
 
 
 def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:
