@@ -236,7 +236,7 @@ class BreakpointTable:
         if self._keys is None:
             return np.minimum(self.bits.searchsorted(targets), self.bits.size - 1) - 1
         # one binary search over every segment's (segment, bits) keys
-        query = np.empty(len(nodes), dtype=complex)
+        query = np.empty(np.shape(nodes), dtype=complex)
         query.real, query.imag = nodes, targets
         return np.minimum(self._keys.searchsorted(query), self._tops[nodes]) - 1
 

@@ -19,7 +19,7 @@ from georelay.uplink_opt import (
     oa_solve,
     solve_nlp_fixed_mu,
 )
-from georelay.waterfill import CellSolution, solve_cells
+from georelay.waterfill import CellSolution, max_deliverable_bits, solve_cells
 from oracles import check_mu_reconstructable, dp_oracle, dp_solve, enumerate_integer_splits
 
 
@@ -328,6 +328,96 @@ def test_grouped_greedy_is_the_per_node_greedy(nodes, seed, share, twin):
             files = np.arange(1, int(integer_file_caps(empty)[0]) + 1) * u
             assert same_floats(first.energy(files, 0), last.energy(files, len(channels) - 1 - last_start))
             assert res.mu[-1] >= res.mu[0]
+
+
+# the group tables' edge cases, pinned: (each channel's cells, each target as
+# a share of its channel's full-power bits)
+EDGE_GROUPS = {
+    "empty first": ((0, 7, 12), (0.0, 0.4, 0.7)),
+    "empty in the middle": ((7, 0, 12), (0.3, 0.0, 0.9)),
+    "empty last": ((7, 12, 0), (0.5, 0.2, 0.0)),
+    "empty first, in the middle and last": ((0, 5, 0, 0, 9, 0), (0.0, 0.6, 0.0, 0.0, 0.1, 0.0)),
+    "all targets zero": ((6, 0, 11), (0.0, 0.0, 0.0)),
+    "one-cell segments": ((1, 9, 1), (0.5, 0.5, 1.0)),
+    "a lone one-cell segment": ((1,), (0.6,)),
+    "zero targets beside full power": ((8, 8, 8), (1.0, 0.0, 0.35)),
+}
+
+
+def edge_group(rng, cells, shares, p_max=900.0):
+    """A group's channels and the targets of ``shares`` of their full power."""
+    channels = [pass_channel(rng, n) for n in cells]
+    full = [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max) for ch in channels]
+    return channels, [share * bits for share, bits in zip(shares, full)]
+
+
+def assert_table_solve_is_per_node(table, channels, targets, p_max):
+    """Every field of the table's solve, masks, levels and residuals
+    included, and every column of its grouped solve, is a lone channel's
+    :func:`solve_cells` bit for bit."""
+    want = [solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, t, p_max) for ch, t in zip(channels, targets)]
+    got = table.solve(np.array(targets))
+    assert len(got) == len(want)
+    for sol, lone in zip(got, want):
+        for name in CellSolution.__dataclass_fields__:
+            assert same_floats(getattr(sol, name), getattr(lone, name)), name
+    columns = table.solve_group(np.array(targets))
+    for column, name in zip(columns, ("powers_w", "water_level", "delivered_bits", "energy_j", "kkt_residual")):
+        assert len(column) == len(want)
+        for value, lone in zip(column, want):
+            assert same_floats(value, getattr(lone, name)), name
+
+
+@pytest.mark.parametrize("case", EDGE_GROUPS)
+def test_group_table_edge_cases_are_the_per_node_solves(case):
+    """Empty channels first, in the middle and last in a group, a group
+    whose targets are all zero, one-cell segments and zero targets beside a
+    full-power one: the table's solve is the per-node one, and every price
+    of a positive target is its lone table's."""
+    cells, shares = EDGE_GROUPS[case]
+    channels, targets = edge_group(np.random.default_rng(len(case)), cells, shares)
+    table = uplink_opt._table(channels, 900.0)
+    assert_table_solve_is_per_node(table, channels, targets, 900.0)
+    for n, (ch, t) in enumerate(zip(channels, targets)):
+        lone = uplink_opt._table([ch], 900.0)
+        assert same_floats(table.energy(t, n), lone.energy(t))
+
+
+def test_group_residuals_land_on_their_segments():
+    """At full power the first cell of this two-cell channel is interior
+    and rounds a KKT residual of about 1e-13. Between empty channels, and
+    behind a far channel whose marks are some 1e16 times its own (the gap
+    ratio across the two segments rounds to -1), each segment of the table
+    reports its own residual, as its lone solve does, never a neighbour's."""
+    rounding = NodeChannel(0.0, 2.0, 1.0, np.ones(2), np.array([0.0018, 0.00241]), 20e6)
+    empty = NodeChannel(0.0, 0.0, 1.0, np.zeros(0), np.zeros(0), 20e6)
+    far = NodeChannel(0.0, 3.0, 1.0, np.ones(3), np.array([2e-19, 3e-19, 1e-19]), 20e6)
+    channels = [empty, rounding, empty, empty, far, rounding, empty]
+    full = [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 900.0) for ch in channels]
+    targets = [share * bits for share, bits in zip((0.0, 1.0, 0.0, 0.0, 0.5, 1.0, 0.0), full)]
+    lone = solve_cells(rounding.weights_s, rounding.gains_per_w, rounding.bandwidth_hz, full[1], 900.0)
+    assert lone.kkt_residual > 0.0 and not lone.zero_mask[0] and not lone.saturated_mask[0]
+    assert_table_solve_is_per_node(uplink_opt._table(channels, 900.0), channels, targets, 900.0)
+
+
+@pytest.mark.parametrize("first", ["energy", "solve"])
+def test_a_table_prices_and_solves_in_either_order(first):
+    """One table priced, then solved, or solved, then priced, gives what two
+    fresh tables give, and leaves its arrays as it built them."""
+    channels, targets = edge_group(np.random.default_rng(5), (0, 30, 1, 45, 0), (0.0, 0.5, 1.0, 0.25, 0.0))
+    files = np.arange(1, 4)
+    nodes = np.repeat([1, 2, 3], files.size)
+    asks = np.tile(files / files.size, 3) * np.repeat([targets[1], targets[2], targets[3]], files.size)
+    table = uplink_opt._table(channels, 900.0)
+    built = [getattr(table, name).tobytes() for name in ("heights", "w_int", "e_at", "bits", "full_bits")]
+    priced = uplink_opt._table(channels, 900.0).energy(asks, nodes)
+    if first == "energy":
+        assert same_floats(table.energy(asks, nodes), priced)
+        assert_table_solve_is_per_node(table, channels, targets, 900.0)
+    else:
+        assert_table_solve_is_per_node(table, channels, targets, 900.0)
+        assert same_floats(table.energy(asks, nodes), priced)
+    assert [getattr(table, name).tobytes() for name in ("heights", "w_int", "e_at", "bits", "full_bits")] == built
 
 
 def test_groups_at_the_budget():
