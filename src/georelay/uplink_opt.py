@@ -149,11 +149,13 @@ def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
 
 # Cells per breakpoint table: nodes join a group in index order while it holds
 # at most this many cells, and a longer channel is a group of its own, with
-# one segment. A shared table saves per-node calls but sorts and sums over
-# more cells at once; against a table per node, one oa_solve took 0.66-0.70x
-# the time on four 250-cell channels, 0.85-1.05x on four of 1,000 cells,
-# 0.94-0.98x on two of 1,000, 1.01x on two of 1,500, 1.08-1.09x on two of
-# 2,000 and 1.27-1.41x on two of 3,000 (2-vCPU x86-64, numpy 2.4).
+# one segment. A shared table saves per-node calls but sorts complex keys
+# over more cells at once; against a table per node, one oa_solve took
+# 0.23-0.24x the time on 39 ten-cell channels, 0.65-0.67x on four of 250
+# cells, 0.85-0.90x on three of 1,024, 0.90-0.94x on two of 768, 0.99-1.04x
+# on two of 1,536, 1.10-1.17x on four of 1,500 and 1.36-1.46x on two of
+# 3,000 (three instances each, 2-vCPU x86-64, numpy 2.4), so a group breaks
+# even near this budget.
 GROUP_CELLS = 3072
 
 
@@ -193,8 +195,8 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     k = 1 ... min(cap, M) of every node is priced up front, a group at a time,
     in one :meth:`~georelay.waterfill.BreakpointTable.energy` call; the heap
     then runs on those prices. The reported powers and energies come from one
-    :meth:`~georelay.waterfill.BreakpointTable.solve` per group at the final
-    counts, with the floats of a per-node solve. The result reports one
+    :meth:`~georelay.waterfill.BreakpointTable.solve_group` per group at the
+    final counts, with the floats of a per-node solve. The result reports one
     iteration. The name stays from the outer-approximation solver this
     replaced: the benchmark calls and traces ``oa_solve``.
     """
@@ -212,13 +214,10 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     np.cumsum(counts, out=edges[1:])
     nodes = np.repeat(np.arange(n_nodes), counts)
     files = np.arange(edges[-1]) - edges[nodes] + 1
-    if len(groups) == 1:
-        prices = groups[0][2].energy(files * u, nodes).tolist()
-    else:
-        prices = []
-        for a, b, table in groups:
-            cut = slice(edges[a], edges[b])
-            prices += table.energy(files[cut] * u, nodes[cut] - a).tolist()
+    prices = []
+    for a, b, table in groups:
+        cut = slice(edges[a], edges[b])
+        prices += table.energy(files[cut] * u, nodes[cut] - a).tolist()
     counts, edges = counts.tolist(), edges.tolist()
 
     # (extra energy of the node's next file, -node, its energy with that file)

@@ -26,19 +26,27 @@ digits just above the foot, and is clamped to the bracket, [0, h_i+1 - h_i].
 
 The sort and the sweep depend on the channel and the power cap only, so they
 form a :class:`BreakpointTable`, built once for a group of channels: their
-cells concatenated, each channel one segment between two ``bounds``. The
-elementwise steps run once over all of the group's cells: the marks, the
-gaps and the log1p of their ratios, the per-cell split and powers of a
-solve, and the brackets and rises of every price. The steps whose floats
-depend on order run per segment: the stable sort (one stable sort by height,
-then a stable one by segment, which leaves each segment in the order its
-channel alone sorts to, ties included), the running sums that give w_i, e_i
-and b_i, and the dot products of the full-power bits, the bits at the foot,
-the delivered bits and the energy. So does a solve's rise, one scalar per
-segment through ``math.expm1``. Each of these sees the numbers, in the
-order, that a one-channel table sees, so every segment's floats are the
-ones its channel gets alone. A lone channel is a table of one segment, whose
-per-segment values stay Python numbers.
+cells concatenated, each channel one segment between two ``bounds``. Only
+the steps whose floats depend on order run once per segment, each on its own
+segment's numbers in the order a one-channel table sees them, so that every
+segment's floats are the ones its channel gets alone:
+
+- the running sum of the interior weights w_i, and one running sum, along
+  the rows of one array, of the energies e_i and the bits b_i;
+- the dot products of the full-power bits, of the bits at a solve's foot,
+  of the delivered bits and of the energy;
+- a solve's rise, one scalar through ``math.expm1``.
+
+Every other step runs once over the group: one stable sort of the
+(segment, height) pairs, which numpy compares lexicographically as complex
+numbers, so each segment keeps the order its channel alone sorts to, ties
+included; the marks, the gaps and the log1p of their ratios; the bits' scale
+by W / ln 2; the bracket keys, built once per table for both ``energy`` and
+``solve``; each call's binary search for the brackets, and a solve's gathers
+of their feet and tops; the per-cell split and powers of a solve; its KKT
+residuals, one ``maximum.reduceat`` (a max is exact); and the rises of every
+price. A lone channel is a table of one segment with none of the group's
+bookkeeping: no keys, and its one bracket read as scalars.
 
 :meth:`BreakpointTable.energy` prices any number of targets, each on its own
 segment, in O(log n) each: a binary search for the bracket, the rise with the
