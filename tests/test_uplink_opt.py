@@ -383,6 +383,19 @@ def test_group_table_edge_cases_are_the_per_node_solves(case):
         assert same_floats(table.energy(t, n), lone.energy(t))
 
 
+def test_group_of_channels_with_their_own_bandwidths():
+    """Channels of 1, 3, 20 and 5 MHz in one table: each segment's bits
+    scale by its own W / ln 2, in its solve and in its prices."""
+    rng = np.random.default_rng(9)
+    channels = [pass_channel(rng, n, bw) for n, bw in ((12, 1e6), (0, 3e6), (20, 20e6), (7, 5e6))]
+    full = [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 900.0) for ch in channels]
+    targets = [share * bits for share, bits in zip((0.4, 0.0, 0.8, 0.6), full)]
+    table = uplink_opt._table(channels, 900.0)
+    assert_table_solve_is_per_node(table, channels, targets, 900.0)
+    for n, (ch, t) in enumerate(zip(channels, targets)):
+        assert same_floats(table.energy(t, n), uplink_opt._table([ch], 900.0).energy(t))
+
+
 def test_group_residuals_land_on_their_segments():
     """At full power the first cell of this two-cell channel is interior
     and rounds a KKT residual of about 1e-13. Between empty channels, and
