@@ -327,16 +327,16 @@ class BreakpointTable:
             if not 0.0 <= t <= limit:
                 self._refuse(t, n)
         live = [n for n, t in enumerate(targets) if t > 0]
-        nothing = [0.0] * len(cells)
+        zeros = [0.0] * len(cells)
         if not live:
             off = np.zeros(gains.size, dtype=bool)
-            return np.zeros(gains.size), off, off, nothing, nothing, nothing, [0] * len(cells), nothing
+            return np.zeros(gains.size), off, off, zeros, zeros, zeros, [0] * len(cells), zeros
         live_targets = [targets[n] for n in live]
         feet, w_ints, tops, top_bits = self._read_brackets(live_targets, live)
         if len(live) == len(cells):
             foot, top = feet, tops
         else:
-            foot, top = nothing.copy(), nothing.copy()
+            foot, top = zeros.copy(), zeros.copy()
             for n, f, t in zip(live, feet, tops):
                 foot[n], top[n] = f, t
 
@@ -345,13 +345,13 @@ class BreakpointTable:
         # power 0 there. A segment with a zero target has its top at 0, so
         # none of its cells is saturated or interior, and none is reported off.
         inv_gain = 1.0 / gains
-        top_at = self._per_cell(top)
-        zero = inv_gain >= top_at
-        sat = inv_gain + p_max < top_at
+        top = self._per_cell(top)
+        zero = inv_gain >= top
+        sat = inv_gain + p_max < top
         interior = ~zero & ~sat
         if len(live) < len(cells):
-            zero &= top_at > 0.0
-        del top_at
+            zero &= top > 0.0
+        del top
         # an interior power is raw = x - 1/h_k, summed as (foot - 1/h_k) + dx:
         # a cell turning on at the foot gets dx itself, with all its digits
         raw = self._per_cell(foot) - inv_gain
@@ -359,7 +359,7 @@ class BreakpointTable:
         powers = np.where(sat, p_max, 0.0)
         np.minimum(raw, p_max, out=powers, where=interior)
         log = np.log1p(powers * gains)
-        dx = nothing.copy()
+        dx = zeros.copy()
         for n, t, f, tp, tb, w in zip(live, live_targets, feet, tops, top_bits, w_ints):
             a, b = cells[n]
             dx[n] = _rise(t, float(weights_of[n].dot(log[a:b])) * scale[n], f, tp, tb, self._bandwidth[n] * w)
@@ -373,7 +373,7 @@ class BreakpointTable:
         if len(residuals) < len(cells):
             peaks = iter(residuals)
             residuals = [next(peaks) if b > a else 0.0 for a, b in cells]
-        levels, delivered, energies, iterations = nothing.copy(), nothing.copy(), nothing.copy(), [0] * len(cells)
+        levels, delivered, energies, iterations = zeros.copy(), zeros.copy(), zeros.copy(), [0] * len(cells)
         for n in live:
             a, b = cells[n]
             w = weights_of[n]
