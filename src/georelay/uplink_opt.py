@@ -211,7 +211,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     # node n's energy at k files is prices[edges[n] + k - 1]
     counts = np.minimum(caps, problem.total_files)
     edges = np.zeros(n_nodes + 1, dtype=int)
-    np.cumsum(counts, out=edges[1:])
+    np.add.accumulate(counts, out=edges[1:])
     nodes = np.repeat(np.arange(n_nodes), counts)
     files = np.arange(edges[-1]) - edges[nodes] + 1
     prices = []
