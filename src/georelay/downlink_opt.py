@@ -1,13 +1,13 @@
 """GEO-to-LEO stage: energy minimization, constant-power baseline, time minimization.
 
-The energy problem decouples into independent per-LEO waterfilling solves
-because the bit constraints share no variables; the constant-power baseline
-is a per-LEO solve on the same channels, and one assembler gathers either,
-and the file allocator's solves, into an :class:`AllocationResult`. Time
-minimization first finds the per-LEO full-power minimum durations; their
-maximum is the unconstrained optimum T0, and a binding energy budget is
-handled by a Newton search of the horizon on the optimal-energy curve, which
-decreases in the horizon. The
+The energy problem decouples into independent per-LEO waterfills, as the
+bit constraints share no variables: :func:`allocate_for_targets`, every
+stage's one waterfill path, solves them on grouped breakpoint tables
+(:func:`georelay.waterfill.group_tables`). The constant-power baseline is a
+per-LEO Newton search on the same channels. Time minimization first finds
+the per-LEO full-power minimum durations; their maximum is the unconstrained
+optimum T0, and a binding energy budget is handled by a Newton search of the
+horizon on the optimal-energy curve, which decreases in the horizon. The
 request, both searches and the time result are the shared ones in
 :mod:`georelay.horizon`; the per-LEO floors are this stage's one extra output.
 """
@@ -23,7 +23,7 @@ from .errors import InfeasibleError
 from .geometry import geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon, refuse_budget_below_floor
 from .link import PowerProfile
-from .waterfill import LN2, REL_BIT_TOL, CellSolution, max_deliverable_bits, solve_cells
+from .waterfill import LN2, REL_BIT_TOL, group_tables, max_deliverable_bits
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -70,40 +70,35 @@ def allocation_result(profiles, levels, delivered, energies, residuals) -> Alloc
     )
 
 
-def _per_node(channels, solve) -> AllocationResult:
-    """``solve(n, channel)``, a :class:`~georelay.waterfill.CellSolution`, on
-    every node's channel, gathered into one result. An infeasible node's
-    error is raised again as "node n: ...", with its index and deliverable
-    bits."""
-    sols = []
-    for n, ch in enumerate(channels):
+def allocate_for_targets(channels, tables, targets_bits) -> AllocationResult:
+    """Every node's least-energy powers at its bit target, one
+    :meth:`~georelay.waterfill.BreakpointTable.solve_group` per breakpoint
+    table of ``tables``, ``(first, stop, table)`` over the nodes
+    ``first:stop`` (:func:`~georelay.waterfill.group_tables`), gathered into
+    one result. An infeasible node's error is raised again as "node n: ...",
+    with its index and deliverable bits."""
+    profiles, levels, delivered, energies, residuals = [], [], [], [], []
+    for first, stop, table in tables:
         try:
-            sols.append(solve(n, ch))
+            solved = table.solve_group(targets_bits[first:stop])
         except InfeasibleError as exc:
+            n = first + exc.index
             raise InfeasibleError(f"node {n}: {exc}", max_bits=exc.max_bits, index=n) from exc
-    return allocation_result(
-        [ch.profile(sol.powers_w) for ch, sol in zip(channels, sols)],
-        [sol.water_level for sol in sols],
-        [sol.delivered_bits for sol in sols],
-        [sol.energy_j for sol in sols],
-        [sol.kkt_residual for sol in sols],
-    )
+        profiles += [ch.profile(powers) for ch, powers in zip(channels[first:stop], solved.powers_w)]
+        levels += solved.water_levels
+        delivered += solved.delivered_bits
+        energies += solved.energies_j
+        residuals += solved.kkt_residuals
+    return allocation_result(profiles, levels, delivered, energies, residuals)
 
 
-def allocate_for_targets(channels, targets_bits, p_max) -> AllocationResult:
-    """Independent per-node waterfilling solves; infeasibility names the node."""
-    return _per_node(
-        channels,
-        lambda n, ch: solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, targets_bits[n], p_max),
-    )
-
-
-def _least_constant_power(ch, target, p_max) -> CellSolution:
-    """The least constant power on ``ch`` whose bits reach ``target``, or
-    ``p_max`` if none below it does, to within 1e-15 p_max; a zero target
-    gets power 0, and the masks follow from that one level. A target above
-    the full-power bits, past the waterfill's tolerance, is infeasible, with
-    those bits.
+def _least_constant_power(n, ch, target, p_max):
+    """The least constant power on node n's channel ``ch`` whose bits reach
+    ``target``, or ``p_max`` if none below it does, to within 1e-15 p_max,
+    in every cell, and the bits it delivers; a zero target gets power 0. A negative or NaN target is
+    refused as the waterfill refuses it, and one above the full-power bits,
+    past the waterfill's tolerance, is infeasible, named "node n: ...", with
+    those bits and the index n.
 
     bits(P) = W / ln 2 sum_k w_k ln(1 + P h_k) is concave and increasing,
     so Newton's steps, P + (target - bits) / bits' with bits' = W / ln 2
@@ -111,36 +106,45 @@ def _least_constant_power(ch, target, p_max) -> CellSolution:
     P = 0, where bits = 0 needs no evaluation. A step shorter than the
     tolerance becomes one closing step of the tolerance, which reaches.
     """
-    n, power, bits, steps = ch.n_cells, 0.0, 0.0, 0
+    if not target >= 0:
+        raise ValueError("bit target must be nonnegative")
+    power, bits = 0.0, 0.0
     if target != 0:
         full = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, p_max)
         if target > full * (1.0 + REL_BIT_TOL):
-            raise InfeasibleError("target unreachable at P_max", max_bits=full)
+            raise InfeasibleError(f"node {n}: target unreachable at P_max", max_bits=full, index=n)
         tol = 1e-15 * p_max
         scale = ch.bandwidth_hz / LN2
-        for steps in range(1, 201):
+        for _ in range(200):
             slope = scale * np.dot(ch.weights_s, ch.gains_per_w / (1.0 + power * ch.gains_per_w))
             power = min(power + max((target - bits) / slope, tol), p_max)
-            bits = ch.bits(np.full(n, power))
+            bits = ch.bits(np.full(ch.n_cells, power))
             if bits >= target or power == p_max:
                 break
-    powers = np.full(n, power)
-    return CellSolution(
-        powers, math.nan, np.full(n, power == 0.0), np.full(n, power == p_max), bits, ch.energy(powers), steps, math.nan
-    )
+    return np.full(ch.n_cells, power), bits
 
 
 def constant_power_for_targets(channels, targets_bits, p_max) -> AllocationResult:
     """Per-node constant power: the least that meets each bit target
-    (:func:`_least_constant_power`)."""
-    return _per_node(channels, lambda n, ch: _least_constant_power(ch, targets_bits[n], p_max))
+    (:func:`_least_constant_power`), with no water level and no KKT residual
+    (NaN)."""
+    solved = [_least_constant_power(n, ch, targets_bits[n], p_max) for n, ch in enumerate(channels)]
+    unset = [math.nan] * len(channels)
+    return allocation_result(
+        [ch.profile(powers) for ch, (powers, _) in zip(channels, solved)],
+        unset,
+        [bits for _, bits in solved],
+        [ch.energy(powers) for ch, (powers, _) in zip(channels, solved)],
+        unset,
+    )
 
 
 def min_energy_downlink(req: DownlinkRequest, horizon_s: float | None = None) -> AllocationResult:
-    """Independent per-LEO waterfilling, each delivering alpha files."""
+    """Independent per-LEO waterfilling, each delivering alpha files, on
+    one breakpoint table per group of LEOs."""
     channels = [req.channel(n, horizon_s) for n in range(req.scenario.n_leos)]
     target = req.files_per_leos * req.file_bits
-    return allocate_for_targets(channels, [target] * len(channels), req.p_max_w)
+    return allocate_for_targets(channels, group_tables(channels, req.p_max_w), [target] * len(channels))
 
 
 def constant_power_baseline(req: DownlinkRequest) -> AllocationResult:

@@ -9,12 +9,14 @@ cost per file never falls. Minimizing a separable convex sum over integer
 boxes with sum mu = M is then solved exactly by marginal-cost greedy: give
 the M files one at a time to the node whose next file costs least (Fox 1966;
 Ibaraki & Katoh, *Resource Allocation Problems*, MIT Press 1988). That is
-:func:`oa_solve`: one breakpoint table per group of consecutive nodes (up to
-:data:`GROUP_CELLS` cells, a longer channel alone), every file each node can
-take priced in one vectorized pass per group, the heap on those prices, and
-one solve per group that sets every node's powers at the final counts with
-the floats of a per-node waterfill. The test suite checks it against an
-exact dynamic program over the per-node energy tables. Time minimization
+:func:`oa_solve`: one breakpoint table per group of consecutive nodes
+(:func:`~georelay.waterfill.group_tables`), every file each node can take
+priced in one vectorized pass per group, the heap on those prices, and one
+solve per group at the final counts, on the same tables, through the
+downlink's :func:`~georelay.downlink_opt.allocate_for_targets`, with the
+floats of a per-node waterfill. :func:`solve_nlp_fixed_mu` solves given
+counts the same way. The test suite checks the greedy against an exact
+dynamic program over the per-node energy tables. Time minimization
 (:func:`min_time_solve`) takes the floor T0 where the full-power file counts
 first cover the file total, read off each node's full-power prefix as the
 F-th least of its per-file thresholds, and then, under a binding budget,
@@ -36,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .downlink_opt import AllocationResult, allocate_for_targets, allocation_result
+from .downlink_opt import AllocationResult, allocate_for_targets
 from .errors import InfeasibleError
 from .geometry import Geos, geos_distance
 from .horizon import StageRequest, TimeResult, budget_horizon, floor_horizon, refuse_budget_below_floor
 from .link import NodeChannel
-from .waterfill import BreakpointTable, max_deliverable_bits
+from .waterfill import group_tables, max_deliverable_bits
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,8 @@ def integer_file_caps(problem: FileAllocationProblem) -> np.ndarray:
 
 
 def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
-    """Waterfilling at fixed integer file counts."""
+    """Waterfilling at fixed integer file counts, on grouped breakpoint
+    tables."""
     mu = np.asarray(mu)
     if mu.shape != (problem.n_nodes,):
         raise ValueError("one file count per node required")
@@ -144,43 +147,7 @@ def solve_nlp_fixed_mu(problem: FileAllocationProblem, mu) -> AllocationResult:
     if int(round(float(mu.sum()))) != problem.total_files:
         raise ValueError("file counts must sum to the file total")
     targets = [float(mu[n]) * problem.file_bits for n in range(problem.n_nodes)]
-    return allocate_for_targets(problem.channels, targets, problem.p_max_w)
-
-
-# Cells per breakpoint table: nodes join a group in index order while it holds
-# at most this many cells, and a longer channel is a group of its own, with
-# one segment. A shared table saves per-node calls but sorts complex keys
-# over more cells at once; against a table per node, one oa_solve took
-# 0.23-0.24x the time on 39 ten-cell channels, 0.65-0.67x on four of 250
-# cells, 0.85-0.90x on three of 1,024, 0.90-0.94x on two of 768, 0.99-1.04x
-# on two of 1,536, 1.10-1.17x on four of 1,500 and 1.36-1.46x on two of
-# 3,000 (three instances each, 2-vCPU x86-64, numpy 2.4), so a group breaks
-# even near this budget.
-GROUP_CELLS = 3072
-
-
-def _groups(channels) -> list[tuple[int, int]]:
-    """The node ranges [first, stop) that share a breakpoint table."""
-    groups, first, cells = [], 0, 0
-    for n, ch in enumerate(channels):
-        if n > first and cells + ch.n_cells > GROUP_CELLS:
-            groups.append((first, n))
-            first, cells = n, 0
-        cells += ch.n_cells
-    return groups + [(first, len(channels))] if channels else groups
-
-
-def _table(channels, p_max) -> BreakpointTable:
-    """One breakpoint table over ``channels``, each its own segment; a lone
-    channel's arrays are used as they are."""
-    cat = (lambda arrays: arrays[0]) if len(channels) == 1 else np.concatenate
-    return BreakpointTable(
-        cat([ch.weights_s for ch in channels]),
-        cat([ch.gains_per_w for ch in channels]),
-        [ch.bandwidth_hz for ch in channels],
-        p_max,
-        np.cumsum([0] + [ch.n_cells for ch in channels]),
-    )
+    return allocate_for_targets(problem.channels, group_tables(problem.channels, problem.p_max_w), targets)
 
 
 def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
@@ -191,17 +158,18 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
     index goes first, which gives the lexicographically smallest optimal
     counts. The uplink, the MDS repair and the regenerating repair (one
     beta-block per helper) all call it. The nodes share breakpoint tables,
-    one per group of consecutive nodes (:data:`GROUP_CELLS`). Every file
-    k = 1 ... min(cap, M) of every node is priced up front, a group at a time,
-    in one :meth:`~georelay.waterfill.BreakpointTable.energy` call; the heap
-    then runs on those prices. The reported powers and energies come from one
-    :meth:`~georelay.waterfill.BreakpointTable.solve_group` per group at the
-    final counts, with the floats of a per-node solve. The result reports one
-    iteration. The name stays from the outer-approximation solver this
+    one per group of consecutive nodes
+    (:func:`~georelay.waterfill.group_tables`). Every file k = 1 ...
+    min(cap, M) of every node is priced up front, a group at a time, in one
+    :meth:`~georelay.waterfill.BreakpointTable.energy` call; the heap then
+    runs on those prices. The reported powers and energies come from the
+    same tables solved at the final counts
+    (:func:`~georelay.downlink_opt.allocate_for_targets`), with the floats
+    of a per-node solve. The result reports one iteration. The name stays from the outer-approximation solver this
     replaced: the benchmark calls and traces ``oa_solve``.
     """
     channels, n_nodes, u = problem.channels, problem.n_nodes, problem.file_bits
-    groups = [(a, b, _table(channels[a:b], problem.p_max_w)) for a, b in _groups(channels)]
+    groups = list(group_tables(channels, problem.p_max_w))
     caps = _file_caps(problem, [bits for _, _, table in groups for bits in table.full_bits.tolist()])
     if int(caps.sum()) < problem.total_files:
         raise InfeasibleError(
@@ -236,15 +204,7 @@ def oa_solve(problem: FileAllocationProblem) -> UplinkResult:
         else:
             heapq.heappop(heap)
     mu = np.array(mu, dtype=int)
-    profiles, levels, delivered, energies, residuals = [], [], [], [], []
-    for a, b, table in groups:
-        solved = table.solve_group(mu[a:b] * u)
-        profiles += [ch.profile(powers) for ch, powers in zip(channels[a:b], solved.powers_w)]
-        levels += solved.water_levels
-        delivered += solved.delivered_bits
-        energies += solved.energies_j
-        residuals += solved.kkt_residuals
-    return UplinkResult(allocation_result(profiles, levels, delivered, energies, residuals), mu, OAState())
+    return UplinkResult(allocate_for_targets(channels, groups, mu * u), mu, OAState())
 
 
 def oa_min_energy_uplink(req: UplinkRequest) -> UplinkResult:

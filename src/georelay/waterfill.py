@@ -42,21 +42,24 @@ Every other step runs once over the group: one stable sort of the
 numbers, so each segment keeps the order its channel alone sorts to, ties
 included; the marks, the gaps and the log1p of their ratios; the bits' scale
 by W / ln 2; the bracket keys, built once per table for both ``energy`` and
-``solve``; each call's binary search for the brackets, and a solve's gathers
-of their feet and tops; the per-cell split and powers of a solve; its KKT
-residuals, one ``maximum.reduceat`` (a max is exact); and the rises of every
-price. A lone channel is a table of one segment with none of the group's
-bookkeeping: no keys, and its one bracket read as scalars.
+``solve_group``; each call's binary search for the brackets, and a solve's
+gathers of their feet and tops; the per-cell split and powers of a solve;
+its KKT residuals, one ``maximum.reduceat`` (a max is exact); and the rises
+of every price. A lone channel is a table of one segment with none of the
+group's bookkeeping: no keys, and its one bracket read as scalars.
 
 :meth:`BreakpointTable.energy` prices any number of targets, each on its own
 segment, in O(log n) each: a binary search for the bracket, the rise with the
 table's b_i as b_foot, and e_i + w_i dx, all over arrays, through numpy's
-expm1. :meth:`BreakpointTable.solve` takes one target per segment, finds the
-same brackets, sums b_foot on their splits and returns every segment's
-powers (h_i - 1/h_k) + dx, clipped to [0, P_max], with the under-delivery
-check. The file allocator prices every file a node can take with ``energy``
-and solves each group once, at the final counts; :func:`solve_cells` is the
-one-channel form, a table of one segment and its solve.
+expm1. :meth:`BreakpointTable.solve_group` takes one target per segment,
+finds the same brackets, sums b_foot on their splits and returns every
+segment's powers (h_i - 1/h_k) + dx, clipped to [0, P_max], with the
+under-delivery check, as columns. The downlink, the fixed-count solve and
+the file allocator, which first prices every file a node can take with
+``energy``, all solve on these tables, one per group of consecutive channels
+(:func:`group_tables`). :func:`solve_cells`, a table of one segment and its
+solve, is the one-channel form the tests and the benchmark's checks take as
+a reference.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ def cell_bits(weights: np.ndarray, gains: np.ndarray, powers: np.ndarray, bandwi
 
 @dataclass(frozen=True)
 class CellSolution:
-    """One node's powers on bare grid cells: a waterfilling solution, or the
-    constant-power baseline's, which has no water level or KKT residual (NaN)."""
+    """One channel's waterfill (:func:`solve_cells`): a solve's columns with
+    its zero and saturated masks and its iteration count."""
 
     powers_w: np.ndarray
     water_level: float
@@ -96,7 +99,7 @@ class CellSolution:
 
 class GroupSolution(NamedTuple):
     """A table's solutions as columns, one entry per segment: what an
-    allocation result needs of each :class:`CellSolution`."""
+    allocation result holds of each node."""
 
     powers_w: list
     water_levels: list
@@ -135,7 +138,7 @@ class BreakpointTable:
     to ``2 bounds[s + 1]``, its stable-sorted breakpoint heights with, at
     each of them, the bits delivered, the energy spent and the interior
     weight up to the next one. :meth:`energy` prices targets in O(log n) and
-    :meth:`solve` returns the powers; both find each bracket by binary
+    :meth:`solve_group` returns the powers; both find each bracket by binary
     search and the level as one rise above its foot (:func:`_rise`).
     """
 
@@ -223,17 +226,18 @@ class BreakpointTable:
 
     def _refuse(self, target, n) -> None:
         """Raise, for a target that is negative or NaN or that segment n
-        cannot deliver, what a solve raises; pass any other."""
+        cannot deliver, what a solve raises, with the index n; pass any other."""
         if not target >= 0:
             raise ValueError("bit target must be nonnegative")
         a, b = self._cells[n]
         if target > 0 and b == a:
-            raise InfeasibleError("empty window cannot deliver bits", max_bits=0.0)
+            raise InfeasibleError("empty window cannot deliver bits", max_bits=0.0, index=n)
         best = float(self.full_bits[n])
         if target > best * (1.0 + REL_BIT_TOL):
             raise InfeasibleError(
                 f"bit target {target:.6g} exceeds {best:.6g} deliverable at P_max",
                 max_bits=best,
+                index=n,
             )
 
     def _bracket(self, targets, nodes=0):
@@ -262,14 +266,14 @@ class BreakpointTable:
 
     def energy(self, target_bits, nodes=0):
         """Least energy delivering each of ``target_bits`` on its node's
-        segment: ``solve``'s energy to rounding, in O(log n) each, with the
+        segment: a solve's energy to rounding, in O(log n) each, with the
         table's bits as the foot's. A zero target costs 0.0; a negative,
-        empty or undeliverable one raises what :meth:`solve` raises. A float
-        for a scalar target, else an array.
+        empty or undeliverable one raises what a solve raises. A float for a
+        scalar target, else an array.
 
         Every target takes the rise of :func:`_rise` at once, over arrays,
         through numpy's expm1, which can differ from ``math.expm1`` in the
-        last place: a price may round apart from ``solve``'s energy, never by
+        last place: a price may round apart from a solve's energy, never by
         more.
         """
         targets = np.asarray(target_bits, dtype=float)
@@ -295,29 +299,19 @@ class BreakpointTable:
             prices[live] = priced
         return float(prices) if prices.ndim == 0 else prices
 
-    def solve(self, target_bits) -> list[CellSolution]:
-        """Least-energy powers delivering ``target_bits`` (one per segment, or
-        one for all): :meth:`_solve`, one :class:`CellSolution` per
-        segment."""
-        powers, zero, sat, levels, delivered, energies, iterations, residuals = self._solve(target_bits)
-        return [
-            CellSolution(powers[a:b], levels[n], zero[a:b], sat[a:b], delivered[n], energies[n], iterations[n], residuals[n])
-            for n, (a, b) in enumerate(self._cells)
-        ]
-
     def solve_group(self, target_bits) -> GroupSolution:
-        """:meth:`solve`'s powers and totals as columns, with no per-segment
-        object and no masks."""
-        powers, _, _, levels, delivered, energies, _, residuals = self._solve(target_bits)
+        """Least-energy powers delivering ``target_bits`` (one per segment, or
+        one for all) and every segment's totals, as columns (:meth:`_solve`)."""
+        powers, _, _, levels, delivered, energies, residuals = self._solve(target_bits)
         return GroupSolution([powers[a:b] for a, b in self._cells], levels, delivered, energies, residuals)
 
     def _solve(self, target_bits):
         """Every segment's solution: the group's powers and zero and
         saturated masks over all its cells, then the water levels, delivered
-        bits, energies, iterations and KKT residuals as lists, one entry per
-        segment. Each takes its bracket's split, the bits at its foot summed
-        on that split, and the rise of :func:`_rise` on every interior cell;
-        a segment with a zero target sends nothing. The steps on cells run
+        bits, energies and KKT residuals as lists, one entry per segment.
+        Each takes its bracket's split, the bits at its foot summed on that
+        split, and the rise of :func:`_rise` on every interior cell; a
+        segment with a zero target sends nothing. The steps on cells run
         once over the group, and so do the brackets' gathers and the KKT
         residuals; each segment's dot products and rise are its own, as a
         lone channel's are."""
@@ -330,7 +324,7 @@ class BreakpointTable:
         zeros = [0.0] * len(cells)
         if not live:
             off = np.zeros(gains.size, dtype=bool)
-            return np.zeros(gains.size), off, off, zeros, zeros, zeros, [0] * len(cells), zeros
+            return np.zeros(gains.size), off, off, zeros, zeros, zeros, zeros
         live_targets = [targets[n] for n in live]
         feet, w_ints, tops, top_bits = self._read_brackets(live_targets, live)
         if len(live) == len(cells):
@@ -373,7 +367,7 @@ class BreakpointTable:
         if len(residuals) < len(cells):
             peaks = iter(residuals)
             residuals = [next(peaks) if b > a else 0.0 for a, b in cells]
-        levels, delivered, energies, iterations = zeros.copy(), zeros.copy(), zeros.copy(), [0] * len(cells)
+        levels, delivered, energies = zeros.copy(), zeros.copy(), zeros.copy()
         for n in live:
             a, b = cells[n]
             w = weights_of[n]
@@ -382,11 +376,49 @@ class BreakpointTable:
                 raise InternalError("waterfilling under-delivered its bit target")
             energies[n] = float(w.dot(powers[a:b]))
             levels[n] = LN2 * (foot[n] + dx[n])
-            iterations[n] = 1
-        return powers, zero, sat, levels, delivered, energies, iterations, residuals
+        return powers, zero, sat, levels, delivered, energies, residuals
 
 
 def solve_cells(weights, gains, bandwidth_hz, target_bits, p_max) -> CellSolution:
-    """Waterfill on precomputed cell weights and gains: a table of one
-    channel and its solve."""
-    return BreakpointTable(weights, gains, bandwidth_hz, p_max).solve(target_bits)[0]
+    """Waterfill on one channel's cell weights and gains: a table of one
+    segment and its solve, with the masks a grouped solve leaves out."""
+    powers, zero, sat, *columns = BreakpointTable(weights, gains, bandwidth_hz, p_max)._solve(target_bits)
+    (level,), (bits,), (energy,), (residual,) = columns
+    return CellSolution(powers, level, zero, sat, bits, energy, int(target_bits > 0), residual)
+
+
+# Cells per breakpoint table: nodes join a group in index order while it holds
+# at most this many cells, and a longer channel is a group of its own, with
+# one segment. A shared table saves per-node calls but sorts complex keys
+# over more cells at once; against a table per node, one oa_solve took
+# 0.23-0.24x the time on 39 ten-cell channels, 0.65-0.67x on four of 250
+# cells, 0.85-0.90x on three of 1,024, 0.90-0.94x on two of 768, 0.99-1.04x
+# on two of 1,536, 1.10-1.17x on four of 1,500 and 1.36-1.46x on two of
+# 3,000 (three instances each, 2-vCPU x86-64, numpy 2.4), so a group breaks
+# even near this budget.
+GROUP_CELLS = 3072
+
+
+def group_tables(channels, p_max):
+    """Yield ``(first, stop, table)``: one breakpoint table over each group
+    of consecutive ``channels``, ``first:stop``, each channel a segment.
+    Channels join a group in index order while it holds at most
+    :data:`GROUP_CELLS` cells, and a longer channel is a group of its own,
+    whose arrays are used as they are. Each table is built only once the
+    previous one is taken, so that a caller can solve and drop it first."""
+    edges, cells = [0], 0
+    for n, ch in enumerate(channels):
+        if n > edges[-1] and cells + ch.n_cells > GROUP_CELLS:
+            edges.append(n)
+            cells = 0
+        cells += ch.n_cells
+    for first, stop in zip(edges, edges[1:] + [len(channels)] if channels else []):
+        group = channels[first:stop]
+        cat = (lambda arrays: arrays[0]) if len(group) == 1 else np.concatenate
+        yield first, stop, BreakpointTable(
+            cat([ch.weights_s for ch in group]),
+            cat([ch.gains_per_w for ch in group]),
+            [ch.bandwidth_hz for ch in group],
+            p_max,
+            np.cumsum([0] + [ch.n_cells for ch in group]),
+        )

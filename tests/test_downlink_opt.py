@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from georelay.downlink_opt import (
 from georelay.errors import InfeasibleError
 from georelay.link import NodeChannel
 from georelay.scenario import build_downlink_request
-from georelay.waterfill import REL_BIT_TOL, max_deliverable_bits
+from georelay.waterfill import REL_BIT_TOL, BreakpointTable, group_tables, max_deliverable_bits
 from oracles import constant_power_oracle
 
 
@@ -115,10 +116,25 @@ def test_baseline_accepts_what_waterfilling_accepts():
     tolerance, is feasible for both: every cell at P_max."""
     ch = NodeChannel(0.0, 3.0, 1.0, np.ones(3), np.array([1e-3, 2e-3, 4e-3]), 1e6)
     target = max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 10.0) * (1.0 + 0.5 * REL_BIT_TOL)
-    assert allocate_for_targets([ch], [target], 10.0).total_energy_j == pytest.approx(30.0, rel=1e-12)
+    assert allocate_for_targets([ch], group_tables([ch], 10.0), [target]).total_energy_j == pytest.approx(30.0, rel=1e-12)
     assert constant_power_for_targets([ch], [target], 10.0).total_energy_j == pytest.approx(30.0, rel=1e-12)
     with pytest.raises(InfeasibleError):
         constant_power_for_targets([ch], [target * (1.0 + REL_BIT_TOL)], 10.0)
+
+
+@pytest.mark.parametrize("target", [math.nan, -1.0])
+def test_baseline_refuses_what_waterfilling_refuses(monkeypatch, target):
+    """A NaN or negative bit target is refused as the waterfill refuses it,
+    before any Newton step evaluates the bits."""
+    ch = NodeChannel(0.0, 3.0, 1.0, np.ones(3), np.array([1e-3, 2e-3, 4e-3]), 1e6)
+    with pytest.raises(ValueError, match="bit target must be nonnegative"):
+        allocate_for_targets([ch], group_tables([ch], 10.0), [target])
+    calls = []
+    bits = NodeChannel.bits
+    monkeypatch.setattr(NodeChannel, "bits", lambda self, powers: calls.append(self) or bits(self, powers))
+    with pytest.raises(ValueError, match="bit target must be nonnegative"):
+        constant_power_for_targets([ch], [target], 10.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
@@ -175,6 +191,23 @@ def test_infeasibility_names_leos(request_ref):
     ch = req.channel(0)
     assert exc.value.index == 0
     assert exc.value.max_bits == max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, req.p_max_w)
+
+
+@pytest.mark.parametrize("dt, tables", [(1.0, 1), (0.5, 2), (0.1, 5)])
+def test_downlink_builds_one_table_per_group(monkeypatch, request_ref, dt, tables):
+    """The five default LEOs share one breakpoint table at a 1 s grid, two
+    at 0.5 s, and at 0.1 s each channel is longer than the group budget and
+    has its own."""
+    built = []
+    init = BreakpointTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BreakpointTable, "__init__", counted)
+    min_energy_downlink(dataclasses.replace(request_ref, grid_step_s=dt))
+    assert len(built) == tables
 
 
 def test_min_time_unbounded_budget(request_ref):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from georelay.downlink_opt import constant_power_for_targets
+from georelay.downlink_opt import allocate_for_targets, constant_power_for_targets
 from georelay.errors import InfeasibleError
 from georelay.link import NodeChannel
-from georelay import uplink_opt
+from georelay import waterfill
 from georelay.scenario import build_uplink_request
 from georelay.uplink_opt import (
     FileAllocationProblem,
@@ -19,7 +19,7 @@ from georelay.uplink_opt import (
     oa_solve,
     solve_nlp_fixed_mu,
 )
-from georelay.waterfill import CellSolution, max_deliverable_bits, solve_cells
+from georelay.waterfill import group_tables, max_deliverable_bits, solve_cells
 from oracles import check_mu_reconstructable, dp_oracle, dp_solve, enumerate_integer_splits
 
 
@@ -254,10 +254,11 @@ def same_floats(got, want) -> bool:
 def assert_grouped_solve_is_per_node(problem, twins=None):
     """``oa_solve`` against the exact DP's counts and, at those counts, every
     float of its result against a lone channel's :func:`solve_cells`; each
-    group table's solve against the same solves, masks included. The DP
-    sums a split's energies in the order of its recursion, so on the exact
-    tie of two identical channels (``twins``) it may give either of them
-    the file: its counts may differ from the greedy's by a swap of the two."""
+    group table's solve against the same solves, masks included
+    (:func:`assert_segments_are`). The DP sums a split's energies in the
+    order of its recursion, so on the exact tie of two identical channels
+    (``twins``) it may give either of them the file: its counts may differ
+    from the greedy's by a swap of the two."""
     res = oa_solve(problem)
     dp = dp_solve(problem).mu.tolist()
     if twins is not None and res.mu.tolist() != dp:
@@ -277,11 +278,8 @@ def assert_grouped_solve_is_per_node(problem, twins=None):
     assert same_floats(alloc.water_levels, [sol.water_level for sol in sols])
     assert same_floats(alloc.total_energy_j, sum(sol.energy_j for sol in sols))
     assert same_floats(alloc.kkt_residual_max, max((sol.kkt_residual for sol in sols), default=0.0))
-    for a, b in uplink_opt._groups(problem.channels):
-        grouped = uplink_opt._table(problem.channels[a:b], p).solve(res.mu[a:b] * u)
-        for got, want in zip(grouped, sols[a:b]):
-            for name in CellSolution.__dataclass_fields__:
-                assert same_floats(getattr(got, name), getattr(want, name)), name
+    for a, b, table in group_tables(problem.channels, p):
+        assert_segments_are(table, res.mu[a:b] * u, sols[a:b])
     return res
 
 
@@ -317,17 +315,49 @@ def test_grouped_greedy_is_the_per_node_greedy(nodes, seed, share, twin):
     total = int(share * int(integer_file_caps(empty).sum()))
     problem = dataclasses.replace(empty, total_files=total)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uplink_opt, "GROUP_CELLS", SMALL_BUDGET)
+        mp.setattr(waterfill, "GROUP_CELLS", SMALL_BUDGET)
         res = assert_grouped_solve_is_per_node(problem, (0, len(channels) - 1) if twin else None)
         if twin:
-            groups = uplink_opt._groups(problem.channels)
-            last_start = groups[-1][0]
+            tables = list(group_tables(problem.channels, p))
+            (_, _, first), (last_start, _, last) = tables[0], tables[-1]
             assert last_start > 0
-            first = uplink_opt._table(channels[: groups[0][1]], p)
-            last = uplink_opt._table(channels[last_start:], p)
             files = np.arange(1, int(integer_file_caps(empty)[0]) + 1) * u
             assert same_floats(first.energy(files, 0), last.energy(files, len(channels) - 1 - last_start))
             assert res.mu[-1] >= res.mu[0]
+
+
+# each node's cells, and the groups they make at the real budget and at
+# SMALL_BUDGET: nodes 1, 3 and the empty window 4 are never first in a group,
+# and at SMALL_BUDGET nodes 3 and 4 sit in the second one
+INFEASIBLE_CELLS = (10, 4, 9, 5, 0, 3)
+INFEASIBLE_GROUPS = {None: [(0, 6)], SMALL_BUDGET: [(0, 2), (2, 5), (5, 6)]}
+
+
+@pytest.mark.parametrize("budget", INFEASIBLE_GROUPS)
+@pytest.mark.parametrize("node", [1, 3, 4])
+def test_grouped_infeasibility_names_the_node(budget, node):
+    """On grouped tables an undeliverable node that is not the first of its
+    group, in the first group or in a later one, raises "node n: ..." with
+    its index n and its full-power bits; the empty window (node 4) raises
+    that it cannot deliver bits, with none deliverable."""
+    rng = np.random.default_rng(4)
+    channels = [pass_channel(rng, cells) for cells in INFEASIBLE_CELLS]
+    full = [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 900.0) for ch in channels]
+    targets = [0.5 * bits for bits in full]
+    targets[node] = 2.0 * full[node] if full[node] else 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(waterfill, "GROUP_CELLS", budget)
+        assert [(a, b) for a, b, _ in group_tables(channels, 900.0)] == INFEASIBLE_GROUPS[budget]
+        with pytest.raises(InfeasibleError) as exc:
+            allocate_for_targets(channels, group_tables(channels, 900.0), targets)
+    if node == 4:
+        assert str(exc.value) == "node 4: empty window cannot deliver bits"
+    else:
+        assert str(exc.value).startswith(f"node {node}: bit target {targets[node]:.6g} exceeds")
+    assert exc.value.index == node
+    assert exc.value.max_bits == full[node]
+    assert (full[node] == 0.0) == (node == 4)
 
 
 # the group tables' edge cases, pinned: (each channel's cells, each target as
@@ -351,21 +381,34 @@ def edge_group(rng, cells, shares, p_max=900.0):
     return channels, [share * bits for share, bits in zip(shares, full)]
 
 
-def assert_table_solve_is_per_node(table, channels, targets, p_max):
-    """Every field of the table's solve, masks, levels and residuals
-    included, and every column of its grouped solve, is a lone channel's
-    :func:`solve_cells` bit for bit."""
-    want = [solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, t, p_max) for ch, t in zip(channels, targets)]
-    got = table.solve(np.array(targets))
-    assert len(got) == len(want)
-    for sol, lone in zip(got, want):
-        for name in CellSolution.__dataclass_fields__:
-            assert same_floats(getattr(sol, name), getattr(lone, name)), name
-    columns = table.solve_group(np.array(targets))
+def one_table(channels, p_max=900.0):
+    """The breakpoint table of ``channels`` that fit in one group."""
+    ((first, stop, table),) = group_tables(channels, p_max)
+    assert (first, stop) == (0, len(channels))
+    return table
+
+
+def assert_segments_are(table, targets, want):
+    """Every column of the table's grouped solve at ``targets``, and the
+    zero and saturated masks its solve sets on the way, are the lone
+    channels' :class:`~georelay.waterfill.CellSolution` fields ``want`` bit
+    for bit."""
+    columns = table.solve_group(targets)
     for column, name in zip(columns, ("powers_w", "water_level", "delivered_bits", "energy_j", "kkt_residual")):
         assert len(column) == len(want)
         for value, lone in zip(column, want):
             assert same_floats(value, getattr(lone, name)), name
+    _, zero, sat, *_ = table._solve(targets)
+    for (a, b), lone in zip(table._cells, want):
+        assert same_floats(zero[a:b], lone.zero_mask), "zero_mask"
+        assert same_floats(sat[a:b], lone.saturated_mask), "saturated_mask"
+
+
+def assert_table_solve_is_per_node(table, channels, targets, p_max):
+    """The table's solve, masks, levels and residuals included, is a lone
+    channel's :func:`solve_cells` bit for bit."""
+    want = [solve_cells(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, t, p_max) for ch, t in zip(channels, targets)]
+    assert_segments_are(table, np.array(targets), want)
 
 
 @pytest.mark.parametrize("case", EDGE_GROUPS)
@@ -376,10 +419,10 @@ def test_group_table_edge_cases_are_the_per_node_solves(case):
     of a positive target is its lone table's."""
     cells, shares = EDGE_GROUPS[case]
     channels, targets = edge_group(np.random.default_rng(len(case)), cells, shares)
-    table = uplink_opt._table(channels, 900.0)
+    table = one_table(channels)
     assert_table_solve_is_per_node(table, channels, targets, 900.0)
     for n, (ch, t) in enumerate(zip(channels, targets)):
-        lone = uplink_opt._table([ch], 900.0)
+        lone = one_table([ch])
         assert same_floats(table.energy(t, n), lone.energy(t))
 
 
@@ -390,10 +433,10 @@ def test_group_of_channels_with_their_own_bandwidths():
     channels = [pass_channel(rng, n, bw) for n, bw in ((12, 1e6), (0, 3e6), (20, 20e6), (7, 5e6))]
     full = [max_deliverable_bits(ch.weights_s, ch.gains_per_w, ch.bandwidth_hz, 900.0) for ch in channels]
     targets = [share * bits for share, bits in zip((0.4, 0.0, 0.8, 0.6), full)]
-    table = uplink_opt._table(channels, 900.0)
+    table = one_table(channels)
     assert_table_solve_is_per_node(table, channels, targets, 900.0)
     for n, (ch, t) in enumerate(zip(channels, targets)):
-        assert same_floats(table.energy(t, n), uplink_opt._table([ch], 900.0).energy(t))
+        assert same_floats(table.energy(t, n), one_table([ch]).energy(t))
 
 
 def test_group_residuals_land_on_their_segments():
@@ -410,7 +453,7 @@ def test_group_residuals_land_on_their_segments():
     targets = [share * bits for share, bits in zip((0.0, 1.0, 0.0, 0.0, 0.5, 1.0, 0.0), full)]
     lone = solve_cells(rounding.weights_s, rounding.gains_per_w, rounding.bandwidth_hz, full[1], 900.0)
     assert lone.kkt_residual > 0.0 and not lone.zero_mask[0] and not lone.saturated_mask[0]
-    assert_table_solve_is_per_node(uplink_opt._table(channels, 900.0), channels, targets, 900.0)
+    assert_table_solve_is_per_node(one_table(channels), channels, targets, 900.0)
 
 
 @pytest.mark.parametrize("first", ["energy", "solve"])
@@ -421,9 +464,9 @@ def test_a_table_prices_and_solves_in_either_order(first):
     files = np.arange(1, 4)
     nodes = np.repeat([1, 2, 3], files.size)
     asks = np.tile(files / files.size, 3) * np.repeat([targets[1], targets[2], targets[3]], files.size)
-    table = uplink_opt._table(channels, 900.0)
+    table = one_table(channels)
     built = [getattr(table, name).tobytes() for name in ("heights", "w_int", "e_at", "bits", "full_bits")]
-    priced = uplink_opt._table(channels, 900.0).energy(asks, nodes)
+    priced = one_table(channels).energy(asks, nodes)
     if first == "energy":
         assert same_floats(table.energy(asks, nodes), priced)
         assert_table_solve_is_per_node(table, channels, targets, 900.0)
@@ -437,11 +480,11 @@ def test_groups_at_the_budget():
     """Nodes join a group in index order while it holds at most GROUP_CELLS
     cells; a longer channel is a group of its own. At the real budget the
     grouped greedy is still the per-node one."""
-    budget = uplink_opt.GROUP_CELLS
+    budget = waterfill.GROUP_CELLS
     rng = np.random.default_rng(11)
     lengths = (budget - 1, 1, 1, budget + 1, 0, 5)
     channels = tuple(pass_channel(rng, cells) for cells in lengths)
-    assert uplink_opt._groups(channels) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    assert [(a, b) for a, b, _ in group_tables(channels, 900.0)] == [(0, 2), (2, 3), (3, 4), (4, 6)]
     problem = FileAllocationProblem(channels, 0, (4,) * len(channels), 1.6e8, 900.0)
     total = int(integer_file_caps(problem).sum()) - 1
     assert total > 4

@@ -8,7 +8,6 @@ from georelay.link import LinkParams, aggregate_gain, build_channel
 from georelay.waterfill import (
     REL_BIT_TOL,
     BreakpointTable,
-    CellSolution,
     cell_bits,
     max_deliverable_bits,
     solve_cells,
@@ -239,6 +238,10 @@ def test_target_just_above_a_breakpoint():
                 assert sol.saturated_mask[k] == (k == saturating)
 
 
+# the CellSolution field of each column of a grouped solve
+COLUMNS = ("powers_w", "water_level", "delivered_bits", "energy_j", "kkt_residual")
+
+
 def test_targets_at_every_breakpoint():
     """Targets within a few ulps of the bits at each breakpoint, where
     rounding can put the closed-form level just outside the bracket the
@@ -259,9 +262,13 @@ def test_targets_at_every_breakpoint():
                     continue
                 sol = solve_cells(w, h, W, target, p_max)
                 assert_kkt_and_closed_form(sol, w, h, W, target, p_max)
-                priced = table.solve(target)[0]
-                for name in CellSolution.__dataclass_fields__:
-                    got, want = getattr(priced, name), getattr(sol, name)
+                # the grouped solve's columns, and the masks its solve sets
+                columns = table.solve_group(target)
+                _, zero, sat, *_ = table._solve(target)
+                priced = {name: column[0] for name, column in zip(COLUMNS, columns)}
+                priced.update(zero_mask=zero, saturated_mask=sat)
+                for name, got in priced.items():
+                    want = getattr(sol, name)
                     if isinstance(want, np.ndarray):
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
                     else:
@@ -279,7 +286,7 @@ def breakpoint_targets(table):
 
 def assert_prices_match_solve(table, targets, rel):
     for target in targets:
-        assert table.energy(target) == pytest.approx(table.solve(target)[0].energy_j, rel=rel, abs=0.0), target
+        assert table.energy(target) == pytest.approx(table.solve_group(target).energies_j[0], rel=rel, abs=0.0), target
 
 
 def assert_bracket_is_linear_scan(table, targets):
@@ -346,7 +353,7 @@ def test_energy_of_a_tiny_target():
         target = share * table.bits[1]
         exact = w[k] * math.expm1(target * LN2 / (W * w[k])) / h[k]
         assert table.energy(target) == pytest.approx(exact, rel=1e-12, abs=0.0), share
-        assert table.solve(target)[0].energy_j == pytest.approx(exact, rel=1e-12, abs=0.0), share
+        assert table.solve_group(target).energies_j[0] == pytest.approx(exact, rel=1e-12, abs=0.0), share
 
 
 def test_solve_on_tiny_shares_of_full_power():
@@ -359,9 +366,9 @@ def test_solve_on_tiny_shares_of_full_power():
         table = BreakpointTable(w, h, W, p_max)
         for share in (1e-4, 1e-6, 1e-8, 1e-9, 1e-12):
             target = share * table.full_bits[0]
-            sol = table.solve(target)[0]
-            assert sol.energy_j == pytest.approx(table.energy(target), rel=1e-12, abs=0.0), share
-            assert sol.delivered_bits == pytest.approx(target, rel=1e-9)
+            sol = table.solve_group(target)
+            assert sol.energies_j[0] == pytest.approx(table.energy(target), rel=1e-12, abs=0.0), share
+            assert sol.delivered_bits[0] == pytest.approx(target, rel=1e-9)
 
 
 def test_cell_bits_at_tiny_snr():
@@ -421,5 +428,5 @@ def test_energy_matches_solve_on_reference_uplink_channels(default_config, dt):
         assert_prices_match_solve(table, files, 1e-10)
         assert_bracket_is_linear_scan(table, files + breakpoint_targets(table))
         for target in files:
-            i, height = table._bracket(target), table.solve(target)[0].water_level / LN2
+            i, height = table._bracket(target), table.solve_group(target).water_levels[0] / LN2
             assert table.heights[i] * (1 - 1e-12) <= height <= table.heights[i + 1] * (1 + 1e-12)
